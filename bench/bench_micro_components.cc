@@ -9,11 +9,11 @@
 
 #include <benchmark/benchmark.h>
 
-#include "shield/bcu.h"
 #include "shield/cipher.h"
 #include "shield/pointer.h"
 #include "shield/rbt.h"
 #include "shield/rcache.h"
+#include "shield/region_backend.h"
 #include "sim/lsu.h"
 
 namespace {
@@ -61,7 +61,7 @@ BM_BcuCheckL1Hit(benchmark::State &state)
     b.kernel = 1;
     rbt.set(7, b);
 
-    BoundsCheckUnit bcu{RCacheConfig{}};
+    RegionShieldBackend bcu{RCacheConfig{}};
     bcu.register_kernel(1, 0xABC, &rbt);
     IdCipher cipher(0xABC);
 

@@ -17,10 +17,9 @@ to_string(LaunchStatus status)
     return "unknown";
 }
 
-Context::Context(const GpuConfig &config, std::uint64_t seed,
-                 std::size_t id_space)
+Context::Context(const GpuConfig &config, std::uint64_t seed)
     : config_(config), device_(config.mem.page_size),
-      driver_(device_, seed, id_space)
+      driver_(device_, {}, seed)
 {
     driver_.set_shield_backend(config.shield.backend);
 }

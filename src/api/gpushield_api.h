@@ -213,12 +213,8 @@ struct LaunchResult
 class Context
 {
   public:
-    /** @param id_space usable buffer-ID count forwarded to the driver
-     *        (shrinkable to exercise §6.3 merging and RBT-exhaustion
-     *        error reporting). */
     explicit Context(const GpuConfig &config = nvidia_config(),
-                     std::uint64_t seed = 0xD81EE5ull,
-                     std::size_t id_space = kNumBufferIds);
+                     std::uint64_t seed = 0xD81EE5ull);
 
     /// @name Memory management
     /// @{

@@ -1,16 +1,15 @@
 /**
  * @file
- * Work-stealing thread pool shared by the sweep executor (one job per
- * sweep cell) and the parallel-SM simulation engine (one job per core
- * shard per cycle round).
+ * Work-stealing thread pool of the sweep executor (one job per sweep
+ * cell).
  *
  * Each worker owns a deque; submissions are distributed round-robin.
  * A worker pops from the back of its own deque (LIFO, cache-friendly)
  * and, when empty, steals from the front of a sibling's deque (FIFO,
  * oldest work first). Deques share one mutex — sweep cells are
- * milliseconds-to-seconds of simulation each and engine shards amortize
- * a whole issue phase per job, so scheduling cost is irrelevant next to
- * run cost and the coarse lock keeps the pool trivially race-free (see
+ * milliseconds-to-seconds of simulation each, so scheduling cost is
+ * irrelevant next to run cost and the coarse lock keeps the pool
+ * trivially race-free (see
  * the ThreadSanitizer preset in CMakePresets.json). submit/wait_idle
  * pairs give the caller the usual mutex happens-before edges: writes
  * made before submit() are visible to the job, and writes made by jobs

@@ -72,7 +72,7 @@ run_conformance_cell(const ConformCell &cell)
         // Leg 1: functional oracle — the reference memory image.
         try {
             GpuDevice dev(cell.cfg.mem.page_size);
-            Driver driver(dev, cell.seed);
+            Driver driver(dev, {}, cell.seed);
             driver.set_shield_backend(cell.cfg.shield.backend);
             const WorkloadInstance w = cell.make(driver);
             LaunchState state =
@@ -90,7 +90,7 @@ run_conformance_cell(const ConformCell &cell)
         // Leg 2: timing simulator with the shield off.
         try {
             GpuDevice dev(cell.cfg.mem.page_size);
-            Driver driver(dev, cell.seed);
+            Driver driver(dev, {}, cell.seed);
             driver.set_shield_backend(cell.cfg.shield.backend);
             const WorkloadInstance w = cell.make(driver);
             const RunOutcome out = workloads::run_workload(
@@ -119,7 +119,7 @@ run_conformance_cell(const ConformCell &cell)
         const char *leg = use_static ? "shield+static" : "shield";
         try {
             GpuDevice dev(cell.cfg.mem.page_size);
-            Driver driver(dev, cell.seed);
+            Driver driver(dev, {}, cell.seed);
             driver.set_shield_backend(cell.cfg.shield.backend);
             WorkloadInstance w = cell.make(driver);
             w.optimize_checks = cell.check_opt;

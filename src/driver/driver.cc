@@ -39,26 +39,6 @@ GpuDevice::rbt_base(KernelId kernel) const
            static_cast<PAddr>(kernel) * RegionBoundsTable::kTableBytes;
 }
 
-namespace {
-
-DriverPartition
-legacy_partition(std::size_t id_space)
-{
-    if (id_space < 2 || id_space > kNumBufferIds)
-        fatal("Driver: invalid buffer-ID space size");
-    DriverPartition part;
-    part.id_first = 1;
-    part.id_count = id_space - 1;
-    return part;
-}
-
-} // namespace
-
-Driver::Driver(GpuDevice &dev, std::uint64_t seed, std::size_t id_space)
-    : Driver(dev, legacy_partition(id_space), seed)
-{
-}
-
 Driver::Driver(GpuDevice &dev, const DriverPartition &part,
                std::uint64_t seed)
     : dev_(dev), rng_(seed), part_(part),
@@ -203,6 +183,7 @@ Driver::launch(const LaunchConfig &cfg)
 
     LaunchState state;
     ++c_launches_;
+    state.driver = this;
     state.kernel_id = assign_kernel_id();
     state.tenant = part_.tenant;
     state.secret_key = rng_.next64();

@@ -106,9 +106,14 @@ struct CanaryReport
     std::uint64_t corrupt_bytes = 0;
 };
 
+class Driver;
+
 /** Everything the hardware needs to run one kernel. */
 struct LaunchState
 {
+    /** The driver that built this launch; services its device-side
+     *  mallocs (each tenant's kernels allocate from its own driver). */
+    Driver *driver = nullptr;
     KernelId kernel_id = 0;
     /** Owning tenant (service mode; 0 = single-tenant default). */
     TenantId tenant = 0;
@@ -211,18 +216,13 @@ struct DriverPartition
 class Driver
 {
   public:
-    /**
-     * @param id_space number of usable buffer IDs (default: the full
-     *        14-bit space). Shrinkable for testing the §6.3 low-ID
-     *        fallback, where adjacent buffers share a merged entry.
-     */
-    Driver(GpuDevice &dev, std::uint64_t seed = 0xD81EE5ull,
-           std::size_t id_space = kNumBufferIds);
-
-    /** Partitioned form: the driver assigns buffer and kernel IDs only
-     *  from @p part (multi-tenant isolation; see DriverPartition). */
-    Driver(GpuDevice &dev, const DriverPartition &part,
-           std::uint64_t seed = 0xD81EE5ull);
+    /** The driver assigns buffer and kernel IDs only from @p part
+     *  (default: both whole spaces). A service carves disjoint
+     *  partitions for its tenants; tests shrink id_count to exercise
+     *  the §6.3 low-ID fallback, where adjacent buffers share a merged
+     *  entry. */
+    explicit Driver(GpuDevice &dev, const DriverPartition &part = {},
+                    std::uint64_t seed = 0xD81EE5ull);
 
     /**
      * Allocates a device buffer (512B-aligned, packed). @p pow2 reserves

@@ -59,8 +59,7 @@ placement_masks(Placement placement, unsigned num_cores)
 void
 run_pair_cell(const SweepSpec &spec, const CellSpec &cell, Driver &driver,
               RunRecord &r, obs::Profiler *prof,
-              conform::LaneOracle *oracle,
-              obs::HostEngineProfiler *engine_prof)
+              conform::LaneOracle *oracle)
 {
     const GpuConfig &cfg = spec.config(cell.config);
     const BenchmarkDef &a = find_in_set(cell.set, cell.workload);
@@ -77,8 +76,6 @@ run_pair_cell(const SweepSpec &spec, const CellSpec &cell, Driver &driver,
         gpu.set_profiler(prof);
     if (oracle != nullptr)
         gpu.set_lane_observer(oracle);
-    if (engine_prof != nullptr)
-        gpu.set_engine_profiler(engine_prof);
     const std::size_t ia =
         gpu.launch(driver.launch(wa.make_config(cell.shield, cell.use_static)),
                    mask_a);
@@ -105,8 +102,7 @@ run_pair_cell(const SweepSpec &spec, const CellSpec &cell, Driver &driver,
 void
 run_single_cell(const SweepSpec &spec, const CellSpec &cell, Driver &driver,
                 RunRecord &r, obs::Profiler *prof,
-                conform::LaneOracle *oracle,
-                obs::HostEngineProfiler *engine_prof)
+                conform::LaneOracle *oracle)
 {
     const GpuConfig &cfg = spec.config(cell.config);
     const BenchmarkDef &def = find_in_set(cell.set, cell.workload);
@@ -116,7 +112,7 @@ run_single_cell(const SweepSpec &spec, const CellSpec &cell, Driver &driver,
     if (cell.launches > 1) {
         const workloads::MultiLaunchOutcome out = workloads::run_workload_n(
             cfg, driver, inst, cell.launches, cell.shield, cell.use_static,
-            0, 0, prof, engine_prof);
+            0, 0, prof);
         r.cycles = out.total_cycles;
         r.violations = out.violations;
         r.aborted = out.aborted;
@@ -130,7 +126,7 @@ run_single_cell(const SweepSpec &spec, const CellSpec &cell, Driver &driver,
 
     const workloads::RunOutcome out = workloads::run_workload(
         cfg, driver, inst, cell.shield, cell.use_static, 0, 0, prof,
-        oracle, engine_prof);
+        oracle);
     r.cycles = out.result.cycles();
     r.violations = out.result.violations.size();
     r.aborted = out.result.aborted;
@@ -148,7 +144,7 @@ run_single_cell(const SweepSpec &spec, const CellSpec &cell, Driver &driver,
 
 RunRecord
 run_cell(const SweepSpec &spec, std::size_t index, bool profile,
-         bool conform, obs::HostEngineProfiler *engine_prof)
+         bool conform)
 {
     const CellSpec &cell = spec.cells.at(index);
 
@@ -168,7 +164,7 @@ run_cell(const SweepSpec &spec, std::size_t index, bool profile,
     try {
         const GpuConfig &cfg = spec.config(cell.config);
         GpuDevice dev(cfg.mem.page_size);
-        Driver driver(dev, r.seed);
+        Driver driver(dev, {}, r.seed);
         driver.set_shield_backend(cfg.shield.backend);
         obs::Profiler prof;
         obs::Profiler *p = profile ? &prof : nullptr;
@@ -180,9 +176,9 @@ run_cell(const SweepSpec &spec, std::size_t index, bool profile,
             oracle.emplace(driver);
         conform::LaneOracle *o = oracle ? &*oracle : nullptr;
         if (cell.workload_b.empty())
-            run_single_cell(spec, cell, driver, r, p, o, engine_prof);
+            run_single_cell(spec, cell, driver, r, p, o);
         else
-            run_pair_cell(spec, cell, driver, r, p, o, engine_prof);
+            run_pair_cell(spec, cell, driver, r, p, o);
         if (profile)
             r.obs = prof.summary().to_statset();
         if (o != nullptr)
@@ -221,13 +217,8 @@ run_sweep(const SweepSpec &spec, const SweepOptions &opts)
 
     std::mutex progress_mu;
     std::atomic<std::size_t> done{0};
-    // The engine profiler accumulates into plain counters; honor it
-    // only for serial sweeps (see SweepOptions::engine_prof).
-    obs::HostEngineProfiler *engine_prof =
-        std::max(1u, opts.jobs) == 1 ? opts.engine_prof : nullptr;
     const auto run_one = [&](std::size_t i) {
-        RunRecord r = run_cell(spec, i, opts.profile, opts.conform,
-                               engine_prof);
+        RunRecord r = run_cell(spec, i, opts.profile, opts.conform);
         const std::size_t n = ++done;
         if (opts.progress != nullptr) {
             std::lock_guard<std::mutex> lock(progress_mu);

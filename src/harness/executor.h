@@ -19,10 +19,6 @@
 #include "harness/metrics.h"
 #include "harness/sweep.h"
 
-namespace gpushield::obs {
-class HostEngineProfiler;
-}
-
 namespace gpushield::harness {
 
 struct SweepOptions
@@ -40,12 +36,6 @@ struct SweepOptions
      *  field would break golden-file comparisons. Baseline (shield-off)
      *  and multi-launch cells are unaffected. */
     bool conform = false;
-    /** Host-side engine profiler (obs/engine_profile.h) shared across
-     *  every cell's Gpu; phase wall-times accumulate over the sweep.
-     *  Honored only when jobs == 1 — the profiler is not thread-safe
-     *  across concurrently running cells. Observes the host only:
-     *  simulated records are unaffected. */
-    obs::HostEngineProfiler *engine_prof = nullptr;
 };
 
 /** A finished sweep: the records plus how the run went operationally. */
@@ -71,8 +61,7 @@ struct SweepResult
  * carries its counters in RunRecord::conform.
  */
 RunRecord run_cell(const SweepSpec &spec, std::size_t index,
-                   bool profile = false, bool conform = false,
-                   obs::HostEngineProfiler *engine_prof = nullptr);
+                   bool profile = false, bool conform = false);
 
 /** Runs the whole grid; records are ordered by cell index. */
 SweepResult run_sweep(const SweepSpec &spec, const SweepOptions &opts = {});

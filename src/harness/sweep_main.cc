@@ -30,9 +30,6 @@ usage(const char *argv0)
                  "usage: %s --suite NAME [options]\n"
                  "  --suite NAME   suite to run (see --list)\n"
                  "  --jobs N       worker threads (default: %u)\n"
-                 "  --sim-threads N  parallel-SM engine workers inside\n"
-                 "                 each simulated GPU (default: 1);\n"
-                 "                 records are byte-identical to serial\n"
                  "  --shield-backend NAME  bounds-check hardware point for\n"
                  "                 every config in the suite: 'region'\n"
                  "                 (default; BCU+RBT+RCache) or 'armor'\n"
@@ -78,7 +75,6 @@ main(int argc, char **argv)
 {
     std::string suite_name, jsonl_path, csv_path;
     unsigned jobs = ThreadPool::hardware_jobs();
-    unsigned sim_threads = 1;
     gpushield::ShieldBackendKind backend =
         gpushield::ShieldBackendKind::Region;
     bool quiet = false, list = false, profile = false, conform = false;
@@ -98,9 +94,6 @@ main(int argc, char **argv)
             suite_name = value();
         else if (arg == "--jobs")
             jobs = static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
-        else if (arg == "--sim-threads")
-            sim_threads =
-                static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
         else if (arg == "--shield-backend") {
             const char *name = value();
             if (!gpushield::parse_shield_backend(name, backend)) {
@@ -144,10 +137,8 @@ main(int argc, char **argv)
     }
 
     SweepSpec spec = suite->make();
-    for (auto &[cfg_name, cfg] : spec.configs) {
-        cfg.sim_threads = sim_threads == 0 ? 1 : sim_threads;
+    for (auto &[cfg_name, cfg] : spec.configs)
         cfg.shield.backend = backend;
-    }
     if (check_opt)
         for (CellSpec &c : spec.cells)
             c.check_opt = c.shield;

@@ -117,13 +117,6 @@ MemoryHierarchy::schedule_dram_retry(PAddr paddr, bool is_write,
     });
 }
 
-bool
-MemoryHierarchy::would_fault(VAddr vaddr, bool is_write) const
-{
-    const VAddr line_addr = align_down(vaddr & kVAddrMask, cfg_.l1.line_size);
-    return !pt_.translate(line_addr, is_write).ok;
-}
-
 void
 MemoryHierarchy::set_profiler(obs::Profiler *prof)
 {

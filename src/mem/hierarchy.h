@@ -82,16 +82,6 @@ class MemoryHierarchy
      */
     void access_physical(PAddr paddr, Callback done);
 
-    /**
-     * Pure translation probe: would a line-sized transaction at
-     * @p vaddr fault (unmapped page or permission)? Same alignment and
-     * page-table lookup as access(), but touches no cache, TLB, or
-     * counter state — safe to call concurrently from the engine's
-     * parallel issue phase, where cores must decide a warp's post-mem
-     * status before the serial drain replays the actual traffic.
-     */
-    bool would_fault(VAddr vaddr, bool is_write) const;
-
     /** Flushes per-core L1 state (kernel termination / context switch). */
     void flush_core(CoreId core);
 

@@ -23,7 +23,7 @@
 #include <cstdint>
 #include <string>
 
-#include "shield/bcu.h"
+#include "shield/backend.h"
 #include "sim/config.h"
 
 namespace gpushield::memsafety {

@@ -4,17 +4,14 @@
  *
  * The stall-attribution profiler (profiler.h) explains where *simulated*
  * cycles go; this one explains where *host wall-time* goes while the
- * engine produces them — per engine phase: workgroup dispatch, the
- * (possibly parallel) issue phase, the barrier wait for worker threads,
- * the serial effect drain, event-queue dispatch, and kernel detach.
- * That is the data needed to burn down residual serial hot spots in the
- * parallel-SM engine (Amdahl accounting: drain + events + barrier are
- * the serial fraction).
+ * engine produces them — per engine phase: the cores' ticks (dispatch,
+ * issue and every applied effect), event-queue dispatch, and kernel
+ * detach.
  *
  * Attached via Gpu::set_engine_profiler(); when detached the engine
  * reads no clocks, so the default path costs one branch per phase.
- * Unlike the stall profiler, attaching one never serializes or
- * per-cycle-ticks the engine — it measures whatever engine mode runs.
+ * Unlike the stall profiler, attaching one never per-cycle-ticks the
+ * engine — it measures the clock-jumping engine as it runs.
  */
 
 #ifndef GPUSHIELD_OBS_ENGINE_PROFILE_H
@@ -23,8 +20,6 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 
 namespace gpushield::obs {
 
@@ -33,14 +28,11 @@ class HostEngineProfiler
 {
   public:
     enum class Phase : unsigned {
-        Dispatch,    //!< serial workgroup dispatch across cores
-        Issue,       //!< core issue phase (serial: whole core pass)
-        BarrierWait, //!< main thread blocked in pool wait_idle()
-        Drain,       //!< serial LSU→hierarchy effect replay
-        Events,      //!< event-queue dispatch (step / jump run_until)
-        Detach,      //!< completed-kernel detach + RCache flush
+        Issue,  //!< every core's tick: dispatch, issue, effects
+        Events, //!< event-queue dispatch (step / jump run_until)
+        Detach, //!< completed-kernel detach + RCache flush
     };
-    static constexpr unsigned kPhases = 6;
+    static constexpr unsigned kPhases = 3;
 
     using clock = std::chrono::steady_clock;
 
@@ -49,7 +41,6 @@ class HostEngineProfiler
     add(Phase p, std::uint64_t ns)
     {
         ns_[static_cast<unsigned>(p)] += ns;
-        ++calls_[static_cast<unsigned>(p)];
     }
 
     /** Records the engine's cycle accounting for rate reporting. */
@@ -64,22 +55,11 @@ class HostEngineProfiler
     {
         return ns_[static_cast<unsigned>(p)];
     }
-    std::uint64_t total_ns() const;
     std::uint64_t cycles_simulated() const { return cycles_simulated_; }
     std::uint64_t cycles_skipped() const { return cycles_skipped_; }
 
-    static const char *phase_name(Phase p);
-
-    /** Human-readable per-phase table (ns, share, calls). */
-    std::string report() const;
-
-    /** Single-line JSON object (nanoseconds per phase + cycle counts)
-     *  for embedding in bench records. */
-    std::string json() const;
-
   private:
     std::array<std::uint64_t, kPhases> ns_{};
-    std::array<std::uint64_t, kPhases> calls_{};
     std::uint64_t cycles_simulated_ = 0;
     std::uint64_t cycles_skipped_ = 0;
 };

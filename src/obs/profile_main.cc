@@ -268,7 +268,7 @@ run_suite(const std::string &suite_name, const std::string &out_dir,
         try {
             const GpuConfig &cfg = spec.config(cell.config);
             GpuDevice dev(cfg.mem.page_size);
-            Driver driver(dev, harness::cell_seed(spec, cell));
+            Driver driver(dev, {}, harness::cell_seed(spec, cell));
             const workloads::BenchmarkDef *def =
                 find_bench(cell.set, cell.workload);
             if (def == nullptr)

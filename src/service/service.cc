@@ -272,7 +272,7 @@ GpuService::run_one(TenantCtx &tenant, Pending pending)
 {
     LaunchRecord &rec = records_.at(pending.ticket);
 
-    Gpu gpu(cfg_.gpu, device_);
+    Gpu gpu(cfg_.gpu, *tenant.driver);
     if (profiler_ != nullptr) {
         profiler_->set_time_base(now_);
         gpu.set_profiler(profiler_);
@@ -284,8 +284,8 @@ GpuService::run_one(TenantCtx &tenant, Pending pending)
     std::size_t idx = 0;
     bool launched = true;
     try {
-        idx = gpu.launch_for(tenant.driver->launch(cfg), *tenant.driver,
-                             pending.options.core_mask);
+        idx = gpu.launch(tenant.driver->launch(cfg),
+                         pending.options.core_mask);
     } catch (const SimulationError &e) {
         // Driver-side setup failure (RBT / kernel-ID exhaustion): the
         // kernel never ran. The tenant keeps its slot and later
@@ -342,7 +342,9 @@ GpuService::run_coscheduled()
         ready.resize(cores); // the rest run next turn
     const unsigned per = cores / static_cast<unsigned>(ready.size());
 
-    Gpu gpu(cfg_.gpu, device_);
+    // Every tenant driver is bound to device_; each launch's mallocs go
+    // to the driver that built it (LaunchState::driver).
+    Gpu gpu(cfg_.gpu, *ready.front()->driver);
     if (profiler_ != nullptr) {
         profiler_->set_time_base(now_);
         gpu.set_profiler(profiler_);
@@ -374,8 +376,7 @@ GpuService::run_coscheduled()
         const LaunchConfig cfg = api::make_launch_config(
             pending.program, pending.grid, pending.args, pending.options);
         try {
-            const std::size_t idx =
-                gpu.launch_for(t.driver->launch(cfg), *t.driver, mask);
+            const std::size_t idx = gpu.launch(t.driver->launch(cfg), mask);
             flight.push_back({&t, std::move(pending), idx});
         } catch (const SimulationError &e) {
             rec.status = api::LaunchStatus::Error;

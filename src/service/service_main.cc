@@ -39,9 +39,6 @@ usage(const char *argv0)
            "  --mode M           timeslice (default) or cosched\n"
            "  --tenants N        demo tenant count (default 2)\n"
            "  --quantum N        time-slice quantum (default 1)\n"
-           "  --sim-threads N    parallel-SM engine workers inside the\n"
-           "                     simulated GPU (default 1); results are\n"
-           "                     byte-identical to serial\n"
            "  --backend NAME     shield backend every tenant runs:\n"
            "                     region (default) or armor\n"
            "  --json FILE        fairness: write the JSON report here\n"
@@ -176,11 +173,6 @@ main(int argc, char **argv)
             tenants = static_cast<unsigned>(std::stoul(next()));
         } else if (a == "--quantum") {
             cfg.quantum = static_cast<unsigned>(std::stoul(next()));
-        } else if (a == "--sim-threads") {
-            cfg.gpu.sim_threads =
-                static_cast<unsigned>(std::stoul(next()));
-            if (cfg.gpu.sim_threads == 0)
-                cfg.gpu.sim_threads = 1;
         } else if (a == "--backend") {
             const char *name = next();
             if (!parse_shield_backend(name, cfg.gpu.shield.backend)) {

@@ -49,16 +49,6 @@ struct GpuConfig
 
     /** Abort the simulation if a kernel exceeds this many cycles. */
     Cycle max_cycles = 400'000'000;
-
-    /**
-     * Host worker threads ticking the cores of this one GPU (1 =
-     * serial). Cores issue concurrently within a cycle and their
-     * memory traffic drains in core-ID order at a barrier, so results
-     * are byte-identical to serial (docs/INTERNALS.md, "Simulation
-     * engine"). Purely a host-side knob: it never appears in simulated
-     * timing. Forced to 1 while an observer or profiler is attached.
-     */
-    unsigned sim_threads = 1;
 };
 
 /** The paper's Nvidia-like configuration: 16 SMs @ 1.6 GHz, 16KB 4-way

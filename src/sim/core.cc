@@ -42,7 +42,6 @@ Core::attach_kernel(KernelExec *kernel)
 {
     dispatch_possible_ = true;
     resident_.push_back(kernel);
-    shards_.push_back(std::make_unique<KernelShard>(kernel));
     if (kernel->launch->shield_enabled) {
         ShieldKernelDesc desc;
         desc.kernel = kernel->launch->kernel_id;
@@ -59,13 +58,6 @@ Core::detach_kernel(KernelExec *kernel)
     dispatch_possible_ = true; // an abort may free slots below
     resident_.erase(std::remove(resident_.begin(), resident_.end(), kernel),
                     resident_.end());
-    for (auto it = shards_.begin(); it != shards_.end(); ++it) {
-        if ((*it)->kernel == kernel) {
-            kernel->stats.merge((*it)->stats);
-            shards_.erase(it);
-            break;
-        }
-    }
     if (kernel->launch->shield_enabled)
         backend_for(kernel->launch->shield_backend)
             .deregister_kernel(kernel->launch->kernel_id);
@@ -82,16 +74,6 @@ Core::detach_kernel(KernelExec *kernel)
                     id_, static_cast<unsigned>(s), eq_.now());
         }
     }
-}
-
-Core::KernelShard *
-Core::shard_for(KernelExec *kernel)
-{
-    for (auto &shard : shards_)
-        if (shard->kernel == kernel)
-            return shard.get();
-    panic("Core: no stat shard for resident kernel");
-    return nullptr;
 }
 
 unsigned
@@ -217,7 +199,6 @@ Core::start_workgroup(KernelExec *kernel, std::uint32_t wg_index)
     wg.warps_at_barrier = 0;
     wg.warps_finished = 0;
     wg.live = true;
-    wg.shard = shard_for(kernel);
     wg.token = std::make_shared<bool>(true);
 
     const KernelProgram &prog = kernel->launch->program;
@@ -315,21 +296,14 @@ bool
 Core::tick()
 {
     const bool dispatched = try_dispatch();
-    return issue_phase(/*drain_each=*/true) || dispatched;
-}
-
-bool
-Core::issue_phase(bool drain_each)
-{
     if (live_workgroups_ == 0)
-        return false;
+        return dispatched;
 
-    drain_inline_ = drain_each;
     const Cycle now = eq_.now();
     if (now < issue_busy_until_)
-        return false; // stalled front-end: no progress this cycle
+        return dispatched; // stalled front-end: no issue this cycle
     if (now < ready_hint_)
-        return false; // no warp can issue before the hint cycle
+        return dispatched; // no warp can issue before the hint cycle
 
     unsigned issued = 0;
     // Greedy-then-oldest: re-issue from the last warp first, then scan
@@ -343,8 +317,6 @@ Core::issue_phase(bool drain_each)
             return false;
         if (!issue_one(wg, warp))
             return false;
-        if (drain_each)
-            drain_pending();
         greedy_slot_ = slot_idx;
         greedy_warp_ = warp_idx;
         ++issued;
@@ -380,7 +352,7 @@ Core::issue_phase(bool drain_each)
             break;
     }
     recompute_ready_hint(now);
-    return issued > 0;
+    return issued > 0 || dispatched;
 }
 
 bool
@@ -397,29 +369,10 @@ Core::issue_one(WorkgroupCtx &wg, WarpState &warp)
     if (is_global_mem(next.op) && now < lsu_busy_until_)
         return false;
 
-    // Device-side malloc mutates allocator/page-table state shared
-    // across cores, so the instruction executes in the serial drain.
-    // Inline only when an observer needs exact per-step hook order
-    // (observers force a serial engine, where inline == deferred).
-    if (next.op == Op::Malloc && observer_ == nullptr &&
-        lane_obs_ == nullptr) {
-        ++wg.shard->hot.instructions;
-        ++c_issued_;
-        if (profiler_ != nullptr)
-            warp.profile_issued = true;
-        warp.status = WarpStatus::Blocked; // until the drain allocates
-        Pending p;
-        p.kind = Pending::Kind::Malloc;
-        p.wg = &wg;
-        p.warp = &warp;
-        pending_.push_back(std::move(p));
-        return true;
-    }
-
     const int issue_pc = warp.pc;
     const StepResult result =
         kernel->interp->step(warp, wg.shared_mem);
-    ++wg.shard->hot.instructions;
+    ++kernel->hot.instructions;
     ++c_issued_;
     if (profiler_ != nullptr)
         warp.profile_issued = true;
@@ -439,14 +392,13 @@ Core::issue_one(WorkgroupCtx &wg, WarpState &warp)
         warp.ready_cycle = now + cfg_.sfu_latency;
         break;
       case StepKind::SharedMem:
-        ++wg.shard->hot.shared_accesses;
+        ++kernel->hot.shared_accesses;
         warp.ready_cycle = now + cfg_.shared_latency;
         break;
       case StepKind::Malloc: {
-        // Inline path (observer attached, engine serial): device-side
-        // malloc serializes allocator metadata updates across the whole
-        // GPU (footnote 2's contention).
-        wg.shard->hot.mallocs += result.malloc_count;
+        // Device-side malloc serializes allocator metadata updates
+        // across the whole GPU (footnote 2's contention).
+        kernel->hot.mallocs += result.malloc_count;
         kernel->malloc_busy_until =
             std::max(kernel->malloc_busy_until, now) +
             static_cast<Cycle>(result.malloc_count) *
@@ -489,17 +441,6 @@ Core::finish_warp(WorkgroupCtx &wg)
 {
     if (wg.warps_finished < wg.warps.size())
         return;
-    // Workgroup complete: kernel progress counters are shared state, so
-    // completion is applied in the drain.
-    Pending p;
-    p.kind = Pending::Kind::Finish;
-    p.wg = &wg;
-    pending_.push_back(std::move(p));
-}
-
-void
-Core::drain_finish(WorkgroupCtx &wg)
-{
     wg.live = false;
     --live_workgroups_;
     warps_in_use_ -= static_cast<unsigned>(wg.warps.size());
@@ -514,25 +455,6 @@ Core::drain_finish(WorkgroupCtx &wg)
         kernel->done = true;
         kernel->end_cycle = eq_.now();
     }
-}
-
-void
-Core::drain_malloc(Pending &p)
-{
-    WorkgroupCtx &wg = *p.wg;
-    KernelExec *kernel = wg.kernel;
-    // The deferred step performs the allocation and writes the result
-    // registers; pc/register state is untouched since the issue peek,
-    // so this is the same step the serial engine ran inline.
-    const StepResult result = kernel->interp->step(*p.warp, wg.shared_mem);
-    wg.shard->hot.mallocs += result.malloc_count;
-    kernel->malloc_busy_until =
-        std::max(kernel->malloc_busy_until, eq_.now()) +
-        static_cast<Cycle>(result.malloc_count) *
-            cfg_.malloc_serialize_cycles;
-    p.warp->status = WarpStatus::Ready;
-    p.warp->ready_cycle = kernel->malloc_busy_until;
-    note_ready(p.warp->ready_cycle);
 }
 
 void
@@ -552,7 +474,7 @@ Core::handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op)
     const Cycle now = eq_.now();
     KernelExec *kernel = wg.kernel;
     LaunchState &launch = *kernel->launch;
-    KernelHotCounters &hot = wg.shard->hot;
+    KernelHotCounters &hot = kernel->hot;
     if (op.is_store)
         ++hot.stores;
     else
@@ -621,7 +543,7 @@ Core::handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op)
             }
         }
         if (covered) {
-            wg.shard->stats.add("checks_covered");
+            kernel->stats.add("checks_covered");
             ev.covered = true;
         } else {
         BcuRequest req;
@@ -659,7 +581,7 @@ Core::handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op)
             preq.cover_probe = true;
             const BcuResponse presp =
                 backend_for(launch.shield_backend).check(preq);
-            wg.shard->stats.add("cover_probes");
+            kernel->stats.add("cover_probes");
             if (presp.stall_cycles > 0) {
                 issue_busy_until_ =
                     std::max(issue_busy_until_, now + presp.stall_cycles);
@@ -682,7 +604,7 @@ Core::handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op)
                 ev.cover_probe = true;
             } else {
                 warp.cover_state[static_cast<std::size_t>(probe_pc)] = 2;
-                wg.shard->stats.add("cover_probe_fails");
+                kernel->stats.add("cover_probe_fails");
             }
         }
         if (!probe_passed) {
@@ -755,138 +677,12 @@ Core::handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op)
         lane_obs_->on_mem_check(ev);
     }
 
-    // The verdict is in; apply (serial) or buffer (parallel) the
-    // shared-state effects — traffic, functional apply, abort — and
-    // settle the warp's timing.
-    bool fully_suppressed = false;
-    bool partial = false;
-    if (!abort_now) {
-        fully_suppressed = suppress_mask == op.mask;
-        if (suppress_mask != 0 && !fully_suppressed) {
-            MemOp surviving = op;
-            surviving.mask = op.mask & ~suppress_mask;
-            coalesce_into(surviving, cfg_.mem.l1.line_size,
-                          live_lines_scratch_);
-            partial = true;
-        }
-    }
-
-    // Serial engine: replay the effects right now, straight from the
-    // issue-time locals — no Pending is built, no MemOp is copied, and
-    // no would_fault probe runs (the replay discovers faults itself).
-    // Timing applies only when the replay completed: faults and
-    // precise aborts leave the warp and LSU untouched, exactly like
-    // the buffered path below.
-    if (drain_inline_) {
-        if (drain_mem_impl(wg, warp, op, lines_scratch_,
-                           partial ? &live_lines_scratch_ : nullptr,
-                           fully_suppressed, suppress_mask, refill,
-                           refill_paddr, abort_now)) {
-            const std::vector<VAddr> &live =
-                partial ? live_lines_scratch_ : lines_scratch_;
-            const unsigned outstanding =
-                static_cast<unsigned>(
-                    fully_suppressed ? 0 : live.size()) +
-                (refill && is_load ? 1u : 0u);
-            if (is_load) {
-                if (outstanding > 0) {
-                    warp.status = WarpStatus::Blocked;
-                    warp.profile_block_refill = refill;
-                } else {
-                    warp.ready_cycle = now + cfg_.mem.l1_latency;
-                }
-            } else {
-                warp.ready_cycle = now + 1;
-            }
-            lsu_busy_until_ =
-                std::max(lsu_busy_until_, now + lines_scratch_.size());
-        }
-        return;
-    }
-
-    // Parallel engine: buffer for the serial drain. The drain must not
-    // touch core-local scheduling state, so the warp's status decision
-    // is settled here with a pure fault probe.
-    Pending p;
-    p.kind = Pending::Kind::Mem;
-    p.wg = &wg;
-    p.warp = &warp;
-    p.op = op;
-    p.lines = std::move(lines_scratch_);
-    p.suppress_mask = suppress_mask;
-    p.refill = refill;
-    p.refill_paddr = refill_paddr;
-    p.abort_now = abort_now;
-    p.fully_suppressed = fully_suppressed;
-    if (partial) {
-        p.live_lines = std::move(live_lines_scratch_);
-        p.partial = true;
-    }
-
-    if (abort_now) {
-        // Precise exception: no traffic, no functional effect, and —
-        // matching the serial engine — no warp/LSU timing updates.
-        pending_.push_back(std::move(p));
-        return;
-    }
-
-    const std::vector<VAddr> &live =
-        p.partial ? p.live_lines : p.lines;
-    bool faults = false;
-    if (!p.fully_suppressed) {
-        for (const VAddr line : live) {
-            if (hier_.would_fault(line, op.is_store)) {
-                faults = true;
-                break;
-            }
-        }
-    }
-    if (faults) {
-        // The drain's replay hits the same translation fault and aborts
-        // the kernel there; the serial engine leaves the warp and LSU
-        // untouched in this case, so we do too.
-        pending_.push_back(std::move(p));
-        return;
-    }
-
-    // Timing: loads block until data (and any RBT refill) returns;
-    // stores retire through the store path next cycle.
-    const unsigned outstanding =
-        static_cast<unsigned>(p.fully_suppressed ? 0 : live.size()) +
-        (refill && is_load ? 1u : 0u);
-    if (is_load) {
-        if (outstanding > 0) {
-            warp.status = WarpStatus::Blocked;
-            warp.profile_block_refill = refill;
-        } else {
-            warp.ready_cycle = now + cfg_.mem.l1_latency;
-        }
-    } else {
-        warp.ready_cycle = now + 1;
-    }
-
-    // The LSU accepts one memory instruction per cycle; additional
-    // coalesced transactions occupy it longer.
-    lsu_busy_until_ = std::max(lsu_busy_until_, now + p.lines.size());
-
-    pending_.push_back(std::move(p));
-}
-
-bool
-Core::drain_mem_impl(WorkgroupCtx &wg, WarpState &warp,
-                     const MemOp &op,
-                     const std::vector<VAddr> &lines,
-                     const std::vector<VAddr> *live_lines,
-                     bool fully_suppressed, LaneMask suppress_mask,
-                     bool refill, PAddr refill_paddr, bool abort_now)
-{
-    KernelExec *kernel = wg.kernel;
-    const bool is_load = !op.is_store;
-
-    // Track load completion across all transactions. The workgroup
+    // The verdict is in: apply the effects — RBT refill, abort,
+    // traffic, functional write — then settle the warp's timing. Loads
+    // track completion across all their transactions; the workgroup
     // token guards against callbacks outliving an aborted kernel's
     // (reused) slot. Completion events carry latencies >= 1 cycle, so
-    // nothing fires before this drain returns.
+    // nothing fires before this function returns.
     auto remaining = std::make_shared<unsigned>(0);
     WarpState *warp_ptr = &warp;
     std::weak_ptr<bool> alive = wg.token;
@@ -907,24 +703,33 @@ Core::drain_mem_impl(WorkgroupCtx &wg, WarpState &warp,
             hier_.access_physical(refill_paddr, [] {});
         }
     }
+    // A precise exception or a translation fault aborts the kernel and
+    // leaves the warp and the LSU timing untouched.
     if (abort_now) {
         abort_kernel(kernel);
-        return false;
+        return;
     }
 
     // --- Memory traffic (squashed entirely when every lane faults;
     // partially-squashed warps only fetch the surviving lanes' lines) -
-    const std::vector<VAddr> &live =
-        live_lines != nullptr ? *live_lines : lines;
+    const bool fully_suppressed = suppress_mask == op.mask;
+    const std::vector<VAddr> *live = &lines;
+    if (suppress_mask != 0 && !fully_suppressed) {
+        MemOp surviving = op;
+        surviving.mask = op.mask & ~suppress_mask;
+        coalesce_into(surviving, cfg_.mem.l1.line_size,
+                      live_lines_scratch_);
+        live = &live_lines_scratch_;
+    }
     if (!fully_suppressed) {
-        for (const VAddr line : live) {
+        for (const VAddr line : *live) {
             const AccessIssue issue = hier_.access(
                 id_, line, op.is_store,
                 is_load ? MemoryHierarchy::Callback(on_done)
                         : MemoryHierarchy::Callback([] {}));
             if (issue.translation_fault || issue.permission_fault) {
                 abort_kernel(kernel);
-                return false;
+                return;
             }
             if (is_load)
                 ++*remaining;
@@ -933,9 +738,9 @@ Core::drain_mem_impl(WorkgroupCtx &wg, WarpState &warp,
         // pages are tool-managed and physically addressed here.
         for (unsigned x = 0; x < kernel->instr_extra_transactions; ++x) {
             const PAddr shadow = 0x0000'F000'0000ull +
-                                 (live.empty()
+                                 (live->empty()
                                       ? op.min_addr % 4096
-                                      : live.front() % 4096) +
+                                      : live->front() % 4096) +
                                  static_cast<PAddr>(x) * kLineSize;
             hier_.access_physical(shadow, [] {});
         }
@@ -943,34 +748,23 @@ Core::drain_mem_impl(WorkgroupCtx &wg, WarpState &warp,
 
     // Functional effect (after the verdict so violations suppress).
     kernel->interp->apply_mem(warp, op, suppress_mask);
-    return true;
-}
 
-void
-Core::drain_pending()
-{
-    for (Pending &p : pending_) {
-        switch (p.kind) {
-          case Pending::Kind::Mem:
-            drain_mem_impl(*p.wg, *p.warp, p.op, p.lines,
-                           p.partial ? &p.live_lines : nullptr,
-                           p.fully_suppressed, p.suppress_mask,
-                           p.refill, p.refill_paddr, p.abort_now);
-            // Hand the line buffers back so the next handle_mem call
-            // allocates nothing in steady state.
-            lines_scratch_ = std::move(p.lines);
-            if (p.partial)
-                live_lines_scratch_ = std::move(p.live_lines);
-            break;
-          case Pending::Kind::Malloc:
-            drain_malloc(p);
-            break;
-          case Pending::Kind::Finish:
-            drain_finish(*p.wg);
-            break;
+    // Timing: loads block until data (and any RBT refill) returns;
+    // stores retire through the store path next cycle.
+    if (is_load) {
+        if (*remaining > 0) {
+            warp.status = WarpStatus::Blocked;
+            warp.profile_block_refill = refill;
+        } else {
+            warp.ready_cycle = now + cfg_.mem.l1_latency;
         }
+    } else {
+        warp.ready_cycle = now + 1;
     }
-    pending_.clear();
+
+    // The LSU accepts one memory instruction per cycle; additional
+    // coalesced transactions occupy it longer.
+    lsu_busy_until_ = std::max(lsu_busy_until_, now + lines.size());
 }
 
 } // namespace gpushield

@@ -9,24 +9,11 @@
  * pipeline (Fig. 12), exposing a bubble only when the check latency
  * exceeds the pipeline shadow.
  *
- * A core's cycle is split into three phases so the engine can tick many
- * cores concurrently (docs/INTERNALS.md, "Simulation engine"):
- *
- *  - dispatch_tick(): workgroup dispatch. Touches shared kernel state
- *    (next_wg), so the engine runs it serially in core-ID order.
- *  - issue_phase():   warp scheduling, interpreter execution, and the
- *    BCU check. Touches only core-local state plus const reads of
- *    shared structures (program, RBT, page table), so it is safe to
- *    run concurrently across cores. Effects on shared state — memory
- *    hierarchy traffic, device mallocs, kernel completion — are
- *    buffered in a per-core pending list instead of applied.
- *  - drain_pending(): replays the buffered effects against the
- *    hierarchy/event queue. Serial, in core-ID order, FIFO within a
- *    core, which reproduces the exact effect order of the serial
- *    engine; results stay byte-identical.
- *
- * tick() = dispatch + issue + drain with the drain after every issued
- * instruction, which is bit-exact with the historical monolithic tick.
+ * tick() is the core's only per-cycle entry: it dispatches a workgroup
+ * if one fits, then issues, applying every effect of an issued
+ * instruction — hierarchy traffic, device mallocs, workgroup completion,
+ * kernel aborts — before the next one issues. Cores tick in core-ID
+ * order, which fixes the global effect order.
  */
 
 #ifndef GPUSHIELD_SIM_CORE_H
@@ -102,15 +89,9 @@ struct KernelExec
     Cycle instr_extra_cycles_per_mem = 0;    //!< extra issue occupancy
     unsigned instr_extra_transactions = 0;   //!< shadow-metadata traffic
 
-    /**
-     * Merged per-kernel statistics. During execution each core
-     * accumulates into its own KernelShard (so concurrently issuing
-     * cores never touch this object); detach_kernel merges the shards
-     * in core-ID order. StatSet keys are sorted and merge is
-     * commutative, so the merged dump is identical to the historical
-     * first-touch accounting.
-     */
+    /** Per-kernel statistics, bumped by every core running it. */
     StatSet stats;
+    KernelHotCounters hot{stats};
 
     std::uint32_t total_wgs() const { return launch->nctaid; }
 };
@@ -125,37 +106,22 @@ class Core
     /** Makes @p kernel resident (registers its key/RBT with the BCU). */
     void attach_kernel(KernelExec *kernel);
 
-    /** Removes a finished kernel; flushes RCaches (§5.5) and merges
-     *  this core's stat shard into the kernel's StatSet. */
+    /** Removes a finished kernel and flushes its RCache entries
+     *  (§5.5). */
     void detach_kernel(KernelExec *kernel);
 
-    /** Advances the core by one cycle, applying all effects inline
-     *  (dispatch + issue with per-instruction drain). The serial
-     *  engine path. @return true if the core made progress this cycle
-     *  (dispatched a workgroup or issued an instruction). */
+    /**
+     * Advances the core by one cycle: dispatches a workgroup if one
+     * fits, then issues up to issue_width instructions, applying each
+     * one's effects inline.
+     * @return true if the core made progress this cycle (dispatched a
+     * workgroup or issued an instruction) — the engine's progress
+     * signal; a stalled or empty core returns false, making the cycle
+     * a candidate for a clock jump.
+     */
     bool tick();
 
-    /** Phase 1: workgroup dispatch (serial; mutates shared kernel
-     *  dispatch state). @return true if a workgroup was started. */
-    bool dispatch_tick() { return try_dispatch(); }
-
-    /**
-     * Phase 2: warp scheduling + execution for this cycle. With
-     * @p drain_each the pending effects are applied after every issued
-     * instruction (bit-exact serial semantics); without it they buffer
-     * for drain_pending(), and the phase touches no shared mutable
-     * state — safe to run concurrently across cores.
-     * @return true if at least one instruction issued this cycle —
-     * the engine's progress signal (a stalled or empty core returns
-     * false, making the cycle a candidate for a clock jump).
-     */
-    bool issue_phase(bool drain_each);
-
-    /** Phase 3: replays buffered effects (hierarchy traffic, mallocs,
-     *  workgroup completion, aborts) in issue order. Serial. */
-    void drain_pending();
-
-    /** True when a call to dispatch_tick() would start a workgroup.
+    /** True when the next tick() would start a workgroup.
      *  Pure; used by the engine to compute clock jumps (dispatch
      *  opportunities only appear at engine-visible transitions). */
     bool can_dispatch() const;
@@ -189,10 +155,6 @@ class Core
      *  nullptr detaches. Not owned. */
     void set_observer(IssueObserver *observer) { observer_ = observer; }
 
-    /** True when an issue observer is attached (the engine serializes
-     *  and inlines device mallocs to preserve exact event order). */
-    bool has_observer() const { return observer_ != nullptr; }
-
     /** Attaches a per-lane check observer (conformance oracle hook);
      *  nullptr detaches. Not owned. */
     void set_lane_observer(LaneObserver *obs) { lane_obs_ = obs; }
@@ -211,17 +173,6 @@ class Core
     void profile_cycle();
 
   private:
-    /** Per-core, per-resident-kernel statistics shard. Cores bump only
-     *  their own shard during the (possibly concurrent) issue phase;
-     *  detach_kernel merges it into KernelExec::stats. */
-    struct KernelShard
-    {
-        explicit KernelShard(KernelExec *k) : kernel(k) {}
-        KernelExec *kernel;
-        StatSet stats;
-        KernelHotCounters hot{stats};
-    };
-
     struct WorkgroupCtx
     {
         KernelExec *kernel = nullptr;
@@ -231,40 +182,9 @@ class Core
         unsigned warps_at_barrier = 0;
         unsigned warps_finished = 0;
         bool live = false;
-        /** This core's stat shard for the owning kernel. */
-        KernelShard *shard = nullptr;
         /** Liveness token: completion callbacks captured before an abort
          *  must not touch a reused slot. */
         std::shared_ptr<bool> token;
-    };
-
-    /**
-     * One buffered shared-state effect from the issue phase, replayed
-     * by drain_pending(). The wg/warp pointers stay valid across the
-     * issue→drain window: slots are only recycled by dispatch (a
-     * pre-phase) and detach (after the drain).
-     */
-    struct Pending
-    {
-        enum class Kind : std::uint8_t {
-            Mem,    //!< hierarchy traffic + functional apply (+ abort)
-            Malloc, //!< deferred device-heap allocation (driver state)
-            Finish, //!< workgroup completion (kernel progress counters)
-        };
-        Kind kind = Kind::Mem;
-        WorkgroupCtx *wg = nullptr;
-        WarpState *warp = nullptr;
-
-        // Kind::Mem payload.
-        MemOp op;
-        std::vector<VAddr> lines;      //!< full coalesce set (LSU timing)
-        std::vector<VAddr> live_lines; //!< surviving lanes' recoalesce
-        bool partial = false;          //!< live_lines valid
-        LaneMask suppress_mask = 0;
-        bool fully_suppressed = false;
-        bool refill = false;           //!< RBT refill to issue first
-        PAddr refill_paddr = 0;
-        bool abort_now = false;        //!< precise-exception abort
     };
 
     bool try_dispatch();
@@ -278,26 +198,12 @@ class Core
     void start_workgroup(KernelExec *kernel, std::uint32_t wg_index);
     bool issue_one(WorkgroupCtx &wg, WarpState &warp);
     void handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op);
+    /** Frees @p wg's slot once its last warp exited and advances the
+     *  kernel's completion count. */
     void finish_warp(WorkgroupCtx &wg);
     void release_barrier(WorkgroupCtx &wg);
     void abort_kernel(KernelExec *kernel);
-    /** Replays one memory effect — either a buffered Pending's fields
-     *  or, on the serial inline path, the live issue-time locals (so
-     *  that path builds no Pending at all). @p live_lines is null
-     *  unless the warp was partially squashed. Returns false when the
-     *  replay aborted the kernel (precise exception or translation
-     *  fault) — the caller must then leave the warp and LSU timing
-     *  untouched. */
-    bool drain_mem_impl(WorkgroupCtx &wg, WarpState &warp,
-                        const MemOp &op,
-                        const std::vector<VAddr> &lines,
-                        const std::vector<VAddr> *live_lines,
-                        bool fully_suppressed, LaneMask suppress_mask,
-                        bool refill, PAddr refill_paddr, bool abort_now);
-    void drain_malloc(Pending &p);
-    void drain_finish(WorkgroupCtx &wg);
     unsigned live_warps(const WorkgroupCtx &wg) const;
-    KernelShard *shard_for(KernelExec *kernel);
 
     CoreId id_;
     const GpuConfig &cfg_;
@@ -307,14 +213,13 @@ class Core
     std::unique_ptr<ShieldBackend> alt_shield_;
 
     std::vector<KernelExec *> resident_;
-    std::vector<std::unique_ptr<KernelShard>> shards_;
     std::size_t dispatch_rr_ = 0; //!< round-robin among resident kernels
 
     /**
      * False when the last dispatch attempt failed and nothing has
      * happened since that could make one succeed. A failed attempt can
      * only turn dispatchable through attach_kernel (new work) or a
-     * freed slot / warp budget (drain_finish, detach_kernel) — each of
+     * freed slot / warp budget (finish_warp, detach_kernel) — each of
      * those sets this back to true, so try_dispatch/can_dispatch can
      * skip their kernel scan on the (vast majority of) cycles where
      * the answer is a foregone no.
@@ -348,19 +253,9 @@ class Core
     StatSet::Counter c_issued_, c_workgroups_started_,
         c_workgroups_finished_;
 
-    /** Effects buffered by the issue phase, FIFO. */
-    std::vector<Pending> pending_;
-
-    /** Serial engine (drain_each): handle_mem replays memory effects
-     *  inline instead of buffering them — no MemOp copy, no pending
-     *  churn, and no would_fault probe (the replay discovers faults
-     *  itself). Set by issue_phase from its drain_each argument. */
-    bool drain_inline_ = false;
-
     /** Reusable coalesce outputs so handle_mem allocates nothing in
      *  steady state (one for the full warp, one for the re-coalesce of
-     *  surviving lanes after a partial squash); drain_mem hands the
-     *  buffers back after replaying a pending op. */
+     *  surviving lanes after a partial squash). */
     std::vector<VAddr> lines_scratch_;
     std::vector<VAddr> live_lines_scratch_;
 };

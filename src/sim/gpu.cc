@@ -9,17 +9,8 @@
 namespace gpushield {
 
 Gpu::Gpu(const GpuConfig &cfg, Driver &driver)
-    : cfg_(cfg), driver_(&driver),
-      hier_(eq_, driver.device().page_table(), cfg.mem, cfg.num_cores)
-{
-    cores_.reserve(cfg.num_cores);
-    for (unsigned c = 0; c < cfg.num_cores; ++c)
-        cores_.push_back(std::make_unique<Core>(c, cfg_, eq_, hier_));
-}
-
-Gpu::Gpu(const GpuConfig &cfg, GpuDevice &device)
     : cfg_(cfg),
-      hier_(eq_, device.page_table(), cfg.mem, cfg.num_cores)
+      hier_(eq_, driver.device().page_table(), cfg.mem, cfg.num_cores)
 {
     cores_.reserve(cfg.num_cores);
     for (unsigned c = 0; c < cfg.num_cores; ++c)
@@ -30,24 +21,15 @@ std::size_t
 Gpu::launch(LaunchState state, std::uint64_t core_mask,
             Cycle extra_cycles_per_mem, unsigned extra_transactions)
 {
-    if (driver_ == nullptr)
-        fatal("Gpu::launch: device-bound GPU requires launch_for() "
-              "with an explicit tenant driver");
-    return launch_for(std::move(state), *driver_, core_mask,
-                      extra_cycles_per_mem, extra_transactions);
-}
-
-std::size_t
-Gpu::launch_for(LaunchState state, Driver &driver, std::uint64_t core_mask,
-                Cycle extra_cycles_per_mem, unsigned extra_transactions)
-{
+    if (state.driver == nullptr)
+        panic("Gpu::launch: LaunchState was not built by Driver::launch");
     Launched entry;
     entry.state = std::make_unique<LaunchState>(std::move(state));
 
     entry.exec = std::make_unique<KernelExec>();
     entry.exec->launch = entry.state.get();
-    entry.exec->interp =
-        std::make_unique<WarpInterpreter>(*entry.state, driver);
+    entry.exec->interp = std::make_unique<WarpInterpreter>(
+        *entry.state, *entry.state->driver);
     entry.exec->core_mask = core_mask;
     entry.exec->instr_extra_cycles_per_mem = extra_cycles_per_mem;
     entry.exec->instr_extra_transactions = extra_transactions;
@@ -74,85 +56,6 @@ Gpu::all_done() const
         if (!l.exec->done)
             return false;
     return true;
-}
-
-unsigned
-Gpu::effective_threads() const
-{
-    // Observers and the stall profiler consume exactly-ordered event
-    // streams; the serial engine is the one that preserves them.
-    if (profiler_ != nullptr || lane_obs_ != nullptr || observer_attached_)
-        return 1;
-    const unsigned want = std::max(1u, cfg_.sim_threads);
-    return std::min(want, static_cast<unsigned>(cores_.size()));
-}
-
-bool
-Gpu::run_cores_serial()
-{
-    // Bit-exact classic engine: per core, dispatch + issue with the
-    // effect drain applied after every instruction.
-    bool progress = false;
-    for (auto &core : cores_)
-        progress |= core->tick();
-    return progress;
-}
-
-bool
-Gpu::run_cores_parallel(unsigned threads)
-{
-    bool progress = false;
-
-    // Phase 1 (serial): workgroup dispatch mutates shared kernel state
-    // (next_wg), so it runs in core-ID order.
-    {
-        obs::EnginePhaseTimer t(engine_prof_,
-                           obs::HostEngineProfiler::Phase::Dispatch);
-        for (auto &core : cores_)
-            progress |= core->dispatch_tick();
-    }
-
-    // Phase 2 (parallel): cores issue concurrently, buffering every
-    // shared-state effect. Contiguous shards keep each worker on a
-    // cache-friendly slice. Progress flags are per-core slots: each
-    // worker writes only its own slice, read back after the barrier.
-    const std::size_t n = cores_.size();
-    const std::size_t per = (n + threads - 1) / threads;
-    core_progress_.assign(n, 0);
-    {
-        obs::EnginePhaseTimer t(engine_prof_,
-                           obs::HostEngineProfiler::Phase::Issue);
-        for (unsigned w = 0; w < threads; ++w) {
-            const std::size_t lo = static_cast<std::size_t>(w) * per;
-            const std::size_t hi = std::min(n, lo + per);
-            if (lo >= hi)
-                break;
-            pool_->submit([this, lo, hi] {
-                for (std::size_t c = lo; c < hi; ++c)
-                    core_progress_[c] =
-                        cores_[c]->issue_phase(/*drain_each=*/false);
-            });
-        }
-    }
-    {
-        obs::EnginePhaseTimer t(engine_prof_,
-                           obs::HostEngineProfiler::Phase::BarrierWait);
-        pool_->wait_idle();
-    }
-
-    // Phase 3 (serial): replay buffered traffic in core-ID order —
-    // the exact global effect order of the serial engine, so caches,
-    // DRAM queues and event sequence numbers match byte-for-byte.
-    {
-        obs::EnginePhaseTimer t(engine_prof_,
-                           obs::HostEngineProfiler::Phase::Drain);
-        for (auto &core : cores_)
-            core->drain_pending();
-    }
-
-    for (std::size_t c = 0; c < n; ++c)
-        progress |= core_progress_[c] != 0;
-    return progress;
 }
 
 void
@@ -206,28 +109,27 @@ void
 Gpu::run()
 {
     const Cycle deadline = eq_.now() + cfg_.max_cycles;
-    const unsigned threads = effective_threads();
     // The stall profiler's warp-cycle attribution invariant (counted
     // warp-cycles == residency) requires visiting every cycle.
     const bool per_cycle = profiler_ != nullptr;
     const std::uint64_t skipped_before = cycles_skipped_;
     std::uint64_t ticked = 0;
 
-    if (threads > 1 && pool_ == nullptr)
-        pool_ = std::make_unique<ThreadPool>(threads);
-
     while (!all_done()) {
         if (eq_.now() >= deadline)
             throw SimulationError(
                 "Gpu::run: cycle budget exhausted (possible livelock)");
 
-        bool progress;
-        if (threads <= 1) {
+        // Progress (some core dispatched a workgroup or issued an
+        // instruction) gates the clock-jump scan below: a busy cycle
+        // skips the per-core next_work_cycle query entirely, and the
+        // first idle cycle of a stretch pays for it once.
+        bool progress = false;
+        {
             obs::EnginePhaseTimer t(engine_prof_,
                                obs::HostEngineProfiler::Phase::Issue);
-            progress = run_cores_serial();
-        } else {
-            progress = run_cores_parallel(threads);
+            for (auto &core : cores_)
+                progress |= core->tick();
         }
         ++ticked;
 

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/event_queue.h"
-#include "common/thread_pool.h"
 #include "driver/driver.h"
 #include "sim/config.h"
 #include "sim/core.h"
@@ -43,17 +42,14 @@ struct KernelResult
 class Gpu
 {
   public:
+    /** A GPU over @p driver's device. Kernels of every driver bound
+     *  to that device may launch on it. */
     Gpu(const GpuConfig &cfg, Driver &driver);
 
     /**
-     * Driver-less form for multi-tenant use: the GPU binds to the
-     * shared device only, and every launch() must name the tenant
-     * driver servicing its device-side mallocs.
-     */
-    Gpu(const GpuConfig &cfg, GpuDevice &device);
-
-    /**
-     * Launches a kernel. Ownership of @p state moves into the GPU.
+     * Launches a kernel. Ownership of @p state moves into the GPU; the
+     * driver that built it (LaunchState::driver) services its
+     * device-side mallocs.
      *
      * @param core_mask  bit i allows core i (inter-/intra-core sharing)
      * @param extra_cycles_per_mem / @param extra_transactions
@@ -65,25 +61,14 @@ class Gpu
                        Cycle extra_cycles_per_mem = 0,
                        unsigned extra_transactions = 0);
 
-    /** Launch bound to @p driver (the owning tenant's context) instead
-     *  of the construction-time default. */
-    std::size_t launch_for(LaunchState state, Driver &driver,
-                           std::uint64_t core_mask = ~std::uint64_t{0},
-                           Cycle extra_cycles_per_mem = 0,
-                           unsigned extra_transactions = 0);
-
     /**
      * Runs the simulation until every launched kernel completes.
      *
      * Event-driven: between cycles where some core can do work the
      * clock jumps straight to min(next core-ready cycle, next event),
-     * instead of scanning idle cycles (see cycles_skipped()). With
-     * GpuConfig::sim_threads > 1 the cores' issue phases run on a
-     * worker pool with a deterministic drain barrier; results are
-     * byte-identical to serial (docs/INTERNALS.md). A stall profiler
-     * forces per-cycle serial ticking (its warp-cycle attribution
-     * invariant needs every cycle); issue/lane observers force the
-     * serial engine but keep the jumps.
+     * instead of scanning idle cycles (see cycles_skipped()). A stall
+     * profiler forces per-cycle ticking (its warp-cycle attribution
+     * invariant needs every cycle).
      */
     void run();
 
@@ -106,20 +91,18 @@ class Gpu
     /** L1 RCache hit rate across all cores (Figs. 15/16). */
     double rcache_l1_hit_rate() const;
 
-    /** Attaches a GT-Pin-style issue observer to every core. The
-     *  engine serializes while one is attached (exact event order). */
+    /** Attaches a GT-Pin-style issue observer to every core. */
     void
     set_observer(IssueObserver *observer)
     {
-        observer_attached_ = observer != nullptr;
         for (auto &core : cores_)
             core->set_observer(observer);
     }
 
     /** Attaches a host-side engine profiler (obs/engine_profile.h):
-     *  wall-time per engine phase, for finding residual serial hot
-     *  spots. nullptr detaches. Observes the host only — simulated
-     *  results are unaffected. Not owned; must outlive run(). */
+     *  wall-time per engine phase. nullptr detaches. Observes the host
+     *  only — simulated results are unaffected. Not owned; must
+     *  outlive run(). */
     void set_engine_profiler(obs::HostEngineProfiler *prof)
     {
         engine_prof_ = prof;
@@ -158,23 +141,12 @@ class Gpu
     };
 
     bool all_done() const;
-    /** Worker count for this run: sim_threads clamped to the core
-     *  count, forced to 1 while any observer/profiler is attached. */
-    unsigned effective_threads() const;
-    /** One engine cycle over all cores. Returns true when any core
-     *  made progress (dispatched a workgroup or issued an instruction)
-     *  — the signal that gates the clock-jump scan: a busy cycle skips
-     *  the per-core next_work_cycle query entirely, and the first idle
-     *  cycle of a stretch pays for it once. */
-    bool run_cores_serial();
-    bool run_cores_parallel(unsigned threads);
     void detach_completed();
     /** Advances the clock to the next cycle any core or event needs;
      *  throws on a provable deadlock. @p deadline caps the jump. */
     void advance_clock(Cycle deadline);
 
     GpuConfig cfg_;
-    Driver *driver_ = nullptr; //!< default launch driver (single-tenant)
     EventQueue eq_;
     MemoryHierarchy hier_;
     std::vector<std::unique_ptr<Core>> cores_;
@@ -182,14 +154,7 @@ class Gpu
     obs::Profiler *profiler_ = nullptr;
     obs::HostEngineProfiler *engine_prof_ = nullptr;
     LaneObserver *lane_obs_ = nullptr;
-    bool observer_attached_ = false;
     std::uint64_t cycles_skipped_ = 0;
-    /** Lazily created issue-phase worker pool (sim_threads > 1). */
-    std::unique_ptr<ThreadPool> pool_;
-    /** Per-core issue-progress flags for the parallel engine: each
-     *  worker writes only its own cores' slots; the engine thread reads
-     *  them after the drain barrier. */
-    std::vector<unsigned char> core_progress_;
 };
 
 } // namespace gpushield

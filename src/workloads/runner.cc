@@ -34,16 +34,13 @@ RunOutcome
 run_workload(const GpuConfig &cfg, Driver &driver,
              const WorkloadInstance &instance, bool shield, bool use_static,
              Cycle extra_cycles_per_mem, unsigned extra_transactions,
-             obs::Profiler *profiler, LaneObserver *lane_obs,
-             obs::HostEngineProfiler *engine_prof)
+             obs::Profiler *profiler, LaneObserver *lane_obs)
 {
     Gpu gpu(cfg, driver);
     if (profiler != nullptr)
         gpu.set_profiler(profiler);
     if (lane_obs != nullptr)
         gpu.set_lane_observer(lane_obs);
-    if (engine_prof != nullptr)
-        gpu.set_engine_profiler(engine_prof);
     LaunchState state = driver.launch(instance.make_config(shield, use_static));
     const std::size_t idx =
         gpu.launch(std::move(state), ~std::uint64_t{0},
@@ -65,14 +62,11 @@ MultiLaunchOutcome
 run_workload_n(const GpuConfig &cfg, Driver &driver,
                const WorkloadInstance &instance, unsigned launches,
                bool shield, bool use_static, Cycle extra_cycles_per_mem,
-               unsigned extra_transactions, obs::Profiler *profiler,
-               obs::HostEngineProfiler *engine_prof)
+               unsigned extra_transactions, obs::Profiler *profiler)
 {
     Gpu gpu(cfg, driver);
     if (profiler != nullptr)
         gpu.set_profiler(profiler);
-    if (engine_prof != nullptr)
-        gpu.set_engine_profiler(engine_prof);
     MultiLaunchOutcome out;
     for (unsigned i = 0; i < launches; ++i) {
         LaunchState state =

@@ -38,17 +38,14 @@ StatSet collect_mem_stats(Gpu &gpu);
 /** Runs @p instance once on a freshly constructed GPU. When
  *  @p profiler is non-null it observes the run (obs/profiler.h); when
  *  @p lane_obs is non-null it is attached before the launch so it sees
- *  every step and bounds verdict (sim/observer.h). When @p engine_prof
- *  is non-null it records host wall-time per engine phase
- *  (obs/engine_profile.h) without changing simulated results. */
+ *  every step and bounds verdict (sim/observer.h). */
 RunOutcome run_workload(const GpuConfig &cfg, Driver &driver,
                         const WorkloadInstance &instance, bool shield,
                         bool use_static,
                         Cycle extra_cycles_per_mem = 0,
                         unsigned extra_transactions = 0,
                         obs::Profiler *profiler = nullptr,
-                        LaneObserver *lane_obs = nullptr,
-                        obs::HostEngineProfiler *engine_prof = nullptr);
+                        LaneObserver *lane_obs = nullptr);
 
 /**
  * Runs @p instance @p launches times back-to-back on one GPU (RCaches
@@ -73,9 +70,7 @@ MultiLaunchOutcome run_workload_n(const GpuConfig &cfg, Driver &driver,
                                   bool use_static,
                                   Cycle extra_cycles_per_mem = 0,
                                   unsigned extra_transactions = 0,
-                                  obs::Profiler *profiler = nullptr,
-                                  obs::HostEngineProfiler *engine_prof =
-                                      nullptr);
+                                  obs::Profiler *profiler = nullptr);
 
 } // namespace gpushield::workloads
 

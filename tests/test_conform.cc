@@ -16,9 +16,9 @@
 #include "conform/runner.h"
 #include "driver/driver.h"
 #include "harness/metrics.h"
-#include "shield/bcu.h"
 #include "shield/cipher.h"
 #include "shield/pointer.h"
+#include "shield/region_backend.h"
 #include "workloads/kernels.h"
 #include "workloads/suites.h"
 
@@ -70,7 +70,7 @@ TEST(BcuKernelMismatch, KernelIdsThousandsApartDoNotAlias)
     b.kernel = kOwner;
     rbt.set(kId, b);
 
-    BoundsCheckUnit bcu{RCacheConfig{}, 2};
+    RegionShieldBackend bcu{RCacheConfig{}, 2};
     bcu.register_kernel(kOther, kKey, &rbt);
     IdCipher cipher(kKey);
 
@@ -85,7 +85,7 @@ TEST(BcuKernelMismatch, KernelIdsThousandsApartDoNotAlias)
     EXPECT_EQ(resp.kind, ViolationKind::KernelMismatch);
 
     // Control: the owning kernel itself still passes.
-    BoundsCheckUnit own{RCacheConfig{}, 2};
+    RegionShieldBackend own{RCacheConfig{}, 2};
     own.register_kernel(kOwner, kKey, &rbt);
     req.kernel = kOwner;
     EXPECT_FALSE(own.check(req).violation);
@@ -118,9 +118,9 @@ TEST(DriverLaunch, BufferOver4GiBIsFatalNotTruncated)
 TEST(DriverLaunch, MergedGroupSplitsInsteadOfTruncating)
 {
     GpuDevice dev(kPageSize2M);
-    // id_space=4 leaves 3 usable IDs for 4 pointer args: launch merges
+    // 3 usable IDs for 4 pointer args: launch merges
     // adjacent buffers into shared entries (group size 2).
-    Driver driver(dev, 0xD81EE5ull, /*id_space=*/4);
+    Driver driver(dev, DriverPartition{.id_count = 3});
     PatternParams p;
     p.name = "merged";
     p.inputs = 3;

@@ -172,7 +172,7 @@ TEST(IdManagement, IdsRecycleAcrossLaunches)
 {
     GpuDevice dev(kPageSize2M);
     // Tiny ID space: 7 usable IDs; each launch needs 3.
-    Driver driver(dev, 1234, /*id_space=*/8);
+    Driver driver(dev, DriverPartition{.id_count = 7}, 1234);
     PatternParams p;
     p.name = "vec";
     p.inputs = 2;
@@ -196,7 +196,7 @@ TEST(IdManagement, IdsRecycleAcrossLaunches)
 TEST(IdManagement, LowIdSpaceMergesAdjacentBuffers)
 {
     GpuDevice dev(kPageSize2M);
-    Driver driver(dev, 99, /*id_space=*/4); // 3 usable IDs
+    Driver driver(dev, DriverPartition{.id_count = 3}, 99); // 3 usable IDs
     PatternParams p;
     p.name = "multi";
     p.inputs = 5; // needs 6 buffer IDs unmerged
@@ -239,7 +239,7 @@ TEST(IdManagement, LowIdSpaceMergesAdjacentBuffers)
 TEST(IdManagement, FarOverflowStillDetectedUnderMerging)
 {
     GpuDevice dev(kPageSize2M);
-    Driver driver(dev, 5, /*id_space=*/2); // 1 usable ID for 2 buffers
+    Driver driver(dev, DriverPartition{.id_count = 1}, 5); // 1 ID, 2 buffers
     KernelBuilder b("poke");
     const int a = b.arg_ptr("a");
     const int bb = b.arg_ptr("b");

@@ -322,6 +322,62 @@ TEST(Service, CoScheduleRunsTenantsInOneBatch)
     EXPECT_EQ(ra.complete_time, rb.complete_time);
 }
 
+TEST(Service, DeviceMallocsGoToTheLaunchingTenantsDriver)
+{
+    // Each kernel's device mallocs must reach the driver that launched
+    // it, in both scheduler modes. The tenants run different thread
+    // counts, so a malloc charged to the wrong driver shows up in both
+    // tenants' counts.
+    for (const SchedMode mode :
+         {SchedMode::TimeSlice, SchedMode::CoSchedule}) {
+        ServiceConfig cfg;
+        cfg.max_tenants = 2;
+        cfg.mode = mode;
+        GpuService svc(cfg);
+        workloads::PatternParams p;
+        p.name = "heap";
+        const KernelProgram prog = workloads::make_heap(p);
+        api::LaunchOptions opts;
+        opts.heap_bytes = 1 << 20;
+
+        struct Tenant
+        {
+            Credential cred;
+            api::Grid grid;
+            BufferHandle out;
+            Ticket ticket = 0;
+        };
+        std::vector<Tenant> tenants = {{svc.admit("alice"), {64, 1}, {}},
+                                       {svc.admit("bob"), {32, 3}, {}}};
+        for (Tenant &t : tenants) {
+            const std::uint32_t n =
+                t.grid.threads_per_block * t.grid.blocks;
+            t.out = svc.create_buffer(t.cred, n * 4);
+            t.ticket = svc.submit(t.cred, prog, t.grid,
+                                  {api::arg(t.out), api::arg(32)}, opts)
+                           .ticket;
+        }
+        svc.drain();
+
+        for (Tenant &t : tenants) {
+            const std::uint32_t n =
+                t.grid.threads_per_block * t.grid.blocks;
+            const LaunchRecord &rec = svc.record(t.ticket);
+            EXPECT_EQ(rec.status, api::LaunchStatus::Ok)
+                << to_string(mode) << ": " << rec.status_message;
+            EXPECT_EQ(svc.tenant_driver(t.cred).stats().get(
+                          "device_mallocs"),
+                      n)
+                << to_string(mode);
+            std::vector<std::int32_t> got(n);
+            svc.download(t.cred, t.out, got.data(), n * 4);
+            for (std::uint32_t i = 0; i < n; ++i)
+                ASSERT_EQ(got[i], static_cast<std::int32_t>(i))
+                    << to_string(mode) << " tenant " << t.cred.tenant;
+        }
+    }
+}
+
 TEST(Service, IsolationSuiteAllContainedTimeSlice)
 {
     const IsolationReport report = run_isolation_suite();

@@ -10,12 +10,12 @@
 #include <cmath>
 #include <set>
 
-#include "shield/bcu.h"
 #include "shield/cipher.h"
 #include "shield/hwcost.h"
 #include "shield/pointer.h"
 #include "shield/rbt.h"
 #include "shield/rcache.h"
+#include "shield/region_backend.h"
 
 namespace gpushield {
 namespace {
@@ -321,7 +321,7 @@ class BcuTest : public ::testing::Test
     PhysicalMemory mem_;
     RegionBoundsTable rbt_;
     IdCipher cipher_{kKey};
-    BoundsCheckUnit bcu_;
+    RegionShieldBackend bcu_;
 };
 
 TEST_F(BcuTest, InBoundsPasses)
@@ -400,7 +400,7 @@ TEST_F(BcuTest, StallOnlyWhenCheckExceedsShadow)
     // hide behind them.
     RCacheConfig cfg;
     cfg.l1_latency = 3; // exceeds the 2-cycle slack
-    BoundsCheckUnit slow(cfg, 2);
+    RegionShieldBackend slow(cfg, 2);
     slow.register_kernel(kKernel, kKey, &rbt_);
     slow.check(req(0x1000, 0x1004, false, kId)); // warm
     BcuRequest single = req(0x1000, 0x1004, false, kId);
@@ -633,7 +633,7 @@ TEST_P(BcuStallFormula, ExposedBubbleMatchesModel)
     RCacheConfig cfg;
     cfg.l1_latency = c.l1_latency;
     cfg.l2_latency = c.l2_latency;
-    BoundsCheckUnit bcu(cfg, c.slack);
+    RegionShieldBackend bcu(cfg, c.slack);
     bcu.register_kernel(1, 0x5EC, &rbt);
     IdCipher cipher(0x5EC);
 
