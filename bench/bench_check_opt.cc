@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/json.h"
 #include "compiler/check_opt.h"
 #include "compiler/static_analysis.h"
 #include "workloads/kernels.h"
@@ -237,7 +238,7 @@ main(int argc, char **argv)
         << ",\"suites\":[";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row &r = rows[i];
-        out << (i ? "," : "") << "{\"name\":\"" << r.name << "\""
+        out << (i ? "," : "") << "{\"name\":" << json_quote(r.name)
             << ",\"gated\":" << (r.gated ? "true" : "false")
             << ",\"bcu_lookups_base\":" << r.checks_base
             << ",\"bcu_lookups_opt\":" << r.checks_opt

@@ -48,11 +48,8 @@ main(int argc, char **argv)
         }
     }
 
-    const BenchmarkDef *def = nullptr;
-    const auto &set = intel ? opencl_benchmarks() : cuda_benchmarks();
-    for (const BenchmarkDef &d : set)
-        if (d.name == name)
-            def = &d;
+    const BenchmarkDef *def =
+        find_benchmark(name, intel ? "opencl" : "cuda");
     if (def == nullptr)
         def = find_benchmark(name);
     if (def == nullptr) {

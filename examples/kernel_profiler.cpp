@@ -46,21 +46,27 @@ main(int argc, char **argv)
     trace::OpProfiler ops;
     trace::AddressProfiler pages(kPageSize4K);
 
-    struct Fanout : IssueObserver
+    struct Fanout : LaneObserver
     {
-        std::vector<IssueObserver *> sinks;
+        std::vector<LaneObserver *> sinks;
         void
-        on_issue(CoreId core, KernelId kernel, WarpId warp, int pc,
-                 const Instr &instr, const MemOp *mem) override
+        on_step(CoreId core, KernelId kernel, const WarpState &warp,
+                const Instr &instr) override
         {
-            for (IssueObserver *sink : sinks)
-                sink->on_issue(core, kernel, warp, pc, instr, mem);
+            for (LaneObserver *sink : sinks)
+                sink->on_step(core, kernel, warp, instr);
+        }
+        void
+        on_mem_check(const MemCheckEvent &ev) override
+        {
+            for (LaneObserver *sink : sinks)
+                sink->on_mem_check(ev);
         }
     } fanout;
     fanout.sinks = {&writer, &ops, &pages};
 
     Gpu gpu(cfg, driver);
-    gpu.set_observer(&fanout);
+    gpu.set_lane_observer(&fanout);
     const auto idx = gpu.launch(driver.launch(inst.make_config(true, false)));
     gpu.run();
     const KernelResult result = gpu.result(idx);

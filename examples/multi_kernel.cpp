@@ -18,25 +18,12 @@
 using namespace gpushield;
 using namespace gpushield::workloads;
 
-namespace {
-
-const BenchmarkDef *
-find_opencl(const char *name)
-{
-    for (const BenchmarkDef &d : opencl_benchmarks())
-        if (d.name == name)
-            return &d;
-    return nullptr;
-}
-
-} // namespace
-
 int
 main()
 {
     const GpuConfig cfg = intel_config();
-    const BenchmarkDef *a = find_opencl("hotspot3D");
-    const BenchmarkDef *b = find_opencl("streamcluster");
+    const BenchmarkDef *a = find_benchmark("hotspot3D", "opencl");
+    const BenchmarkDef *b = find_benchmark("streamcluster", "opencl");
     if (a == nullptr || b == nullptr) {
         std::printf("benchmarks not found\n");
         return 1;

@@ -2,8 +2,9 @@
 # CI entry point: build, run the test suite, and smoke the sweep
 # harness. `--tsan` additionally rebuilds the sweep harness under
 # ThreadSanitizer and re-runs its thread-pool executor;
-# `--asan` rebuilds the conformance and multi-tenant service
-# subsystems and their regression tests under AddressSanitizer.
+# `--asan` rebuilds the conformance, service, shield-backend, harness,
+# observability and trace tests (hostile JSON input, the instruction
+# observer) and two CLIs under AddressSanitizer.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,15 +31,38 @@ cmp build/smoke.jsonl build/smoke-serial.jsonl
 cmp build/smoke-serial.jsonl tests/golden/smoke.jsonl
 
 # Backend gate: the pluggable shield seam. Region routed explicitly
-# through --shield-backend must still match the committed golden
+# through --backend must still match the committed golden
 # byte-for-byte; the Armor backend must run the smoke grid end-to-end
 # and hold the corpus with zero hard false negatives (tag collisions
 # and granule slop are counted separately by the oracle).
 ./build/src/gpushield-sweep --suite smoke --jobs 1 --quiet \
-    --shield-backend region --jsonl build/smoke-region.jsonl > /dev/null
+    --backend region --jsonl build/smoke-region.jsonl > /dev/null
 cmp build/smoke-region.jsonl tests/golden/smoke.jsonl
 ./build/src/gpushield-sweep --suite smoke --jobs 1 --quiet \
-    --shield-backend armor --jsonl build/smoke-armor.jsonl > /dev/null
+    --backend armor --jsonl build/smoke-armor.jsonl > /dev/null
+
+# CLI gate: a malformed or out-of-range number is a usage error (exit
+# 2), never an abort, a silent default or a doomed run.
+expect_usage_error() {
+    local status=0
+    "$@" > /dev/null 2>&1 || status=$?
+    if [[ "$status" -ne 2 ]]; then
+        echo "ci: expected exit 2, got $status: $*" >&2
+        exit 1
+    fi
+}
+expect_usage_error ./build/src/gpushield-service --demo --tenants abc
+expect_usage_error ./build/src/gpushield-service --attacks --quantum x
+expect_usage_error ./build/src/gpushield-service --demo --tenants 0
+expect_usage_error ./build/src/gpushield-service --demo --tenants 20000
+expect_usage_error ./build/src/gpushield-sweep --suite smoke --jobs abc
+expect_usage_error ./build/src/gpushield-profile --benchmark vectoradd \
+    --launches abc
+expect_usage_error ./build/src/gpushield-conformance --fuzz-one 3 --ntid 0
+expect_usage_error ./build/src/gpushield-conformance --fuzz-one 3 \
+    --ntid 4096
+expect_usage_error ./build/src/gpushield-conformance --fuzz-one 3 \
+    --nctaid 0
 
 # Conformance smoke: every corpus workload differentially checked
 # against the functional oracle and the per-lane bounds oracle (zero
@@ -54,7 +78,8 @@ cmp build/smoke-region.jsonl tests/golden/smoke.jsonl
 # on both backends; the smoke sweep with the pass *off* must then
 # still match the committed golden byte-for-byte (the default path is
 # untouched). The bench enforces the >=30% BCU-lookup-savings floor
-# on the gated loop-heavy suites (exits 1 below it).
+# on the gated loop-heavy suites (exits 1 below it), and its record
+# must match the committed BENCH_check_opt.json byte-for-byte.
 ./build/src/gpushield-conformance --suite corpus --check-opt --quiet
 ./build/src/gpushield-conformance --seeds 20 --check-opt --quiet
 ./build/src/gpushield-conformance --seeds 20 --check-opt --backend armor \
@@ -64,6 +89,7 @@ cmp build/smoke-region.jsonl tests/golden/smoke.jsonl
 cmp build/smoke-postopt.jsonl tests/golden/smoke.jsonl
 ./build/bench/bench_check_opt --json build/check-opt-smoke.json \
     > /dev/null
+cmp build/check-opt-smoke.json BENCH_check_opt.json
 
 # Profile smoke: trace every single-kernel smoke cell, re-parse each
 # trace, and verify the stall-attribution invariant (--check).
@@ -72,12 +98,16 @@ cmp build/smoke-postopt.jsonl tests/golden/smoke.jsonl
 
 # Service smoke: 2-tenant adversarial battery in both scheduler modes.
 # Gate: zero cross-tenant escapes (the binary exits 1 on any escape),
-# plus a quick fairness-bench run to keep the JSON schema exercised.
-# See docs/SERVICE.md.
+# plus the full fairness bench, whose record must match the committed
+# BENCH_service_fairness.json byte-for-byte, and a quick run to keep
+# the JSON schema exercised. See docs/SERVICE.md.
 ./build/src/gpushield-service --attacks --quiet
 ./build/src/gpushield-service --attacks --mode cosched --quiet
 # Zero-escape gate holds on the Armor backend too.
 ./build/src/gpushield-service --attacks --backend armor --quiet
+./build/src/gpushield-service --fairness --json build/service-fairness.json \
+    --quiet
+cmp build/service-fairness.json BENCH_service_fairness.json
 ./build/src/gpushield-service --fairness --quick --quiet \
     --json build/service-fairness-smoke.json
 
@@ -97,11 +127,14 @@ fi
 if [[ "${1:-}" == "--asan" ]]; then
     cmake --preset asan
     cmake --build build-asan -j"$JOBS" \
-        --target test_conform test_service test_backend \
-        gpushield-conformance gpushield-service
+        --target test_conform test_service test_backend test_harness \
+        test_obs test_trace gpushield-conformance gpushield-service
     ./build-asan/tests/test_conform
     ./build-asan/tests/test_service
     ./build-asan/tests/test_backend
+    ./build-asan/tests/test_harness
+    ./build-asan/tests/test_obs
+    ./build-asan/tests/test_trace
     ./build-asan/src/gpushield-conformance --seeds 10 --quiet
     ./build-asan/src/gpushield-conformance --seeds 10 --backend armor \
         --quiet

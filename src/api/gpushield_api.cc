@@ -105,7 +105,7 @@ Context::launch(const KernelProgram &program, Grid grid,
 
     Gpu gpu(config_, driver_);
     if (observer_ != nullptr)
-        gpu.set_observer(observer_);
+        gpu.set_lane_observer(observer_);
     if (options.profile.enabled) {
         if (!profiler_) {
             obs::ProfileConfig pcfg;

@@ -240,11 +240,11 @@ class Context
 
     /// @name Observability
     /// @{
-    /** Attaches a GT-Pin-style issue observer to subsequent launches
-     *  (not owned; must outlive the launches). */
-    void attach(IssueObserver &observer) { observer_ = &observer; }
+    /** Attaches a GT-Pin-style instruction observer to subsequent
+     *  launches (not owned; must outlive the launches). */
+    void attach(LaneObserver &observer) { observer_ = &observer; }
 
-    /** Detaches the issue observer. */
+    /** Detaches the instruction observer. */
     void detach_observer() { observer_ = nullptr; }
 
     /** The context's profiler — created by the first launch with
@@ -262,7 +262,7 @@ class Context
     GpuConfig config_;
     GpuDevice device_;
     Driver driver_;
-    IssueObserver *observer_ = nullptr;
+    LaneObserver *observer_ = nullptr;
     std::unique_ptr<obs::Profiler> profiler_;
     /** Each launch simulates from cycle 0; this offset strings profiled
      *  launches onto one trace timeline. */

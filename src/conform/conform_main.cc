@@ -13,15 +13,20 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/decimal.h"
 #include "conform/runner.h"
 
 namespace {
 
 using namespace gpushield;
 using namespace gpushield::conform;
+
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kMaxKernelArgs = 128; // Driver::launch's limit
 
 int
 usage(const char *argv0)
@@ -35,9 +40,9 @@ usage(const char *argv0)
         "  --fuzz-one SEED  run a single fuzz kernel\n"
         "  --plant          plant one out-of-bounds access (--fuzz-one)\n"
         "  --steps N        fuzz generator steps     (--fuzz-one)\n"
-        "  --nbufs N        fuzz buffer count        (--fuzz-one)\n"
-        "  --ntid N         workgroup size           (--fuzz-one)\n"
-        "  --nctaid N       workgroup count          (--fuzz-one)\n"
+        "  --nbufs N        fuzz buffer count, <=128 (--fuzz-one)\n"
+        "  --ntid N         workgroup size, 1-1024   (--fuzz-one)\n"
+        "  --nctaid N       workgroup count, >=1     (--fuzz-one)\n"
         "  --backend NAME   shield backend under test: region (default)\n"
         "                   or armor (collisions/granule slop counted\n"
         "                   as documented weakness, never as FN)\n"
@@ -135,6 +140,10 @@ main(int argc, char **argv)
     unsigned long seeds = 0;
     FuzzKnobs one;
     ShieldBackendKind backend = ShieldBackendKind::Region;
+    // fuzz_cell runs on nvidia_config(): a larger workgroup never fits
+    // on a core and the cell could only deadlock.
+    const std::uint64_t max_ntid =
+        std::uint64_t{nvidia_config().max_warps_per_core} * kWarpSize;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -147,6 +156,12 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        const auto number = [&](std::uint64_t lo, std::uint64_t hi) {
+            std::uint64_t v = 0;
+            if (!parse_flag(argv[0], arg, value(), lo, hi, v))
+                std::exit(usage(argv[0]));
+            return v;
+        };
         if (arg == "--suite") {
             const std::string name = value();
             if (name != "corpus") {
@@ -157,24 +172,20 @@ main(int argc, char **argv)
             }
             run_corpus = true;
         } else if (arg == "--seeds") {
-            seeds = std::strtoul(value(), nullptr, 10);
+            seeds = number(0, kMaxU32);
         } else if (arg == "--fuzz-one") {
             fuzz_one = true;
-            one.seed = std::strtoull(value(), nullptr, 10);
+            one.seed = number(0, std::numeric_limits<std::uint64_t>::max());
         } else if (arg == "--plant") {
             one.plant = true;
         } else if (arg == "--steps") {
-            one.steps =
-                static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
+            one.steps = static_cast<unsigned>(number(0, kMaxU32));
         } else if (arg == "--nbufs") {
-            one.nbufs =
-                static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
+            one.nbufs = static_cast<unsigned>(number(0, kMaxKernelArgs));
         } else if (arg == "--ntid") {
-            one.ntid = static_cast<std::uint32_t>(
-                std::strtoul(value(), nullptr, 10));
+            one.ntid = static_cast<std::uint32_t>(number(1, max_ntid));
         } else if (arg == "--nctaid") {
-            one.nctaid = static_cast<std::uint32_t>(
-                std::strtoul(value(), nullptr, 10));
+            one.nctaid = static_cast<std::uint32_t>(number(1, kMaxU32));
         } else if (arg == "--backend") {
             const char *name = value();
             if (!parse_shield_backend(name, backend)) {

@@ -169,7 +169,7 @@ LaneOracle::shadow(KernelId kernel, std::uint32_t wg,
 }
 
 void
-LaneOracle::on_step(KernelId kernel, const WarpState &warp,
+LaneOracle::on_step(CoreId, KernelId kernel, const WarpState &warp,
                     const Instr &in)
 {
     const auto kit = kernels_.find(kernel);

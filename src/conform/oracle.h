@@ -118,7 +118,7 @@ class LaneOracle final : public LaneObserver
     explicit LaneOracle(Driver &driver) : driver_(driver) {}
 
     void on_launch(const LaunchState &state) override;
-    void on_step(KernelId kernel, const WarpState &warp,
+    void on_step(CoreId core, KernelId kernel, const WarpState &warp,
                  const Instr &instr) override;
     void on_mem_check(const MemCheckEvent &ev) override;
 

@@ -21,25 +21,14 @@ namespace {
 using workloads::BenchmarkDef;
 using workloads::WorkloadInstance;
 
-const std::vector<BenchmarkDef> &
-benchmark_set(const std::string &set)
-{
-    if (set == "cuda")
-        return workloads::cuda_benchmarks();
-    if (set == "opencl")
-        return workloads::opencl_benchmarks();
-    if (set == "fig19")
-        return workloads::rodinia_fig19_benchmarks();
-    throw SimulationError("sweep: unknown benchmark set " + set);
-}
-
 const BenchmarkDef &
 find_in_set(const std::string &set, const std::string &name)
 {
-    for (const BenchmarkDef &d : benchmark_set(set))
-        if (d.name == name)
-            return d;
-    throw SimulationError("sweep: no benchmark " + name + " in set " + set);
+    const BenchmarkDef *def = workloads::find_benchmark(name, set);
+    if (def == nullptr)
+        throw SimulationError("sweep: no benchmark " + name + " in set " +
+                              set);
+    return *def;
 }
 
 /** Core masks for the cell's placement mode. */

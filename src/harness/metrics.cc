@@ -1,10 +1,10 @@
 #include "harness/metrics.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <istream>
+#include <limits>
 #include <map>
 #include <ostream>
 
@@ -32,7 +32,7 @@ stat_set_json(const StatSet &s)
         if (!first)
             out += ",";
         first = false;
-        out += "\"" + json_escape(name) + "\":" + std::to_string(value);
+        out += json_quote(name) + ":" + std::to_string(value);
     }
     out += "}";
     return out;
@@ -99,31 +99,6 @@ pair_overheads(const std::vector<RunRecord> &records)
 }
 
 std::string
-json_escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
 csv_escape(const std::string &s)
 {
     if (s.find_first_of(",\"\n") == std::string::npos)
@@ -174,20 +149,20 @@ void
 MetricsRegistry::write_jsonl(std::ostream &os) const
 {
     for (const RunRecord &r : records_) {
-        os << "{\"key\":\"" << json_escape(r.key) << "\""
-           << ",\"suite\":\"" << json_escape(r.suite) << "\""
-           << ",\"set\":\"" << json_escape(r.set) << "\""
-           << ",\"workload\":\"" << json_escape(r.workload) << "\""
-           << ",\"workload_b\":\"" << json_escape(r.workload_b) << "\""
-           << ",\"config\":\"" << json_escape(r.config) << "\""
-           << ",\"placement\":\"" << json_escape(r.placement) << "\""
+        os << "{\"key\":" << json_quote(r.key)
+           << ",\"suite\":" << json_quote(r.suite)
+           << ",\"set\":" << json_quote(r.set)
+           << ",\"workload\":" << json_quote(r.workload)
+           << ",\"workload_b\":" << json_quote(r.workload_b)
+           << ",\"config\":" << json_quote(r.config)
+           << ",\"placement\":" << json_quote(r.placement)
            << ",\"shield\":" << (r.shield ? "true" : "false")
            << ",\"use_static\":" << (r.use_static ? "true" : "false")
            << ",\"launches\":" << r.launches
            << ",\"seed\":" << r.seed
            << ",\"ok\":" << (r.ok ? "true" : "false")
            << ",\"aborted\":" << (r.aborted ? "true" : "false")
-           << ",\"error\":\"" << json_escape(r.error) << "\""
+           << ",\"error\":" << json_quote(r.error)
            << ",\"cycles\":" << r.cycles
            << ",\"violations\":" << r.violations
            << ",\"l1_rcache_hit_rate\":" << double_repr(r.l1_rcache_hit_rate)
@@ -279,133 +254,20 @@ MetricsRegistry::write_summary(std::ostream &os, double wall_seconds,
 }
 
 // ---------------------------------------------------------------------------
-// JSONL parsing (exactly the subset write_jsonl emits).
+// JSONL parsing (the common JSON parser, then one typed read per field).
 
 namespace {
 
-class JsonCursor
+StatSet
+read_stat_set(const JsonValue &v)
 {
-  public:
-    explicit JsonCursor(const std::string &line) : s_(line) {}
-
-    void
-    expect(char c)
-    {
-        if (pos_ >= s_.size() || s_[pos_] != c)
-            throw SimulationError("jsonl: expected '" + std::string(1, c) +
-                                  "' at offset " + std::to_string(pos_));
-        ++pos_;
-    }
-
-    bool
-    consume(char c)
-    {
-        if (pos_ < s_.size() && s_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    char
-    peek() const
-    {
-        return pos_ < s_.size() ? s_[pos_] : '\0';
-    }
-
-    std::string
-    parse_string()
-    {
-        expect('"');
-        std::string out;
-        while (pos_ < s_.size() && s_[pos_] != '"') {
-            char c = s_[pos_++];
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (pos_ >= s_.size())
-                throw SimulationError("jsonl: dangling escape");
-            const char e = s_[pos_++];
-            switch (e) {
-            case '"': out += '"'; break;
-            case '\\': out += '\\'; break;
-            case '/': out += '/'; break;
-            case 'n': out += '\n'; break;
-            case 't': out += '\t'; break;
-            case 'r': out += '\r'; break;
-            case 'b': out += '\b'; break;
-            case 'f': out += '\f'; break;
-            case 'u': {
-                if (pos_ + 4 > s_.size())
-                    throw SimulationError("jsonl: bad \\u escape");
-                const unsigned long code =
-                    std::strtoul(s_.substr(pos_, 4).c_str(), nullptr, 16);
-                pos_ += 4;
-                // Only ASCII control characters are emitted this way.
-                out += static_cast<char>(code);
-                break;
-            }
-            default:
-                throw SimulationError("jsonl: unknown escape");
-            }
-        }
-        expect('"');
-        return out;
-    }
-
-    /** Raw numeric token; the caller picks signed/unsigned/double. */
-    std::string
-    parse_number_token()
-    {
-        const std::size_t start = pos_;
-        while (pos_ < s_.size() &&
-               (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 ||
-                s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-                s_[pos_] == 'e' || s_[pos_] == 'E' || s_[pos_] == 'i' ||
-                s_[pos_] == 'n' || s_[pos_] == 'f' || s_[pos_] == 'a'))
-            ++pos_;
-        if (pos_ == start)
-            throw SimulationError("jsonl: expected number at offset " +
-                                  std::to_string(start));
-        return s_.substr(start, pos_ - start);
-    }
-
-    bool
-    parse_bool()
-    {
-        if (s_.compare(pos_, 4, "true") == 0) {
-            pos_ += 4;
-            return true;
-        }
-        if (s_.compare(pos_, 5, "false") == 0) {
-            pos_ += 5;
-            return false;
-        }
-        throw SimulationError("jsonl: expected boolean");
-    }
-
-    StatSet
-    parse_stat_set()
-    {
-        StatSet out;
-        expect('{');
-        if (consume('}'))
-            return out;
-        do {
-            const std::string name = parse_string();
-            expect(':');
-            out.set(name, std::strtoull(parse_number_token().c_str(),
-                                        nullptr, 10));
-        } while (consume(','));
-        expect('}');
-        return out;
-    }
-
-  private:
-    const std::string &s_;
-    std::size_t pos_ = 0;
-};
+    if (!v.is(JsonValue::Kind::Object))
+        throw SimulationError("jsonl: expected a counter object");
+    StatSet out;
+    for (const auto &[name, value] : v.object)
+        out.set(name, value.as_u64());
+    return out;
+}
 
 } // namespace
 
@@ -417,67 +279,63 @@ MetricsRegistry::read_jsonl(std::istream &is)
     while (std::getline(is, line)) {
         if (line.empty())
             continue;
-        JsonCursor cur(line);
+        const JsonValue root = parse_json(line);
+        if (!root.is(JsonValue::Kind::Object))
+            throw SimulationError("jsonl: record is not an object");
         RunRecord r;
-        cur.expect('{');
-        do {
-            const std::string field = cur.parse_string();
-            cur.expect(':');
+        for (const auto &[field, v] : root.object) {
             if (field == "key")
-                r.key = cur.parse_string();
+                r.key = v.as_string();
             else if (field == "suite")
-                r.suite = cur.parse_string();
+                r.suite = v.as_string();
             else if (field == "set")
-                r.set = cur.parse_string();
+                r.set = v.as_string();
             else if (field == "workload")
-                r.workload = cur.parse_string();
+                r.workload = v.as_string();
             else if (field == "workload_b")
-                r.workload_b = cur.parse_string();
+                r.workload_b = v.as_string();
             else if (field == "config")
-                r.config = cur.parse_string();
+                r.config = v.as_string();
             else if (field == "placement")
-                r.placement = cur.parse_string();
+                r.placement = v.as_string();
             else if (field == "error")
-                r.error = cur.parse_string();
+                r.error = v.as_string();
             else if (field == "shield")
-                r.shield = cur.parse_bool();
+                r.shield = v.as_bool();
             else if (field == "use_static")
-                r.use_static = cur.parse_bool();
+                r.use_static = v.as_bool();
             else if (field == "ok")
-                r.ok = cur.parse_bool();
+                r.ok = v.as_bool();
             else if (field == "aborted")
-                r.aborted = cur.parse_bool();
-            else if (field == "launches")
-                r.launches = static_cast<unsigned>(std::strtoul(
-                    cur.parse_number_token().c_str(), nullptr, 10));
-            else if (field == "seed")
-                r.seed = std::strtoull(cur.parse_number_token().c_str(),
-                                       nullptr, 10);
+                r.aborted = v.as_bool();
+            else if (field == "launches") {
+                const std::uint64_t n = v.as_u64();
+                if (n > std::numeric_limits<unsigned>::max())
+                    throw SimulationError("jsonl: launches out of range");
+                r.launches = static_cast<unsigned>(n);
+            } else if (field == "seed")
+                r.seed = v.as_u64();
             else if (field == "cycles")
-                r.cycles = std::strtoull(cur.parse_number_token().c_str(),
-                                         nullptr, 10);
+                r.cycles = v.as_u64();
             else if (field == "violations")
-                r.violations = std::strtoull(cur.parse_number_token().c_str(),
-                                             nullptr, 10);
+                r.violations = v.as_u64();
             else if (field == "l1_rcache_hit_rate")
-                r.l1_rcache_hit_rate =
-                    std::strtod(cur.parse_number_token().c_str(), nullptr);
+                r.l1_rcache_hit_rate = v.as_double();
             else if (field == "rcache")
-                r.rcache = cur.parse_stat_set();
+                r.rcache = read_stat_set(v);
             else if (field == "bcu")
-                r.bcu = cur.parse_stat_set();
+                r.bcu = read_stat_set(v);
             else if (field == "mem")
-                r.mem = cur.parse_stat_set();
+                r.mem = read_stat_set(v);
             else if (field == "kernel")
-                r.kernel = cur.parse_stat_set();
+                r.kernel = read_stat_set(v);
             else if (field == "obs")
-                r.obs = cur.parse_stat_set();
+                r.obs = read_stat_set(v);
             else if (field == "conform")
-                r.conform = cur.parse_stat_set();
+                r.conform = read_stat_set(v);
             else
                 throw SimulationError("jsonl: unknown field " + field);
-        } while (cur.consume(','));
-        cur.expect('}');
+        }
         out.push_back(std::move(r));
     }
     return out;

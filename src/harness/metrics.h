@@ -8,8 +8,8 @@
  * hierarchy, kernel). A MetricsRegistry holds the records of one sweep
  * in cell order — making emission independent of completion order — and
  * serializes them as JSON Lines (full fidelity, one object per line) or
- * CSV (flat scalar columns). read_jsonl() parses the exact subset of
- * JSON that write_jsonl() emits, so records round-trip losslessly.
+ * CSV (flat scalar columns). read_jsonl() reads write_jsonl() output
+ * back through the common JSON parser, so records round-trip losslessly.
  */
 
 #ifndef GPUSHIELD_HARNESS_METRICS_H
@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/stats.h"
 
 namespace gpushield::harness {
@@ -126,15 +127,19 @@ class MetricsRegistry
 
     static const std::vector<std::string> &csv_header();
 
-    /** Parses write_jsonl() output back into records. */
+    /** Parses write_jsonl() output back into records; throws
+     *  SimulationError on malformed JSON, an unknown field, a field of
+     *  the wrong type, or a counter that is not an unsigned 64-bit
+     *  integer. */
     static std::vector<RunRecord> read_jsonl(std::istream &is);
 
   private:
     std::vector<RunRecord> records_;
 };
 
-/** JSON string escaping for the emitted subset. */
-std::string json_escape(const std::string &s);
+/** The common escaper (common/json.h); perfbench/ calls it through
+ *  this namespace. */
+using gpushield::json_escape;
 
 /** Quotes a CSV cell iff it contains a comma, quote, or newline. */
 std::string csv_escape(const std::string &s);

@@ -14,6 +14,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/decimal.h"
 #include "common/thread_pool.h"
 #include "harness/executor.h"
 #include "harness/suites.h"
@@ -23,15 +24,18 @@ namespace {
 
 using namespace gpushield::harness;
 
+/** The pool starts every worker up front, so --jobs is capped. */
+constexpr unsigned kMaxJobs = 256;
+
 int
 usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s --suite NAME [options]\n"
                  "  --suite NAME   suite to run (see --list)\n"
-                 "  --jobs N       worker threads (default: %u)\n"
-                 "  --shield-backend NAME  bounds-check hardware point for\n"
-                 "                 every config in the suite: 'region'\n"
+                 "  --jobs N       worker threads, 1-%u (default: %u)\n"
+                 "  --backend NAME bounds-check hardware point for every\n"
+                 "                 config in the suite: 'region'\n"
                  "                 (default; BCU+RBT+RCache) or 'armor'\n"
                  "                 (tagged-pointer metadata table)\n"
                  "  --jsonl PATH   write JSON Lines records ('-' = stdout)\n"
@@ -44,7 +48,7 @@ usage(const char *argv0)
                  "                 to shield cells (adds \"conform\")\n"
                  "  --list         list available suites\n"
                  "  --quiet        suppress per-cell progress\n",
-                 argv0, ThreadPool::hardware_jobs());
+                 argv0, kMaxJobs, ThreadPool::hardware_jobs());
     return 2;
 }
 
@@ -90,11 +94,17 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        const auto number = [&](std::uint64_t lo, std::uint64_t hi) {
+            std::uint64_t v = 0;
+            if (!gpushield::parse_flag(argv[0], arg, value(), lo, hi, v))
+                std::exit(usage(argv[0]));
+            return v;
+        };
         if (arg == "--suite")
             suite_name = value();
         else if (arg == "--jobs")
-            jobs = static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
-        else if (arg == "--shield-backend") {
+            jobs = static_cast<unsigned>(number(1, kMaxJobs));
+        else if (arg == "--backend") {
             const char *name = value();
             if (!gpushield::parse_shield_backend(name, backend)) {
                 std::fprintf(stderr,
@@ -143,7 +153,7 @@ main(int argc, char **argv)
         for (CellSpec &c : spec.cells)
             c.check_opt = c.shield;
     SweepOptions opts;
-    opts.jobs = jobs == 0 ? 1 : jobs;
+    opts.jobs = jobs;
     opts.progress = quiet ? nullptr : &std::cerr;
     opts.profile = profile;
     opts.conform = conform;

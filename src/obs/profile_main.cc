@@ -12,9 +12,9 @@
  *
  *   gpushield-profile --suite smoke --out-dir build/profile-smoke --check
  *
- * --check re-parses every emitted trace (obs/trace_json.h) and verifies
- * the attribution invariant: each warp's cause cycles sum to its
- * workgroup's residency.
+ * --check re-parses every emitted trace (common/json.h), validates its
+ * structure (obs/trace_json.h) and verifies the attribution invariant:
+ * each warp's cause cycles sum to its workgroup's residency.
  */
 
 #include <algorithm>
@@ -24,11 +24,13 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "api/gpushield_api.h"
+#include "common/decimal.h"
 #include "harness/suites.h"
 #include "obs/profiler.h"
 #include "obs/trace_json.h"
@@ -64,33 +66,6 @@ usage(const char *argv0)
         "                    malformed JSON or broken attribution\n",
         argv0, argv0);
     return 2;
-}
-
-const workloads::BenchmarkDef *
-find_bench(const std::string &set, const std::string &name)
-{
-    const auto in = [&](const std::vector<workloads::BenchmarkDef> &defs)
-        -> const workloads::BenchmarkDef * {
-        for (const workloads::BenchmarkDef &d : defs)
-            if (d.name == name)
-                return &d;
-        return nullptr;
-    };
-    if (set == "cuda")
-        return in(workloads::cuda_benchmarks());
-    if (set == "opencl")
-        return in(workloads::opencl_benchmarks());
-    if (set == "fig19")
-        return in(workloads::rodinia_fig19_benchmarks());
-    if (set.empty()) {
-        if (const auto *d = in(workloads::cuda_benchmarks()))
-            return d;
-        if (const auto *d = in(workloads::opencl_benchmarks()))
-            return d;
-        return in(workloads::rodinia_fig19_benchmarks());
-    }
-    std::fprintf(stderr, "gpushield-profile: unknown set %s\n", set.c_str());
-    return nullptr;
 }
 
 void
@@ -147,8 +122,7 @@ check_trace_file(const std::string &path, std::string *error)
     std::ostringstream buf;
     buf << in.rdbuf();
     try {
-        const obs::JsonValue root = obs::parse_json(buf.str());
-        return obs::validate_trace(root, error);
+        return obs::validate_trace(parse_json(buf.str()), error);
     } catch (const SimulationError &e) {
         *error = e.what();
         return false;
@@ -172,7 +146,8 @@ run_single(const std::string &bench, const std::string &set,
            unsigned launches, Cycle interval, const std::string &out_path,
            bool summary)
 {
-    const workloads::BenchmarkDef *def = find_bench(set, bench);
+    const workloads::BenchmarkDef *def =
+        workloads::find_benchmark(bench, set);
     if (def == nullptr) {
         std::fprintf(stderr, "gpushield-profile: unknown benchmark %s\n",
                      bench.c_str());
@@ -270,7 +245,7 @@ run_suite(const std::string &suite_name, const std::string &out_dir,
             GpuDevice dev(cfg.mem.page_size);
             Driver driver(dev, {}, harness::cell_seed(spec, cell));
             const workloads::BenchmarkDef *def =
-                find_bench(cell.set, cell.workload);
+                workloads::find_benchmark(cell.workload, cell.set);
             if (def == nullptr)
                 throw SimulationError("no benchmark " + cell.workload +
                                       " in set " + cell.set);
@@ -334,6 +309,12 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        const auto number = [&](std::uint64_t lo, std::uint64_t hi) {
+            std::uint64_t v = 0;
+            if (!gpushield::parse_flag(argv[0], arg, value(), lo, hi, v))
+                std::exit(usage(argv[0]));
+            return v;
+        };
         if (arg == "--benchmark")
             bench = value();
         else if (arg == "--set")
@@ -348,9 +329,10 @@ main(int argc, char **argv)
             use_static = true;
         else if (arg == "--launches")
             launches = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
+                number(1, std::numeric_limits<unsigned>::max()));
         else if (arg == "--interval")
-            interval = std::strtoull(value(), nullptr, 10);
+            interval =
+                number(1, std::numeric_limits<gpushield::Cycle>::max());
         else if (arg == "--out")
             out_path = value();
         else if (arg == "--out-dir")
@@ -370,8 +352,6 @@ main(int argc, char **argv)
     }
     if (bench.empty())
         return usage(argv[0]);
-    return run_single(bench, set, config, shield, use_static,
-                      std::max(1u, launches),
-                      std::max<gpushield::Cycle>(1, interval), out_path,
-                      summary);
+    return run_single(bench, set, config, shield, use_static, launches,
+                      interval, out_path, summary);
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 
+#include "common/json.h"
 #include "common/log.h"
 
 namespace gpushield::obs {
@@ -194,26 +195,6 @@ Profiler::clear()
 
 namespace {
 
-void
-json_string(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (const char ch : s) {
-        switch (ch) {
-        case '"': os << "\\\""; break;
-        case '\\': os << "\\\\"; break;
-        case '\n': os << "\\n"; break;
-        case '\t': os << "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(ch) < 0x20)
-                os << ' ';
-            else
-                os << ch;
-        }
-    }
-    os << '"';
-}
-
 class EventSink
 {
   public:
@@ -236,19 +217,17 @@ class EventSink
     metadata(int pid, const std::string &name)
     {
         begin() << "\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-                << ",\"tid\":0,\"args\":{\"name\":";
-        json_string(os_, name);
-        os_ << "}";
+                << ",\"tid\":0,\"args\":{\"name\":" << json_quote(name)
+                << "}";
         end();
     }
 
     void
     counter(int pid, const std::string &name, Cycle ts, double value)
     {
-        begin() << "\"name\":";
-        json_string(os_, name);
-        os_ << ",\"ph\":\"C\",\"pid\":" << pid << ",\"tid\":0,\"ts\":" << ts
-            << ",\"args\":{\"value\":" << value << "}";
+        begin() << "\"name\":" << json_quote(name)
+                << ",\"ph\":\"C\",\"pid\":" << pid << ",\"tid\":0,\"ts\":"
+                << ts << ",\"args\":{\"value\":" << value << "}";
         end();
     }
 
@@ -280,9 +259,8 @@ Profiler::write_chrome_trace(std::ostream &os) const
 
     for (const KernelSpan &k : kernels_) {
         std::ostream &ev = sink.begin();
-        ev << "\"name\":";
-        json_string(os, k.name);
-        ev << ",\"ph\":\"X\",\"pid\":" << kKernelPid
+        ev << "\"name\":" << json_quote(k.name)
+           << ",\"ph\":\"X\",\"pid\":" << kKernelPid
            << ",\"tid\":" << k.kernel << ",\"ts\":" << k.start
            << ",\"dur\":" << (k.end - k.start)
            << ",\"args\":{\"kernel_id\":" << k.kernel

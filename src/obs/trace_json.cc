@@ -1,220 +1,13 @@
 #include "obs/trace_json.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
 #include <map>
 #include <utility>
-
-#include "common/log.h"
+#include <vector>
 
 namespace gpushield::obs {
 
-const JsonValue *
-JsonValue::find(const std::string &key) const
-{
-    if (kind != Kind::Object)
-        return nullptr;
-    const auto it = object.find(key);
-    return it == object.end() ? nullptr : &it->second;
-}
-
 namespace {
-
-class Parser
-{
-  public:
-    explicit Parser(std::string_view text) : text_(text) {}
-
-    JsonValue
-    parse()
-    {
-        JsonValue v = value();
-        skip_ws();
-        if (pos_ != text_.size())
-            fail("trailing characters after JSON value");
-        return v;
-    }
-
-  private:
-    [[noreturn]] void
-    fail(const std::string &what)
-    {
-        throw SimulationError("JSON parse error at offset " +
-                              std::to_string(pos_) + ": " + what);
-    }
-
-    void
-    skip_ws()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    char
-    peek()
-    {
-        if (pos_ >= text_.size())
-            fail("unexpected end of input");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "', got '" + peek() +
-                 "'");
-        ++pos_;
-    }
-
-    bool
-    consume_literal(std::string_view lit)
-    {
-        if (text_.substr(pos_, lit.size()) != lit)
-            return false;
-        pos_ += lit.size();
-        return true;
-    }
-
-    JsonValue
-    value()
-    {
-        skip_ws();
-        const char c = peek();
-        if (c == '{')
-            return object();
-        if (c == '[')
-            return array();
-        if (c == '"') {
-            JsonValue v;
-            v.kind = JsonValue::Kind::String;
-            v.string = string();
-            return v;
-        }
-        if (consume_literal("true")) {
-            JsonValue v;
-            v.kind = JsonValue::Kind::Bool;
-            v.boolean = true;
-            return v;
-        }
-        if (consume_literal("false")) {
-            JsonValue v;
-            v.kind = JsonValue::Kind::Bool;
-            return v;
-        }
-        if (consume_literal("null"))
-            return {};
-        return number();
-    }
-
-    JsonValue
-    object()
-    {
-        expect('{');
-        JsonValue v;
-        v.kind = JsonValue::Kind::Object;
-        skip_ws();
-        if (peek() == '}') {
-            ++pos_;
-            return v;
-        }
-        while (true) {
-            skip_ws();
-            std::string key = string();
-            skip_ws();
-            expect(':');
-            v.object.emplace(std::move(key), value());
-            skip_ws();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            expect('}');
-            return v;
-        }
-    }
-
-    JsonValue
-    array()
-    {
-        expect('[');
-        JsonValue v;
-        v.kind = JsonValue::Kind::Array;
-        skip_ws();
-        if (peek() == ']') {
-            ++pos_;
-            return v;
-        }
-        while (true) {
-            v.array.push_back(value());
-            skip_ws();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            expect(']');
-            return v;
-        }
-    }
-
-    std::string
-    string()
-    {
-        expect('"');
-        std::string out;
-        while (true) {
-            const char c = peek();
-            ++pos_;
-            if (c == '"')
-                return out;
-            if (c == '\\') {
-                const char esc = peek();
-                ++pos_;
-                switch (esc) {
-                case '"': out += '"'; break;
-                case '\\': out += '\\'; break;
-                case '/': out += '/'; break;
-                case 'n': out += '\n'; break;
-                case 't': out += '\t'; break;
-                case 'r': out += '\r'; break;
-                case 'b': out += '\b'; break;
-                case 'f': out += '\f'; break;
-                default: fail("unsupported escape sequence");
-                }
-                continue;
-            }
-            out += c;
-        }
-    }
-
-    JsonValue
-    number()
-    {
-        const std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '-' || text_[pos_] == '+' ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E'))
-            ++pos_;
-        if (pos_ == start)
-            fail("expected a value");
-        const std::string token(text_.substr(start, pos_ - start));
-        char *end = nullptr;
-        const double d = std::strtod(token.c_str(), &end);
-        if (end != token.c_str() + token.size())
-            fail("malformed number '" + token + "'");
-        JsonValue v;
-        v.kind = JsonValue::Kind::Number;
-        v.number = d;
-        return v;
-    }
-
-    std::string_view text_;
-    std::size_t pos_ = 0;
-};
 
 bool
 set_error(std::string *error, const std::string &what)
@@ -225,12 +18,6 @@ set_error(std::string *error, const std::string &what)
 }
 
 } // namespace
-
-JsonValue
-parse_json(std::string_view text)
-{
-    return Parser(text).parse();
-}
 
 bool
 validate_trace(const JsonValue &root, std::string *error)
@@ -262,20 +49,20 @@ validate_trace(const JsonValue &root, std::string *error)
         if (!pid || !pid->is(JsonValue::Kind::Number) || !tid ||
             !tid->is(JsonValue::Kind::Number))
             return set_error(error, at + "missing numeric pid/tid");
-        if (ph->string == "X") {
+        if (ph->text == "X") {
             const JsonValue *ts = ev.find("ts");
             const JsonValue *dur = ev.find("dur");
             if (!ts || !ts->is(JsonValue::Kind::Number) || !dur ||
                 !dur->is(JsonValue::Kind::Number))
                 return set_error(error, at + "X event lacks ts/dur");
-            tracks[{pid->number, tid->number}].push_back(
-                {ts->number, dur->number, name->string});
-        } else if (ph->string == "C") {
+            tracks[{pid->as_double(), tid->as_double()}].push_back(
+                {ts->as_double(), dur->as_double(), name->text});
+        } else if (ph->text == "C") {
             const JsonValue *ts = ev.find("ts");
             if (!ts || !ts->is(JsonValue::Kind::Number))
                 return set_error(error, at + "C event lacks ts");
-        } else if (ph->string != "M") {
-            return set_error(error, at + "unexpected ph '" + ph->string +
+        } else if (ph->text != "M") {
+            return set_error(error, at + "unexpected ph '" + ph->text +
                                         "'");
         }
     }

@@ -1,45 +1,18 @@
 /**
  * @file
- * Minimal JSON parser + Chrome-trace structural validator.
- *
- * Just enough JSON to round-trip Profiler::write_chrome_trace output in
- * tests and the `gpushield-profile --check` gate: objects, arrays,
- * strings (with the escapes the writer emits), numbers, booleans, null.
- * Not a general-purpose parser — no \uXXXX escapes, no streaming.
+ * Chrome-trace structural validator over the common JSON parser
+ * (common/json.h): the `gpushield-profile --check` gate and the trace
+ * round-trip tests parse with parse_json, then validate here.
  */
 
 #ifndef GPUSHIELD_OBS_TRACE_JSON_H
 #define GPUSHIELD_OBS_TRACE_JSON_H
 
-#include <map>
-#include <memory>
 #include <string>
-#include <string_view>
-#include <vector>
+
+#include "common/json.h"
 
 namespace gpushield::obs {
-
-/** One parsed JSON value (tree-owned). */
-struct JsonValue
-{
-    enum class Kind { Null, Bool, Number, String, Array, Object };
-
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string string;
-    std::vector<JsonValue> array;
-    /** Insertion order is not preserved; trace checks don't need it. */
-    std::map<std::string, JsonValue> object;
-
-    /** Member lookup; nullptr when absent or not an object. */
-    const JsonValue *find(const std::string &key) const;
-
-    bool is(Kind k) const { return kind == k; }
-};
-
-/** Parses @p text; throws SimulationError on malformed input. */
-JsonValue parse_json(std::string_view text);
 
 /**
  * Validates @p root as a Chrome trace: `traceEvents` is an array; every

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 
+#include "common/json.h"
 #include "workloads/kernels.h"
 
 namespace gpushield::service {
@@ -155,14 +156,14 @@ write_json(const FairnessReport &report, std::ostream &os)
     os << "{\n  \"bench\": \"service_fairness\",\n  \"mixes\": [\n";
     for (std::size_t m = 0; m < report.mixes.size(); ++m) {
         const FairnessMixResult &mix = report.mixes[m];
-        os << "    {\n      \"mix\": \"" << mix.mix << "\",\n"
-           << "      \"mode\": \"" << to_string(mix.mode) << "\",\n"
+        os << "    {\n      \"mix\": " << json_quote(mix.mix) << ",\n"
+           << "      \"mode\": " << json_quote(to_string(mix.mode)) << ",\n"
            << "      \"quantum\": " << mix.quantum << ",\n"
            << "      \"total_cycles\": " << mix.total_cycles << ",\n"
            << "      \"tenants\": [\n";
         for (std::size_t t = 0; t < mix.tenants.size(); ++t) {
             const FairnessTenantResult &r = mix.tenants[t];
-            os << "        {\"name\": \"" << r.name << "\""
+            os << "        {\"name\": " << json_quote(r.name)
                << ", \"completed\": " << r.completed
                << ", \"p50_cycles\": " << r.p50
                << ", \"p99_cycles\": " << r.p99

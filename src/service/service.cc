@@ -268,83 +268,11 @@ GpuService::finish_record(LaunchRecord &rec, TenantCtx &tenant)
 }
 
 void
-GpuService::run_one(TenantCtx &tenant, Pending pending)
+GpuService::run_batch(std::vector<Job> jobs)
 {
-    LaunchRecord &rec = records_.at(pending.ticket);
-
-    Gpu gpu(cfg_.gpu, *tenant.driver);
-    if (profiler_ != nullptr) {
-        profiler_->set_time_base(now_);
-        gpu.set_profiler(profiler_);
-    }
-
-    const LaunchConfig cfg = api::make_launch_config(
-        pending.program, pending.grid, pending.args, pending.options);
-
-    std::size_t idx = 0;
-    bool launched = true;
-    try {
-        idx = gpu.launch(tenant.driver->launch(cfg),
-                         pending.options.core_mask);
-    } catch (const SimulationError &e) {
-        // Driver-side setup failure (RBT / kernel-ID exhaustion): the
-        // kernel never ran. The tenant keeps its slot and later
-        // submissions proceed — exhaustion is a per-tenant error, not a
-        // service outage.
-        rec.status = api::LaunchStatus::Error;
-        rec.status_message = e.what();
-        launched = false;
-    }
-
-    if (launched) {
-        try {
-            gpu.run();
-        } catch (const SimulationError &e) {
-            rec.status = api::LaunchStatus::Error;
-            rec.status_message = e.what();
-        }
-        const KernelResult kr = gpu.result(idx);
-        rec.exec_cycles = rec.status == api::LaunchStatus::Error
-                              ? gpu.now()
-                              : kr.cycles();
-        rec.violations = kr.violations;
-        rec.stats = kr.stats;
-        rec.arg_values = gpu.launch_state(idx).arg_values;
-        if (rec.status == api::LaunchStatus::Ok && kr.aborted) {
-            rec.status = api::LaunchStatus::Aborted;
-            rec.status_message =
-                cfg_.gpu.precise_exceptions &&
-                        kr.stats.get("violations") > 0
-                    ? "bounds violation (precise exception)"
-                    : "illegal memory access (translation fault)";
-        }
-        rec.canaries = tenant.driver->finish(gpu.launch_state(idx));
-    }
-
-    now_ += gpu.now();
-    finish_record(rec, tenant);
-}
-
-bool
-GpuService::run_coscheduled()
-{
-    // One pending submission per backlogged tenant, each on its own
-    // contiguous slice of the SMs (§6.2 inter-core sharing).
-    std::vector<TenantCtx *> ready;
-    for (TenantCtx &t : slots_)
-        if (t.active && !t.queue.empty())
-            ready.push_back(&t);
-    if (ready.empty())
-        return false;
-
-    const unsigned cores = cfg_.gpu.num_cores;
-    if (ready.size() > cores)
-        ready.resize(cores); // the rest run next turn
-    const unsigned per = cores / static_cast<unsigned>(ready.size());
-
     // Every tenant driver is bound to device_; each launch's mallocs go
     // to the driver that built it (LaunchState::driver).
-    Gpu gpu(cfg_.gpu, *ready.front()->driver);
+    Gpu gpu(cfg_.gpu, *jobs.front().tenant->driver);
     if (profiler_ != nullptr) {
         profiler_->set_time_base(now_);
         gpu.set_profiler(profiler_);
@@ -353,32 +281,26 @@ GpuService::run_coscheduled()
     struct InFlight
     {
         TenantCtx *tenant;
-        Pending pending;
+        Ticket ticket;
         std::size_t idx;
     };
     std::vector<InFlight> flight;
 
-    for (std::size_t i = 0; i < ready.size(); ++i) {
-        TenantCtx &t = *ready[i];
-        Pending pending = std::move(t.queue.front());
-        t.queue.pop_front();
+    for (Job &job : jobs) {
+        TenantCtx &t = *job.tenant;
+        const Pending &pending = job.pending;
         LaunchRecord &rec = records_.at(pending.ticket);
-
-        // Partition mask: tenant i gets cores [i*per, (i+1)*per), the
-        // last tenant absorbing the remainder.
-        const unsigned lo = static_cast<unsigned>(i) * per;
-        const unsigned hi =
-            i + 1 == ready.size() ? cores : lo + per;
-        std::uint64_t mask = 0;
-        for (unsigned c = lo; c < hi; ++c)
-            mask |= std::uint64_t{1} << c;
-
         const LaunchConfig cfg = api::make_launch_config(
             pending.program, pending.grid, pending.args, pending.options);
         try {
-            const std::size_t idx = gpu.launch(t.driver->launch(cfg), mask);
-            flight.push_back({&t, std::move(pending), idx});
+            const std::size_t idx =
+                gpu.launch(t.driver->launch(cfg), job.core_mask);
+            flight.push_back({&t, pending.ticket, idx});
         } catch (const SimulationError &e) {
+            // Driver-side setup failure (RBT / kernel-ID exhaustion):
+            // the kernel never ran. The tenant keeps its slot and later
+            // submissions proceed — exhaustion is a per-tenant error,
+            // not a service outage.
             rec.status = api::LaunchStatus::Error;
             rec.status_message = e.what();
             finish_record(rec, t);
@@ -397,8 +319,8 @@ GpuService::run_coscheduled()
     }
 
     now_ += gpu.now();
-    for (InFlight &f : flight) {
-        LaunchRecord &rec = records_.at(f.pending.ticket);
+    for (const InFlight &f : flight) {
+        LaunchRecord &rec = records_.at(f.ticket);
         if (run_failed) {
             rec.status = api::LaunchStatus::Error;
             rec.status_message = run_error;
@@ -420,7 +342,40 @@ GpuService::run_coscheduled()
         rec.canaries = f.tenant->driver->finish(gpu.launch_state(f.idx));
         finish_record(rec, *f.tenant);
     }
+}
 
+bool
+GpuService::run_coscheduled()
+{
+    // One pending submission per backlogged tenant, each on its own
+    // contiguous slice of the SMs (§6.2 inter-core sharing).
+    std::vector<TenantCtx *> ready;
+    for (TenantCtx &t : slots_)
+        if (t.active && !t.queue.empty())
+            ready.push_back(&t);
+    if (ready.empty())
+        return false;
+
+    const unsigned cores = cfg_.gpu.num_cores;
+    if (ready.size() > cores)
+        ready.resize(cores); // the rest run next turn
+    const unsigned per = cores / static_cast<unsigned>(ready.size());
+
+    std::vector<Job> jobs;
+    for (std::size_t i = 0; i < ready.size(); ++i) {
+        TenantCtx &t = *ready[i];
+        // Partition mask: tenant i gets cores [i*per, (i+1)*per), the
+        // last tenant absorbing the remainder.
+        const unsigned lo = static_cast<unsigned>(i) * per;
+        const unsigned hi =
+            i + 1 == ready.size() ? cores : lo + per;
+        std::uint64_t mask = 0;
+        for (unsigned c = lo; c < hi; ++c)
+            mask |= std::uint64_t{1} << c;
+        jobs.push_back({&t, std::move(t.queue.front()), mask});
+        t.queue.pop_front();
+    }
+    run_batch(std::move(jobs));
     stats_.add("cosched_batches");
     return true;
 }
@@ -444,9 +399,11 @@ GpuService::step()
         if (!t.active || t.queue.empty())
             continue;
         for (unsigned q = 0; q < cfg_.quantum && !t.queue.empty(); ++q) {
-            Pending pending = std::move(t.queue.front());
+            const std::uint64_t mask = t.queue.front().options.core_mask;
+            std::vector<Job> batch;
+            batch.push_back({&t, std::move(t.queue.front()), mask});
             t.queue.pop_front();
-            run_one(t, std::move(pending));
+            run_batch(std::move(batch));
         }
         t.stats.add("turns");
         stats_.add("turns");

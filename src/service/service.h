@@ -22,7 +22,8 @@
  *    pointer-signing keys are never shared or replayed across tenants
  *    or across evict()/admit() reuse of a partition slot.
  *
- * A scheduler drains the queues into the shared device. Two modes:
+ * A scheduler drains the queues into the shared device through one
+ * launch path (run_batch). Two modes:
  *
  *  - TimeSlice (default): round-robin over tenants, draining up to
  *    `quantum` submissions per turn; kernels are non-preemptive (as on
@@ -247,11 +248,21 @@ class GpuService
         StatSet stats;
     };
 
+    /** One submission and the SMs (`core_mask`) it may run on. */
+    struct Job
+    {
+        TenantCtx *tenant = nullptr;
+        Pending pending;
+        std::uint64_t core_mask = ~std::uint64_t{0};
+    };
+
     TenantCtx &authenticate(const Credential &cred);
     const TenantCtx &authenticate(const Credential &cred) const;
     DriverPartition partition_for_slot(unsigned slot) const;
-    /** Runs one submission alone on the whole device. */
-    void run_one(TenantCtx &tenant, Pending pending);
+    /** Runs @p jobs concurrently on one Gpu, advances the service
+     *  clock by its makespan and completes every job's record. The
+     *  one launch path of both scheduler modes. */
+    void run_batch(std::vector<Job> jobs);
     /** Runs one submission per backlogged tenant on disjoint SM sets. */
     bool run_coscheduled();
     LaunchRecord &start_record(const TenantCtx &tenant,

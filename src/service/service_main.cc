@@ -11,11 +11,15 @@
  * --quick (small grids), --quiet.
  */
 
-#include <cstring>
+#include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
+#include "common/decimal.h"
 #include "service/fairness.h"
 #include "service/isolation.h"
 #include "workloads/kernels.h"
@@ -24,6 +28,8 @@ namespace {
 
 using namespace gpushield;
 using namespace gpushield::service;
+
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
 
 int
 usage(const char *argv0)
@@ -153,6 +159,12 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        const auto number = [&](std::uint64_t lo, std::uint64_t hi) {
+            std::uint64_t v = 0;
+            if (!parse_flag(argv[0], a, next(), lo, hi, v))
+                std::exit(usage(argv[0]));
+            return static_cast<unsigned>(v);
+        };
         if (a == "--attacks") {
             cmd = Cmd::Attacks;
         } else if (a == "--fairness") {
@@ -170,9 +182,9 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (a == "--tenants") {
-            tenants = static_cast<unsigned>(std::stoul(next()));
+            tenants = number(1, kMaxU32);
         } else if (a == "--quantum") {
-            cfg.quantum = static_cast<unsigned>(std::stoul(next()));
+            cfg.quantum = number(1, kMaxU32);
         } else if (a == "--backend") {
             const char *name = next();
             if (!parse_shield_backend(name, cfg.gpu.shield.backend)) {
@@ -191,12 +203,18 @@ main(int argc, char **argv)
         }
     }
 
-    switch (cmd) {
-    case Cmd::Attacks: return run_attacks(cfg, quiet);
-    case Cmd::Fairness:
-        return run_fairness_cmd(cfg, json_path, quick, quiet);
-    case Cmd::Demo: return run_demo(cfg, tenants, quiet);
-    case Cmd::None: break;
+    try {
+        switch (cmd) {
+        case Cmd::Attacks: return run_attacks(cfg, quiet);
+        case Cmd::Fairness:
+            return run_fairness_cmd(cfg, json_path, quick, quiet);
+        case Cmd::Demo: return run_demo(cfg, tenants, quiet);
+        case Cmd::None: break;
+        }
+    } catch (const std::invalid_argument &e) {
+        // A configuration the service rejects, e.g. more tenants than
+        // the ID spaces can partition.
+        std::cerr << e.what() << "\n";
     }
     return usage(argv[0]);
 }

@@ -369,20 +369,17 @@ Core::issue_one(WorkgroupCtx &wg, WarpState &warp)
     if (is_global_mem(next.op) && now < lsu_busy_until_)
         return false;
 
-    const int issue_pc = warp.pc;
+    // Pre-execution hook: source registers still hold their inputs, so
+    // a provenance-tracking observer can sample them before a Ld/Mov
+    // overwrites a destination that aliases an address register.
+    if (lane_obs_ != nullptr)
+        lane_obs_->on_step(id_, kernel->launch->kernel_id, warp, next);
     const StepResult result =
         kernel->interp->step(warp, wg.shared_mem);
     ++kernel->hot.instructions;
     ++c_issued_;
     if (profiler_ != nullptr)
         warp.profile_issued = true;
-
-    if (observer_ != nullptr) {
-        observer_->on_issue(
-            id_, kernel->launch->kernel_id, warp.id, issue_pc,
-            kernel->launch->program.code[issue_pc],
-            result.kind == StepKind::GlobalMem ? &result.mem : nullptr);
-    }
 
     switch (result.kind) {
       case StepKind::Alu:
@@ -670,6 +667,7 @@ Core::handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op)
     if (lane_obs_ != nullptr) {
         ev.kernel = launch.kernel_id;
         ev.core = id_;
+        ev.warp = warp.id;
         ev.wg_index = warp.wg_index();
         ev.warp_in_wg = warp.warp_in_wg();
         ev.op = &op;

@@ -151,12 +151,8 @@ class Core
     const StatSet &stats() const { return stats_; }
     CoreId id() const { return id_; }
 
-    /** Attaches an instruction-issue observer (GT-Pin-style hook);
-     *  nullptr detaches. Not owned. */
-    void set_observer(IssueObserver *observer) { observer_ = observer; }
-
-    /** Attaches a per-lane check observer (conformance oracle hook);
-     *  nullptr detaches. Not owned. */
+    /** Attaches an instruction observer (sim/observer.h); nullptr
+     *  detaches. Not owned. */
     void set_lane_observer(LaneObserver *obs) { lane_obs_ = obs; }
 
     /** Attaches a stall-attribution profiler (propagated to the BCU and
@@ -230,7 +226,6 @@ class Core
     unsigned live_workgroups_ = 0;
     unsigned warps_in_use_ = 0;
 
-    IssueObserver *observer_ = nullptr;
     LaneObserver *lane_obs_ = nullptr;
     obs::Profiler *profiler_ = nullptr;
     Cycle lsu_busy_until_ = 0;   //!< structural: one mem instr per cycle

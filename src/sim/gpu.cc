@@ -36,10 +36,8 @@ Gpu::launch(LaunchState state, std::uint64_t core_mask,
     entry.exec->start_cycle = eq_.now();
     entry.exec->end_cycle = eq_.now();
 
-    if (lane_obs_ != nullptr) {
-        entry.exec->interp->set_lane_observer(lane_obs_);
+    if (lane_obs_ != nullptr)
         lane_obs_->on_launch(*entry.state);
-    }
 
     for (auto &core : cores_)
         if ((core_mask >> core->id()) & 1)
@@ -248,8 +246,6 @@ Gpu::set_lane_observer(LaneObserver *obs)
     lane_obs_ = obs;
     for (auto &core : cores_)
         core->set_lane_observer(obs);
-    for (Launched &l : launched_)
-        l.exec->interp->set_lane_observer(obs);
 }
 
 double

@@ -91,14 +91,6 @@ class Gpu
     /** L1 RCache hit rate across all cores (Figs. 15/16). */
     double rcache_l1_hit_rate() const;
 
-    /** Attaches a GT-Pin-style issue observer to every core. */
-    void
-    set_observer(IssueObserver *observer)
-    {
-        for (auto &core : cores_)
-            core->set_observer(observer);
-    }
-
     /** Attaches a host-side engine profiler (obs/engine_profile.h):
      *  wall-time per engine phase. nullptr detaches. Observes the host
      *  only — simulated results are unaffected. Not owned; must
@@ -117,9 +109,9 @@ class Gpu
     void set_profiler(obs::Profiler *profiler);
 
     /**
-     * Attaches a per-lane observer (conformance oracle, sim/observer.h)
-     * to every core and to the interpreter of every subsequent launch;
-     * nullptr detaches. Attach before launch() so the observer sees the
+     * Attaches an instruction observer (GT-Pin-style tools, the
+     * conformance oracle; sim/observer.h) to every core; nullptr
+     * detaches. Attach before launch() so the observer sees the
      * kernel's on_launch notification. Observes only — never changes
      * simulated behaviour. Not owned; must outlive run().
      */

@@ -5,7 +5,6 @@
 #include "common/bitutil.h"
 #include "common/log.h"
 #include "shield/pointer.h"
-#include "sim/observer.h"
 
 namespace gpushield {
 
@@ -53,12 +52,6 @@ WarpInterpreter::step(WarpState &warp, std::vector<std::uint8_t> &shared_mem)
     const Instr &in = prog.code[warp.pc];
     const int next_pc = warp.pc + 1;
     const LaneMask active = warp.active;
-
-    // Pre-execution hook: source registers still hold their inputs, so
-    // a provenance-tracking observer can sample them before a Ld/Mov
-    // overwrites a destination that aliases an address register.
-    if (lane_obs_ != nullptr)
-        lane_obs_->on_step(launch_.kernel_id, warp, in);
 
     auto for_lanes = [&](auto &&fn) {
         for (unsigned lane = 0; lane < kWarpSize; ++lane)

@@ -75,8 +75,6 @@ struct StepResult
     std::uint32_t malloc_count = 0; //!< lanes that allocated
 };
 
-class LaneObserver;
-
 /** Executes kernel instructions for warps of one launch. */
 class WarpInterpreter
 {
@@ -86,10 +84,6 @@ class WarpInterpreter
      * @param driver  services device-side malloc
      */
     WarpInterpreter(LaunchState &launch, Driver &driver);
-
-    /** Attaches a per-lane observer notified before every executed
-     *  instruction (sim/observer.h); nullptr detaches. Not owned. */
-    void set_lane_observer(LaneObserver *obs) { lane_obs_ = obs; }
 
     /** Steps @p warp by one instruction. */
     StepResult step(WarpState &warp, std::vector<std::uint8_t> &shared_mem);
@@ -114,7 +108,6 @@ class WarpInterpreter
 
     LaunchState &launch_;
     Driver &driver_;
-    LaneObserver *lane_obs_ = nullptr;
 };
 
 } // namespace gpushield

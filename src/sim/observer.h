@@ -1,12 +1,13 @@
 /**
  * @file
- * Instruction-issue observer interface.
+ * Instruction observer interface.
  *
  * The paper's Intel workloads were characterized with GT-Pin, a binary
  * instrumentation tool. This hook provides the equivalent capability
- * for the simulated GPU: observers see every issued instruction (with
- * the memory descriptor for global accesses) and can build traces,
- * opcode histograms, or address profiles without perturbing timing.
+ * for the simulated GPU: an observer sees every issued instruction
+ * before it executes and the bounds verdict of every global access, so
+ * it can build traces, opcode histograms, address profiles or a
+ * per-lane conformance oracle without perturbing timing.
  */
 
 #ifndef GPUSHIELD_SIM_OBSERVER_H
@@ -22,25 +23,6 @@ namespace gpushield {
 
 struct LaunchState;
 
-/** Callback interface invoked at instruction issue. */
-class IssueObserver
-{
-  public:
-    virtual ~IssueObserver() = default;
-
-    /**
-     * @param core   issuing core
-     * @param kernel kernel ID
-     * @param warp   warp within its workgroup
-     * @param pc     static instruction index
-     * @param instr  the instruction
-     * @param mem    memory descriptor for global accesses, else nullptr
-     */
-    virtual void on_issue(CoreId core, KernelId kernel, WarpId warp,
-                          int pc, const Instr &instr,
-                          const MemOp *mem) = 0;
-};
-
 /**
  * Everything the LSU/BCU stage knows about one global memory
  * instruction, handed to a LaneObserver right after the warp-granular
@@ -51,6 +33,7 @@ struct MemCheckEvent
 {
     KernelId kernel = 0;
     CoreId core = 0;
+    WarpId warp = 0;              //!< warp ID on its core
     std::uint32_t wg_index = 0;   //!< workgroup (CTA) index in the grid
     std::uint32_t warp_in_wg = 0; //!< warp position inside the workgroup
     const MemOp *op = nullptr;
@@ -67,10 +50,11 @@ struct MemCheckEvent
 };
 
 /**
- * Per-lane observation interface (conformance oracle hook). Attached
- * via Gpu::set_lane_observer with the same nullable-pointer discipline
- * as obs::Profiler: the disabled path costs one branch, and an attached
- * observer sees everything but never changes simulated behaviour.
+ * The instruction observer. Attached via Gpu::set_lane_observer with
+ * the same nullable-pointer discipline as obs::Profiler: the disabled
+ * path costs one branch, and an attached observer sees everything but
+ * never changes simulated behaviour. Every global load/store's on_step
+ * is followed, in the same issue, by exactly one on_mem_check.
  */
 class LaneObserver
 {
@@ -78,18 +62,20 @@ class LaneObserver
     virtual ~LaneObserver() = default;
 
     /** A kernel was launched on the observed GPU. */
-    virtual void on_launch(const LaunchState &state) = 0;
+    virtual void on_launch(const LaunchState &) {}
 
     /**
-     * @p warp is about to execute @p instr (post-reconvergence, before
-     * any register is written), so source registers still hold their
-     * pre-instruction values.
+     * @p warp on @p core is about to execute @p instr (post-
+     * reconvergence, before any register is written), so source
+     * registers still hold their pre-instruction values.
      */
-    virtual void on_step(KernelId kernel, const WarpState &warp,
-                         const Instr &instr) = 0;
+    virtual void on_step(CoreId, KernelId, const WarpState &,
+                         const Instr &)
+    {
+    }
 
     /** The warp-granular bounds verdict for one memory instruction. */
-    virtual void on_mem_check(const MemCheckEvent &ev) = 0;
+    virtual void on_mem_check(const MemCheckEvent &) {}
 };
 
 } // namespace gpushield

@@ -53,20 +53,18 @@ get_u64(const std::vector<std::uint8_t> &in, std::size_t &pos)
 } // namespace
 
 void
-MemTraceRecorder::on_issue(CoreId core, KernelId kernel, WarpId warp,
-                           int pc, const Instr &, const MemOp *mem)
+MemTraceRecorder::on_mem_check(const MemCheckEvent &ev)
 {
-    if (mem == nullptr)
-        return;
+    const MemOp &mem = *ev.op;
     TraceRecord rec;
-    rec.core = core;
-    rec.kernel = kernel;
-    rec.warp = warp;
-    rec.pc = pc;
-    rec.is_store = mem->is_store;
-    rec.size = mem->size;
-    rec.mask = mem->mask;
-    rec.lane_addr = mem->lane_addr;
+    rec.core = ev.core;
+    rec.kernel = ev.kernel;
+    rec.warp = ev.warp;
+    rec.pc = mem.pc;
+    rec.is_store = mem.is_store;
+    rec.size = mem.size;
+    rec.mask = mem.mask;
+    rec.lane_addr = mem.lane_addr;
     records_.push_back(rec);
 }
 

@@ -41,11 +41,10 @@ struct TraceRecord
 };
 
 /** Observer capturing the memory trace of a run. */
-class MemTraceRecorder : public IssueObserver
+class MemTraceRecorder : public LaneObserver
 {
   public:
-    void on_issue(CoreId core, KernelId kernel, WarpId warp, int pc,
-                  const Instr &instr, const MemOp *mem) override;
+    void on_mem_check(const MemCheckEvent &ev) override;
 
     const std::vector<TraceRecord> &records() const { return records_; }
 

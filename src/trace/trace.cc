@@ -12,35 +12,45 @@ TraceWriter::TraceWriter(std::ostream &os, std::uint64_t max_lines)
 }
 
 void
-TraceWriter::on_issue(CoreId core, KernelId kernel, WarpId warp, int pc,
-                      const Instr &instr, const MemOp *mem)
+TraceWriter::on_step(CoreId core, KernelId kernel, const WarpState &warp,
+                     const Instr &instr)
 {
     ++records_;
     if (max_lines_ != 0 && records_ > max_lines_)
         return;
-    os_ << "c" << core << " k" << kernel << " w" << warp << " pc" << pc
-        << " " << op_name(instr.op);
-    if (mem != nullptr) {
-        os_ << (mem->is_store ? " st" : " ld") << " [0x" << std::hex
-            << mem->min_addr << ",0x" << mem->max_end << std::dec
-            << ") lanes=" << std::popcount(mem->mask);
-    }
-    os_ << "\n";
+    os_ << "c" << core << " k" << kernel << " w" << warp.id << " pc"
+        << warp.pc << " " << op_name(instr.op);
+    if (!is_global_mem(instr.op))
+        os_ << "\n";
 }
 
 void
-OpProfiler::on_issue(CoreId, KernelId, WarpId, int, const Instr &instr,
-                     const MemOp *mem)
+TraceWriter::on_mem_check(const MemCheckEvent &ev)
+{
+    if (max_lines_ != 0 && records_ > max_lines_)
+        return;
+    const MemOp &mem = *ev.op;
+    os_ << (mem.is_store ? " st" : " ld") << " [0x" << std::hex
+        << mem.min_addr << ",0x" << mem.max_end << std::dec
+        << ") lanes=" << std::popcount(mem.mask) << "\n";
+}
+
+void
+OpProfiler::on_step(CoreId, KernelId, const WarpState &, const Instr &instr)
 {
     ++total_;
     ++histogram_[instr.op];
-    if (mem != nullptr) {
-        ++mem_instrs_;
-        active_lane_sum_ += std::popcount(mem->mask);
-        const VAddr first = align_down(mem->min_addr, kLineSize);
-        const VAddr last = align_down(mem->max_end - 1, kLineSize);
-        mem_line_sum_ += (last - first) / kLineSize + 1;
-    }
+}
+
+void
+OpProfiler::on_mem_check(const MemCheckEvent &ev)
+{
+    const MemOp &mem = *ev.op;
+    ++mem_instrs_;
+    active_lane_sum_ += std::popcount(mem.mask);
+    const VAddr first = align_down(mem.min_addr, kLineSize);
+    const VAddr last = align_down(mem.max_end - 1, kLineSize);
+    mem_line_sum_ += (last - first) / kLineSize + 1;
 }
 
 double
@@ -82,17 +92,15 @@ AddressProfiler::AddressProfiler(std::uint64_t page_size)
 }
 
 void
-AddressProfiler::on_issue(CoreId, KernelId, WarpId, int pc, const Instr &,
-                          const MemOp *mem)
+AddressProfiler::on_mem_check(const MemCheckEvent &ev)
 {
-    if (mem == nullptr)
-        return;
+    const MemOp &mem = *ev.op;
     for (unsigned lane = 0; lane < kWarpSize; ++lane) {
-        if (((mem->mask >> lane) & 1) == 0)
+        if (((mem.mask >> lane) & 1) == 0)
             continue;
-        const std::uint64_t page = mem->lane_addr[lane] / page_size_;
+        const std::uint64_t page = mem.lane_addr[lane] / page_size_;
         pages_.insert(page);
-        per_pc_[pc].insert(page);
+        per_pc_[mem.pc].insert(page);
     }
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * GT-Pin-style instrumentation built on the issue-observer hook:
+ * GT-Pin-style instrumentation built on the instruction observer:
  *
  *  - TraceWriter: streams a text trace of issued instructions (with
  *    warp-level address ranges for memory ops) to any std::ostream.
@@ -24,8 +24,9 @@
 
 namespace gpushield::trace {
 
-/** Streams one line per issued instruction. */
-class TraceWriter : public IssueObserver
+/** Streams one line per issued instruction; a global access's line
+ *  ends with its warp-level address range once its check is in. */
+class TraceWriter : public LaneObserver
 {
   public:
     /**
@@ -35,8 +36,9 @@ class TraceWriter : public IssueObserver
      */
     explicit TraceWriter(std::ostream &os, std::uint64_t max_lines = 0);
 
-    void on_issue(CoreId core, KernelId kernel, WarpId warp, int pc,
-                  const Instr &instr, const MemOp *mem) override;
+    void on_step(CoreId core, KernelId kernel, const WarpState &warp,
+                 const Instr &instr) override;
+    void on_mem_check(const MemCheckEvent &ev) override;
 
     std::uint64_t records() const { return records_; }
 
@@ -47,11 +49,12 @@ class TraceWriter : public IssueObserver
 };
 
 /** Opcode mix and memory-instruction statistics. */
-class OpProfiler : public IssueObserver
+class OpProfiler : public LaneObserver
 {
   public:
-    void on_issue(CoreId core, KernelId kernel, WarpId warp, int pc,
-                  const Instr &instr, const MemOp *mem) override;
+    void on_step(CoreId core, KernelId kernel, const WarpState &warp,
+                 const Instr &instr) override;
+    void on_mem_check(const MemCheckEvent &ev) override;
 
     /** Issued warp-instructions in total. */
     std::uint64_t total() const { return total_; }
@@ -87,13 +90,12 @@ class OpProfiler : public IssueObserver
 };
 
 /** Tracks which pages each (tagged) region touches — Fig. 11 style. */
-class AddressProfiler : public IssueObserver
+class AddressProfiler : public LaneObserver
 {
   public:
     explicit AddressProfiler(std::uint64_t page_size = kPageSize4K);
 
-    void on_issue(CoreId core, KernelId kernel, WarpId warp, int pc,
-                  const Instr &instr, const MemOp *mem) override;
+    void on_mem_check(const MemCheckEvent &ev) override;
 
     /** Number of distinct pages touched overall. */
     std::size_t pages_touched() const { return pages_.size(); }

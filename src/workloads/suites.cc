@@ -1,6 +1,7 @@
 #include "workloads/suites.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/rng.h"
 #include "workloads/kernels.h"
@@ -750,12 +751,19 @@ rodinia_fig19_benchmarks()
 }
 
 const BenchmarkDef *
-find_benchmark(const std::string &name)
+find_benchmark(const std::string &name, const std::string &set)
 {
-    for (const auto *set : {&cuda_benchmarks(), &opencl_benchmarks()})
-        for (const BenchmarkDef &d : *set)
+    const std::pair<const char *, const std::vector<BenchmarkDef> *>
+        sets[] = {{"cuda", &cuda_benchmarks()},
+                  {"opencl", &opencl_benchmarks()},
+                  {"fig19", &rodinia_fig19_benchmarks()}};
+    for (const auto &[set_name, defs] : sets) {
+        if (!set.empty() && set != set_name)
+            continue;
+        for (const BenchmarkDef &d : *defs)
             if (d.name == name)
                 return &d;
+    }
     return nullptr;
 }
 

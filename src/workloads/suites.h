@@ -72,8 +72,13 @@ const std::vector<BenchmarkDef> &opencl_benchmarks();
 /** The Fig. 19 Rodinia subset used for software-tool comparisons. */
 const std::vector<BenchmarkDef> &rodinia_fig19_benchmarks();
 
-/** Finds a benchmark by name in either set; nullptr when absent. */
-const BenchmarkDef *find_benchmark(const std::string &name);
+/**
+ * Finds benchmark @p name in @p set ("cuda", "opencl" or "fig19"); with
+ * no set, searches cuda, then opencl, then fig19. nullptr when absent
+ * or when @p set names no set.
+ */
+const BenchmarkDef *find_benchmark(const std::string &name,
+                                   const std::string &set = "");
 
 } // namespace gpushield::workloads
 

@@ -289,7 +289,7 @@ TEST(Api, ProfiledLaunchAttributesEveryWarpCycle)
     // The trace round-trips through the parser and validates.
     std::ostringstream os;
     ctx.profiler()->write_chrome_trace(os);
-    const obs::JsonValue root = obs::parse_json(os.str());
+    const JsonValue root = parse_json(os.str());
     std::string error;
     EXPECT_TRUE(obs::validate_trace(root, &error)) << error;
 }
@@ -319,14 +319,14 @@ TEST(Api, ProfilingDoesNotPerturbTiming)
     EXPECT_TRUE(plain.stats == profiled.stats);
 }
 
-TEST(Api, IssueObserverAttaches)
+TEST(Api, ObserverAttaches)
 {
-    struct CountingObserver final : IssueObserver
+    struct CountingObserver final : LaneObserver
     {
         std::uint64_t issues = 0;
         void
-        on_issue(CoreId, KernelId, WarpId, int, const Instr &,
-                 const MemOp *) override
+        on_step(CoreId, KernelId, const WarpState &,
+                const Instr &) override
         {
             ++issues;
         }

@@ -11,7 +11,10 @@
 #include <vector>
 
 #include "common/bitutil.h"
+#include "common/decimal.h"
 #include "common/event_queue.h"
+#include "common/json.h"
+#include "common/log.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/types.h"
@@ -62,6 +65,37 @@ TEST(BitUtil, BitsExtractInsert)
     EXPECT_EQ(bits(w, 48, 14), 0x1FFFu);
     EXPECT_EQ(bits(w, 0, 48), bits(v, 0, 48));
     EXPECT_EQ(bits(w, 62, 2), bits(v, 62, 2));
+}
+
+TEST(Decimal, AcceptsOnlyRangeCheckedDigits)
+{
+    std::uint64_t v = 7;
+    EXPECT_TRUE(parse_decimal("42", 1, 100, v));
+    EXPECT_EQ(v, 42u);
+    EXPECT_TRUE(parse_decimal("18446744073709551615", 0, UINT64_MAX, v));
+    EXPECT_EQ(v, UINT64_MAX);
+    for (const char *bad : {"", "abc", "-1", "+1", " 1", "1 ", "1.5", "1e3",
+                            "0x10", "18446744073709551616", "0", "101"})
+        EXPECT_FALSE(parse_decimal(bad, 1, 100, v)) << bad;
+    EXPECT_EQ(v, UINT64_MAX); // untouched by every rejection
+}
+
+TEST(Json, QuoteRoundTripsEveryByteAndOtherEscapesThrow)
+{
+    std::string all(1, '\0');
+    for (int c = 1; c < 256; ++c)
+        all += static_cast<char>(c);
+    EXPECT_EQ(parse_json(json_quote(all)).as_string(), all);
+    for (const char *bad : {"\"\\u0020\"", "\"\\u00e9\"", "\"\\u12\"",
+                            "\"\\ud800\"", "\"\\x41\""})
+        EXPECT_THROW(parse_json(bad), SimulationError) << bad;
+
+    EXPECT_EQ(parse_json("18446744073709551615").as_u64(), UINT64_MAX);
+    for (const char *bad : {"-1", "1.5", "1e3", "18446744073709551616",
+                            "\"7\"", "true"})
+        EXPECT_THROW(parse_json(bad).as_u64(), SimulationError) << bad;
+    EXPECT_THROW(parse_json("1").as_string(), SimulationError);
+    EXPECT_THROW(parse_json("\"x\"").as_bool(), SimulationError);
 }
 
 TEST(Rng, Deterministic)

@@ -9,12 +9,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/log.h"
 #include "harness/executor.h"
 #include "harness/metrics.h"
 #include "harness/suites.h"
@@ -158,6 +160,49 @@ TEST(Metrics, JsonlEscapesHostileStrings)
     std::istringstream is(jsonl_of(reg));
     const std::vector<RunRecord> parsed = MetricsRegistry::read_jsonl(is);
     ASSERT_EQ(parsed.size(), 1u);
+    EXPECT_TRUE(parsed[0] == r);
+}
+
+TEST(Metrics, JsonlRejectsCountersThatAreNotU64)
+{
+    RunRecord r;
+    r.key = "k";
+    MetricsRegistry reg(1);
+    reg.record(0, r);
+    const std::string line = jsonl_of(reg);
+    // Rewrites one field of an otherwise valid record, then parses it.
+    const auto read_with = [&](const std::string &from,
+                               const std::string &to) {
+        std::string text = line;
+        const std::size_t at = text.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        text.replace(at, from.size(), to);
+        std::istringstream is(text);
+        return MetricsRegistry::read_jsonl(is);
+    };
+    EXPECT_THROW(read_with("\"cycles\":0", "\"cycles\":-1"),
+                 SimulationError);
+    EXPECT_THROW(read_with("\"cycles\":0", "\"cycles\":1.5"),
+                 SimulationError);
+    EXPECT_THROW(read_with("\"seed\":0", "\"seed\":18446744073709551616"),
+                 SimulationError);
+}
+
+TEST(Metrics, JsonlRoundTripsFullU64)
+{
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    RunRecord r;
+    r.key = "k";
+    r.seed = kMax;
+    r.kernel.set("instructions", kMax);
+
+    MetricsRegistry reg(1);
+    reg.record(0, r);
+    std::istringstream is(jsonl_of(reg));
+    const std::vector<RunRecord> parsed = MetricsRegistry::read_jsonl(is);
+    ASSERT_EQ(parsed.size(), 1u);
+    EXPECT_EQ(parsed[0].seed, kMax);
+    EXPECT_EQ(parsed[0].kernel.get("instructions"), kMax);
     EXPECT_TRUE(parsed[0] == r);
 }
 

@@ -144,26 +144,26 @@ TEST(ChromeTrace, ExportParsesAndValidates)
     std::ostringstream os;
     prof.write_chrome_trace(os);
 
-    const obs::JsonValue root = obs::parse_json(os.str());
+    const JsonValue root = parse_json(os.str());
     std::string error;
     EXPECT_TRUE(obs::validate_trace(root, &error)) << error;
 
-    const obs::JsonValue *events = root.find("traceEvents");
+    const JsonValue *events = root.find("traceEvents");
     ASSERT_NE(events, nullptr);
-    ASSERT_TRUE(events->is(obs::JsonValue::Kind::Array));
+    ASSERT_TRUE(events->is(JsonValue::Kind::Array));
 
     // The export carries kernel spans, workgroup slices, and counters.
     unsigned kernel_spans = 0, wg_slices = 0, counters = 0;
-    for (const obs::JsonValue &e : events->array) {
-        const obs::JsonValue *ph = e.find("ph");
-        const obs::JsonValue *pid = e.find("pid");
+    for (const JsonValue &e : events->array) {
+        const JsonValue *ph = e.find("ph");
+        const JsonValue *pid = e.find("pid");
         ASSERT_NE(ph, nullptr);
         ASSERT_NE(pid, nullptr);
-        if (ph->string == "X" && pid->number == 0)
+        if (ph->as_string() == "X" && pid->as_u64() == 0)
             ++kernel_spans;
-        else if (ph->string == "X" && pid->number >= 100)
+        else if (ph->as_string() == "X" && pid->as_u64() >= 100)
             ++wg_slices;
-        else if (ph->string == "C")
+        else if (ph->as_string() == "C")
             ++counters;
     }
     EXPECT_EQ(kernel_spans, 1u);
@@ -171,22 +171,49 @@ TEST(ChromeTrace, ExportParsesAndValidates)
     EXPECT_GT(counters, 0u);
 }
 
+TEST(ChromeTrace, KernelSpanKeepsHostileName)
+{
+    GpuDevice dev(kPageSize2M);
+    Driver driver(dev);
+    WorkloadInstance w = vecadd_instance(driver, 64, 1);
+    w.program.name = std::string("k\"q\\b\r") + '\x01';
+    obs::Profiler prof;
+    run_workload(nvidia_config(), driver, w, true, false, 0, 0, &prof);
+
+    std::ostringstream os;
+    prof.write_chrome_trace(os);
+    const JsonValue root = parse_json(os.str());
+    std::string error;
+    ASSERT_TRUE(obs::validate_trace(root, &error)) << error;
+
+    const JsonValue *events = root.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    unsigned spans = 0;
+    for (const JsonValue &e : events->array) {
+        if (e.find("ph")->as_string() != "X" || e.find("pid")->as_u64() != 0)
+            continue;
+        ++spans;
+        EXPECT_EQ(e.find("name")->as_string(), w.program.name);
+    }
+    EXPECT_EQ(spans, 1u);
+}
+
 TEST(ChromeTrace, ValidatorRejectsMalformedInput)
 {
-    EXPECT_THROW(obs::parse_json("{\"traceEvents\":["), SimulationError);
-    EXPECT_THROW(obs::parse_json(""), SimulationError);
+    EXPECT_THROW(parse_json("{\"traceEvents\":["), SimulationError);
+    EXPECT_THROW(parse_json(""), SimulationError);
 
     std::string error;
     // Not a trace at all.
-    EXPECT_FALSE(obs::validate_trace(obs::parse_json("{}"), &error));
+    EXPECT_FALSE(obs::validate_trace(parse_json("{}"), &error));
     // Unknown phase letter.
     EXPECT_FALSE(obs::validate_trace(
-        obs::parse_json("{\"traceEvents\":[{\"name\":\"x\",\"ph\":\"B\","
-                        "\"pid\":0,\"tid\":0,\"ts\":0}]}"),
+        parse_json("{\"traceEvents\":[{\"name\":\"x\",\"ph\":\"B\","
+                   "\"pid\":0,\"tid\":0,\"ts\":0}]}"),
         &error));
     // Overlapping (non-nesting) spans on one track.
     EXPECT_FALSE(obs::validate_trace(
-        obs::parse_json(
+        parse_json(
             "{\"traceEvents\":["
             "{\"name\":\"a\",\"ph\":\"X\",\"pid\":1,\"tid\":1,"
             "\"ts\":0,\"dur\":10},"

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/json.h"
 #include "common/log.h"
 #include "isa/builder.h"
 #include "obs/profiler.h"
@@ -455,6 +456,33 @@ TEST(Service, FairnessQuickReportsPercentilesAndShares)
     EXPECT_NE(os.str().find("\"bench\": \"service_fairness\""),
               std::string::npos);
     EXPECT_NE(os.str().find("\"p99_cycles\""), std::string::npos);
+}
+
+TEST(Service, FairnessJsonQuotesHostileNames)
+{
+    const std::string hostile = std::string("q\"b\\r\r") + '\x01';
+    FairnessTenantResult tenant;
+    tenant.name = "tenant " + hostile;
+    FairnessMixResult mix;
+    mix.mix = "mix " + hostile;
+    mix.tenants.push_back(tenant);
+    FairnessReport report;
+    report.mixes.push_back(mix);
+
+    std::ostringstream os;
+    write_json(report, os);
+    const JsonValue root = parse_json(os.str());
+    const JsonValue *mixes = root.find("mixes");
+    ASSERT_NE(mixes, nullptr);
+    ASSERT_EQ(mixes->array.size(), 1u);
+    const JsonValue &m = mixes->array[0];
+    ASSERT_NE(m.find("mix"), nullptr);
+    EXPECT_EQ(m.find("mix")->as_string(), mix.mix);
+    const JsonValue *tenants = m.find("tenants");
+    ASSERT_NE(tenants, nullptr);
+    ASSERT_EQ(tenants->array.size(), 1u);
+    ASSERT_NE(tenants->array[0].find("name"), nullptr);
+    EXPECT_EQ(tenants->array[0].find("name")->as_string(), tenant.name);
 }
 
 } // namespace

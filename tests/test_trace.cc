@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "driver/driver.h"
 #include "sim/config.h"
@@ -31,7 +32,7 @@ small_config()
 
 /** Runs vecadd with an observer attached; returns the kernel result. */
 KernelResult
-run_with_observer(IssueObserver *observer, std::uint32_t ntid = 64,
+run_with_observer(LaneObserver *observer, std::uint32_t ntid = 64,
                   std::uint32_t nctaid = 2)
 {
     GpuDevice dev(kPageSize2M);
@@ -49,7 +50,7 @@ run_with_observer(IssueObserver *observer, std::uint32_t ntid = 64,
         w.buffers.push_back(driver.create_buffer(n * 4));
 
     Gpu gpu(small_config(), driver);
-    gpu.set_observer(observer);
+    gpu.set_lane_observer(observer);
     const auto idx = gpu.launch(driver.launch(w.make_config(true, false)));
     gpu.run();
     return gpu.result(idx);
@@ -104,16 +105,13 @@ TEST(OpProfiler, StreamclusterIsLoadStoreHeavy)
     // load/store share (paper: 31.22% on the real binary).
     GpuDevice dev(kPageSize2M);
     Driver driver(dev);
-    const BenchmarkDef *def = nullptr;
-    for (const BenchmarkDef &d : cuda_benchmarks())
-        if (d.name == "streamcluster")
-            def = &d;
+    const BenchmarkDef *def = find_benchmark("streamcluster", "cuda");
     ASSERT_NE(def, nullptr);
     const WorkloadInstance w = def->make(driver);
 
     trace::OpProfiler profiler;
     Gpu gpu(small_config(), driver);
-    gpu.set_observer(&profiler);
+    gpu.set_lane_observer(&profiler);
     gpu.launch(driver.launch(w.make_config(true, false)));
     gpu.run();
     EXPECT_GT(profiler.ldst_fraction(), 0.2);
@@ -129,6 +127,61 @@ TEST(AddressProfiler, CountsPagesPerInstruction)
                   profiler.pages_for_pc(5) + profiler.pages_for_pc(6) +
                   profiler.pages_for_pc(7) + profiler.pages_for_pc(8),
               0u);
+}
+
+TEST(Observer, MemCheckFollowsItsOwnStep)
+{
+    // TraceWriter ends a global access's line in on_mem_check, so the
+    // core must deliver each verdict right after the on_step of the
+    // same instruction, and exactly once per load/store.
+    struct Event
+    {
+        bool step;
+        CoreId core;
+        WarpId warp;
+        int pc;
+        Op op;
+    };
+    struct Recorder final : LaneObserver
+    {
+        std::vector<Event> events;
+        void
+        on_step(CoreId core, KernelId, const WarpState &warp,
+                const Instr &instr) override
+        {
+            events.push_back({true, core, warp.id, warp.pc, instr.op});
+        }
+        void
+        on_mem_check(const MemCheckEvent &ev) override
+        {
+            events.push_back(
+                {false, ev.core, ev.warp, ev.op->pc, ev.op->instr->op});
+        }
+    } rec;
+    const KernelResult r = run_with_observer(&rec, 128, 4);
+
+    std::uint64_t steps = 0, checks = 0;
+    for (std::size_t i = 0; i < rec.events.size(); ++i) {
+        const Event &e = rec.events[i];
+        if (e.step) {
+            ++steps;
+            const bool checked_next =
+                i + 1 < rec.events.size() && !rec.events[i + 1].step;
+            EXPECT_EQ(checked_next, is_global_mem(e.op)) << "event " << i;
+            continue;
+        }
+        ++checks;
+        ASSERT_GT(i, 0u);
+        const Event &step = rec.events[i - 1];
+        ASSERT_TRUE(step.step) << "event " << i << " follows a check";
+        EXPECT_EQ(step.core, e.core) << "event " << i;
+        EXPECT_EQ(step.warp, e.warp) << "event " << i;
+        EXPECT_EQ(step.pc, e.pc) << "event " << i;
+        EXPECT_EQ(step.op, e.op) << "event " << i;
+    }
+    EXPECT_EQ(steps, r.stats.get("instructions"));
+    EXPECT_EQ(checks, r.stats.get("loads") + r.stats.get("stores"));
+    EXPECT_GT(checks, 0u);
 }
 
 TEST(Observer, DetachStopsCallbacks)
@@ -147,8 +200,8 @@ TEST(Observer, DetachStopsCallbacks)
 
     trace::OpProfiler profiler;
     Gpu gpu(small_config(), driver);
-    gpu.set_observer(&profiler);
-    gpu.set_observer(nullptr); // detach before running
+    gpu.set_lane_observer(&profiler);
+    gpu.set_lane_observer(nullptr); // detach before running
     gpu.launch(driver.launch(w.make_config(true, false)));
     gpu.run();
     EXPECT_EQ(profiler.total(), 0u);
@@ -232,7 +285,7 @@ TEST(TraceReplay, ReplayReproducesMemoryBehaviour)
     MemTraceRecorder recorder;
     GpuConfig cfg = small_config();
     Gpu gpu(cfg, driver);
-    gpu.set_observer(&recorder);
+    gpu.set_lane_observer(&recorder);
     const auto idx = gpu.launch(driver.launch(w.make_config(false, false)));
     gpu.run();
     const KernelResult exec = gpu.result(idx);
@@ -269,7 +322,7 @@ TEST(TraceReplay, StridedTraceHasLowerHitRateThanStreaming)
         MemTraceRecorder recorder;
         GpuConfig cfg = small_config();
         Gpu gpu(cfg, driver);
-        gpu.set_observer(&recorder);
+        gpu.set_lane_observer(&recorder);
         gpu.launch(driver.launch(w.make_config(false, false)));
         gpu.run();
         return trace::replay_trace(recorder.records(), cfg, dev);
