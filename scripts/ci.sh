@@ -30,6 +30,14 @@ cmp build/smoke.jsonl build/smoke-serial.jsonl
 # disabled-path invisibility.
 cmp build/smoke-serial.jsonl tests/golden/smoke.jsonl
 
+# Observer gate: profiling only observes. The whole smoke grid (pair
+# cells and the x3 cell included) run under the stall profiler must,
+# with its "obs" fields stripped, match the committed golden as well.
+./build/src/gpushield-sweep --suite smoke --jobs 4 --quiet --profile \
+    --jsonl build/smoke-profiled.jsonl > /dev/null
+sed -E 's/,"obs":\{[^}]*\}//' build/smoke-profiled.jsonl \
+    | cmp - tests/golden/smoke.jsonl
+
 # Backend gate: the pluggable shield seam. Region routed explicitly
 # through --backend must still match the committed golden
 # byte-for-byte; the Armor backend must run the smoke grid end-to-end

@@ -85,10 +85,17 @@ make_launch_config(const KernelProgram &program, Grid grid,
                 "api::launch: argument " + std::to_string(i) +
                 (declared_ptr ? " must be a buffer" : " must be a scalar"));
         if (args[i].is_buffer()) {
-            cfg.buffers.resize(
-                std::max<std::size_t>(cfg.buffers.size(),
-                                      program.args[i].buffer_index + 1));
-            cfg.buffers[program.args[i].buffer_index] = args[i].buffer();
+            // A decoded binary may carry any index: bound it before it
+            // sizes or indexes the buffer table.
+            const int slot = program.args[i].buffer_index;
+            if (slot < 0 || static_cast<std::size_t>(slot) >= args.size())
+                throw std::invalid_argument(
+                    "api::launch: argument " + std::to_string(i) +
+                    " has buffer index " + std::to_string(slot) +
+                    " outside [0, " + std::to_string(args.size()) + ")");
+            const auto idx = static_cast<std::size_t>(slot);
+            cfg.buffers.resize(std::max(cfg.buffers.size(), idx + 1));
+            cfg.buffers[idx] = args[i].buffer();
         } else {
             cfg.scalars[i] = args[i].scalar();
             cfg.scalar_static[i] = args[i].scalar_static();
@@ -107,12 +114,9 @@ Context::launch(const KernelProgram &program, Grid grid,
     if (observer_ != nullptr)
         gpu.set_lane_observer(observer_);
     if (options.profile.enabled) {
-        if (!profiler_) {
-            obs::ProfileConfig pcfg;
-            pcfg.sample_interval = options.profile.sample_interval;
-            pcfg.workgroup_spans = options.profile.workgroup_spans;
-            profiler_ = std::make_unique<obs::Profiler>(pcfg);
-        }
+        if (!profiler_)
+            profiler_ = std::make_unique<obs::Profiler>(
+                options.profile.sample_interval);
         profiler_->set_time_base(profile_time_base_);
         gpu.set_profiler(profiler_.get());
     }

@@ -151,9 +151,8 @@ arg(std::int64_t scalar, Static statically_known = Static::no)
 /** Per-launch profiling options (see docs/PROFILING.md). */
 struct ProfileOptions
 {
-    bool enabled = false;        //!< attach the stall-attribution profiler
-    Cycle sample_interval = 64;  //!< occupancy/IPC sampling period
-    bool workgroup_spans = true; //!< per-workgroup trace slices
+    bool enabled = false;       //!< attach the stall-attribution profiler
+    Cycle sample_interval = 64; //!< occupancy/IPC sampling period
 };
 
 /** Per-launch protection options. */
@@ -183,7 +182,9 @@ const char *to_string(LaunchStatus status);
  * service front end (src/service/), which drives per-tenant Drivers
  * directly. The returned config aliases @p program — the program must
  * outlive any Driver::launch performed with it.
- * @throws std::invalid_argument on argument count/kind mismatch.
+ * @throws std::invalid_argument on argument count/kind mismatch, or a
+ *         pointer argument whose buffer_index lies outside
+ *         [0, args.size()).
  */
 LaunchConfig make_launch_config(const KernelProgram &program, Grid grid,
                                 const std::vector<Arg> &args,

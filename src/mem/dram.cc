@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/profiler.h"
-
 namespace gpushield {
 
 Dram::Dram(EventQueue &eq, const DramConfig &cfg)
@@ -48,8 +46,6 @@ Dram::enqueue(PAddr paddr, bool is_write, Callback &&done)
         // Back-pressure: reject without consuming the callback; the
         // caller retries on a later cycle.
         ++c_queue_full_;
-        if (prof_ != nullptr)
-            prof_->on_dram_reject();
         return false;
     }
     ++c_requests_;
@@ -93,8 +89,6 @@ Dram::service_next(unsigned ch_idx)
         ++c_row_hits_;
     else
         ++c_row_misses_;
-    if (prof_ != nullptr)
-        prof_->on_dram_service(row_hit);
 
     const Cycle access = row_hit ? cfg_.row_hit_latency : cfg_.row_miss_latency;
     const Cycle total = access + cfg_.burst_cycles;

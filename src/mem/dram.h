@@ -20,10 +20,6 @@
 #include "common/stats.h"
 #include "common/types.h"
 
-namespace gpushield::obs {
-class Profiler;
-}
-
 namespace gpushield {
 
 /** DRAM timing and geometry parameters (in core cycles). */
@@ -65,9 +61,6 @@ class Dram
      *  (instantaneous occupancy; sampled by the profiler). */
     unsigned total_queued() const;
 
-    /** Attaches a stall-attribution profiler; nullptr detaches. */
-    void set_profiler(obs::Profiler *prof) { prof_ = prof; }
-
     const DramConfig &config() const { return cfg_; }
     const StatSet &stats() const { return stats_; }
 
@@ -97,7 +90,6 @@ class Dram
     EventQueue &eq_;
     DramConfig cfg_;
     std::vector<Channel> channels_;
-    obs::Profiler *prof_ = nullptr;
     std::uint64_t next_seq_ = 0;
     StatSet stats_;
     // Interned per-request counters (resolved once; bumped per event).

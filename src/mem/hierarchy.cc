@@ -1,7 +1,6 @@
 #include "mem/hierarchy.h"
 
 #include "common/bitutil.h"
-#include "obs/profiler.h"
 
 namespace gpushield {
 
@@ -58,8 +57,6 @@ MemoryHierarchy::access(CoreId core, VAddr vaddr, bool is_write, Callback done)
 
     const auto l1_res = l1_[core]->access(line_addr, is_write);
     issue.l1_hit = l1_res.hit;
-    if (prof_ != nullptr)
-        prof_->on_mem_access(l1_res.hit);
 
     if (l1_res.hit) {
         eq_.schedule_in(tlb_delay + cfg_.l1_latency, std::move(done));
@@ -95,8 +92,6 @@ MemoryHierarchy::enqueue_dram(PAddr paddr, bool is_write, Callback done)
     // callback; retry next cycle until a slot frees up.
     ++c_dram_retries_;
     ++pending_dram_retries_;
-    if (prof_ != nullptr)
-        prof_->on_dram_retry();
     schedule_dram_retry(paddr, is_write, std::move(done));
 }
 
@@ -111,17 +106,8 @@ MemoryHierarchy::schedule_dram_retry(PAddr paddr, bool is_write,
             return;
         }
         ++c_dram_retries_;
-        if (prof_ != nullptr)
-            prof_->on_dram_retry();
         schedule_dram_retry(paddr, is_write, std::move(done));
     });
-}
-
-void
-MemoryHierarchy::set_profiler(obs::Profiler *prof)
-{
-    prof_ = prof;
-    dram_.set_profiler(prof);
 }
 
 void

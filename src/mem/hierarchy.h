@@ -25,10 +25,6 @@
 #include "mem/page_table.h"
 #include "mem/tlb.h"
 
-namespace gpushield::obs {
-class Profiler;
-}
-
 namespace gpushield {
 
 /** Latency and geometry parameters of the hierarchy. */
@@ -92,10 +88,6 @@ class MemoryHierarchy
      */
     void enqueue_dram(PAddr paddr, bool is_write, Callback done);
 
-    /** Attaches a stall-attribution profiler (propagated to the DRAM
-     *  controller); nullptr detaches. */
-    void set_profiler(obs::Profiler *prof);
-
     /** True while at least one rejected DRAM request is waiting to
      *  re-enqueue — the signal the profiler uses to attribute blocked
      *  warps to DRAM back-pressure rather than plain memory latency. */
@@ -122,7 +114,6 @@ class MemoryHierarchy
     Cache l2_cache_;
     Tlb l2_tlb_;
     Dram dram_;
-    obs::Profiler *prof_ = nullptr;
     unsigned pending_dram_retries_ = 0;
     StatSet stats_;
     // Interned per-access counters (resolved once; bumped per event).

@@ -43,25 +43,13 @@ class HostEngineProfiler
         ns_[static_cast<unsigned>(p)] += ns;
     }
 
-    /** Records the engine's cycle accounting for rate reporting. */
-    void
-    note_cycles(std::uint64_t simulated, std::uint64_t skipped)
-    {
-        cycles_simulated_ += simulated;
-        cycles_skipped_ += skipped;
-    }
-
     std::uint64_t ns(Phase p) const
     {
         return ns_[static_cast<unsigned>(p)];
     }
-    std::uint64_t cycles_simulated() const { return cycles_simulated_; }
-    std::uint64_t cycles_skipped() const { return cycles_skipped_; }
 
   private:
     std::array<std::uint64_t, kPhases> ns_{};
-    std::uint64_t cycles_simulated_ = 0;
-    std::uint64_t cycles_skipped_ = 0;
 };
 
 /** RAII phase timer: accumulates on destruction when @p prof is

@@ -58,7 +58,8 @@ usage(const char *argv0)
         "  --launches N      back-to-back launches (default 1)\n"
         "  --interval N      occupancy/IPC sampling period (default 64)\n"
         "  --out PATH        Chrome trace output ('-' = stdout)\n"
-        "  --summary         print the stall-cause breakdown\n"
+        "  --summary         print the stall-cause breakdown and the\n"
+        "                    kernel counters of all launches\n"
         "suite mode:\n"
         "  --suite NAME      sweep suite (see gpushield-sweep --list)\n"
         "  --out-dir DIR     one trace file per single-kernel cell\n"
@@ -69,7 +70,7 @@ usage(const char *argv0)
 }
 
 void
-print_summary(const obs::ProfileSummary &s, const StatSet &events)
+print_summary(const obs::ProfileSummary &s, const StatSet &kernel)
 {
     std::printf("profiled %llu cycles, %llu warp-cycles\n",
                 static_cast<unsigned long long>(s.cycles),
@@ -82,10 +83,10 @@ print_summary(const obs::ProfileSummary &s, const StatSet &events)
                     100.0 * s.fraction(static_cast<obs::StallCause>(c)),
                     static_cast<unsigned long long>(s.cause_cycles[c]));
     }
-    if (!events.counters().empty()) {
-        std::printf("events:\n");
-        for (const auto &[name, value] : events.counters())
-            std::printf("  %-18s %llu\n", name.c_str(),
+    if (!kernel.counters().empty()) {
+        std::printf("kernel counters:\n");
+        for (const auto &[name, value] : kernel.counters())
+            std::printf("  %-26s %llu\n", name.c_str(),
                         static_cast<unsigned long long>(value));
     }
 }
@@ -186,8 +187,10 @@ run_single(const std::string &bench, const std::string &set,
     opts.profile.sample_interval = interval;
 
     api::LaunchResult last;
+    StatSet kernel_stats; // every launch's counters, merged
     for (unsigned i = 0; i < launches; ++i) {
         last = ctx.launch(inst.program, {inst.ntid, inst.nctaid}, args, opts);
+        kernel_stats.merge(last.stats);
         if (!last.ok())
             std::fprintf(stderr, "gpushield-profile: launch %u: %s (%s)\n",
                          i, api::to_string(last.status),
@@ -208,7 +211,7 @@ run_single(const std::string &bench, const std::string &set,
                      out_path.c_str());
     }
     if (summary)
-        print_summary(last.profile, ctx.profiler()->events());
+        print_summary(last.profile, kernel_stats);
     return last.ok() ? 0 : 1;
 }
 

@@ -59,27 +59,9 @@ ProfileSummary::to_statset() const
     return s;
 }
 
-Profiler::Profiler(ProfileConfig cfg)
-    : cfg_(cfg), c_mem_instrs_(events_.counter("mem_instrs")),
-      c_mem_lanes_(events_.counter("mem_lanes")),
-      c_mem_lines_(events_.counter("mem_lines")),
-      c_bcu_checks_(events_.counter("bcu_checks")),
-      c_bcu_stall_cycles_(events_.counter("bcu_stall_cycles")),
-      c_bcu_exposed_(events_.counter("bcu_exposed_checks")),
-      c_bcu_violations_(events_.counter("bcu_violations")),
-      c_rcache_lookups_(events_.counter("rcache_lookups")),
-      c_rcache_l1_hits_(events_.counter("rcache_l1_hits")),
-      c_rcache_l2_hits_(events_.counter("rcache_l2_hits")),
-      c_rcache_misses_(events_.counter("rcache_misses")),
-      c_mem_accesses_(events_.counter("mem_accesses")),
-      c_mem_l1_hits_(events_.counter("mem_l1_hits")),
-      c_dram_services_(events_.counter("dram_services")),
-      c_dram_row_hits_(events_.counter("dram_row_hits")),
-      c_dram_rejects_(events_.counter("dram_rejects")),
-      c_dram_retries_(events_.counter("dram_retries"))
+Profiler::Profiler(Cycle sample_interval)
+    : sample_interval_(sample_interval == 0 ? 1 : sample_interval)
 {
-    if (cfg_.sample_interval == 0)
-        cfg_.sample_interval = 1;
 }
 
 Profiler::CoreState &
@@ -131,17 +113,17 @@ Profiler::on_kernel_span(KernelId kernel, const std::string &name,
 }
 
 void
-Profiler::end_cycle(Cycle now, unsigned dram_queued)
+Profiler::end_cycle(Cycle now, unsigned dram_queued,
+                    std::uint64_t dram_retries)
 {
     ++profiled_cycles_;
     last_ts_ = base_ + now;
-    if (!cfg_.counter_series)
-        return;
+    interval_dram_retries_ += dram_retries;
     // Sample once per interval, on the interval boundary. The interval
     // accumulators divide by the interval length to give averages.
-    if ((now + 1) % cfg_.sample_interval != 0)
+    if ((now + 1) % sample_interval_ != 0)
         return;
-    const double denom = static_cast<double>(cfg_.sample_interval);
+    const double denom = static_cast<double>(sample_interval_);
     const Cycle ts = base_ + now;
     for (CoreState &cs : cores_) {
         cs.occupancy.push_back(
@@ -177,20 +159,6 @@ Profiler::core_stalls(CoreId core) const
     if (core < cores_.size())
         return cores_[core].totals;
     return {};
-}
-
-void
-Profiler::clear()
-{
-    profiled_cycles_ = 0;
-    last_ts_ = 0;
-    cores_.clear();
-    workgroups_.clear();
-    kernels_.clear();
-    dram_queue_series_.clear();
-    dram_retry_series_.clear();
-    interval_dram_retries_ = 0;
-    events_.clear();
 }
 
 namespace {
@@ -274,47 +242,42 @@ Profiler::write_chrome_trace(std::ostream &os) const
         sink.end();
     }
 
-    if (cfg_.workgroup_spans) {
-        for (const WorkgroupSpan &wg : workgroups_) {
-            // A workgroup still open (kernel killed mid-run) ends at the
-            // last profiled cycle so its slice stays visible.
-            const Cycle end = wg.open ? std::max(last_ts_ + 1, wg.start)
-                                      : wg.end;
-            std::ostream &ev = sink.begin();
-            ev << "\"name\":\"wg " << wg.wg_index << " (k" << wg.kernel
-               << ")\",\"ph\":\"X\",\"pid\":"
-               << (kCorePidBase + static_cast<int>(wg.core))
-               << ",\"tid\":" << (wg.slot + 1) << ",\"ts\":" << wg.start
-               << ",\"dur\":" << (end - wg.start)
-               << ",\"args\":{\"kernel\":" << wg.kernel
-               << ",\"resident_cycles\":" << (end - wg.start)
-               << ",\"warps\":" << wg.warps.size();
-            for (std::size_t i = 0; i < kNumStallCauses; ++i) {
-                std::uint64_t sum = 0;
-                for (const WarpStallBreakdown &w : wg.warps)
-                    sum += w.cycles[i];
-                ev << ",\""
-                   << to_string(static_cast<StallCause>(i))
-                   << "\":" << sum;
-            }
-            ev << "}";
-            sink.end();
+    for (const WorkgroupSpan &wg : workgroups_) {
+        // A workgroup still open (kernel killed mid-run) ends at the
+        // last profiled cycle so its slice stays visible.
+        const Cycle end =
+            wg.open ? std::max(last_ts_ + 1, wg.start) : wg.end;
+        std::ostream &ev = sink.begin();
+        ev << "\"name\":\"wg " << wg.wg_index << " (k" << wg.kernel
+           << ")\",\"ph\":\"X\",\"pid\":"
+           << (kCorePidBase + static_cast<int>(wg.core))
+           << ",\"tid\":" << (wg.slot + 1) << ",\"ts\":" << wg.start
+           << ",\"dur\":" << (end - wg.start)
+           << ",\"args\":{\"kernel\":" << wg.kernel
+           << ",\"resident_cycles\":" << (end - wg.start)
+           << ",\"warps\":" << wg.warps.size();
+        for (std::size_t i = 0; i < kNumStallCauses; ++i) {
+            std::uint64_t sum = 0;
+            for (const WarpStallBreakdown &w : wg.warps)
+                sum += w.cycles[i];
+            ev << ",\"" << to_string(static_cast<StallCause>(i))
+               << "\":" << sum;
         }
+        ev << "}";
+        sink.end();
     }
 
-    if (cfg_.counter_series) {
-        for (std::size_t c = 0; c < cores_.size(); ++c) {
-            const int pid = kCorePidBase + static_cast<int>(c);
-            for (const CounterSample &s : cores_[c].occupancy)
-                sink.counter(pid, "occupancy", s.ts, s.value);
-            for (const CounterSample &s : cores_[c].ipc)
-                sink.counter(pid, "ipc", s.ts, s.value);
-        }
-        for (const CounterSample &s : dram_queue_series_)
-            sink.counter(kMemoryPid, "dram_queue", s.ts, s.value);
-        for (const CounterSample &s : dram_retry_series_)
-            sink.counter(kMemoryPid, "dram_retries", s.ts, s.value);
+    for (std::size_t c = 0; c < cores_.size(); ++c) {
+        const int pid = kCorePidBase + static_cast<int>(c);
+        for (const CounterSample &s : cores_[c].occupancy)
+            sink.counter(pid, "occupancy", s.ts, s.value);
+        for (const CounterSample &s : cores_[c].ipc)
+            sink.counter(pid, "ipc", s.ts, s.value);
     }
+    for (const CounterSample &s : dram_queue_series_)
+        sink.counter(kMemoryPid, "dram_queue", s.ts, s.value);
+    for (const CounterSample &s : dram_retry_series_)
+        sink.counter(kMemoryPid, "dram_retries", s.ts, s.value);
 
     os << "\n]\n}\n";
 }

@@ -13,17 +13,17 @@
  * the paper's pipeline-effect arguments (§6, Figs. 14-18) checkable on
  * any run instead of inferred from end-of-run counters.
  *
- * The profiler additionally records per-SM occupancy/IPC time series at
- * a configurable sampling interval, per-kernel phase spans, and memory
- * subsystem event counters (RCache levels, BCU bubbles, DRAM row
- * hits/rejects/retries). Everything exports as Chrome trace-event JSON
+ * The profiler additionally records per-SM occupancy/IPC and DRAM
+ * queue/retry time series at a configurable sampling interval, and
+ * per-kernel phase spans. Everything exports as Chrome trace-event JSON
  * loadable in chrome://tracing or Perfetto (see docs/PROFILING.md).
+ * Event counts (BCU checks, RCache hits, DRAM traffic) are not kept
+ * here: the components count them once, in their own StatSets.
  *
- * Cost model: the simulator holds a nullable `Profiler *` at every
- * instrumentation point (core, BCU, RCache, hierarchy, DRAM); with no
- * profiler attached each hook is a single predictable branch, so the
- * disabled path is free and simulated timing is never perturbed either
- * way — the profiler observes, it does not participate.
+ * Cost model: only the Gpu and its cores hold a nullable `Profiler *`;
+ * with no profiler attached each hook is a single predictable branch,
+ * so the disabled path is free and simulated timing is never perturbed
+ * either way — the profiler observes, it does not participate.
  */
 
 #ifndef GPUSHIELD_OBS_PROFILER_H
@@ -65,14 +65,6 @@ struct WarpStallBreakdown
     std::array<std::uint64_t, kNumStallCauses> cycles{};
 
     std::uint64_t total() const;
-};
-
-/** Profiler knobs (api::ProfileOptions maps onto this). */
-struct ProfileConfig
-{
-    Cycle sample_interval = 64; //!< occupancy/IPC sampling period
-    bool workgroup_spans = true; //!< emit per-workgroup trace slices
-    bool counter_series = true;  //!< emit occupancy/IPC/DRAM counters
 };
 
 /** One workgroup residency on one core slot, with per-warp breakdown. */
@@ -131,13 +123,12 @@ struct ProfileSummary
 class Profiler
 {
   public:
-    explicit Profiler(ProfileConfig cfg = {});
-
-    const ProfileConfig &config() const { return cfg_; }
+    /** @p sample_interval is the occupancy/IPC/DRAM sampling period
+     *  in cycles (0 is treated as 1). */
+    explicit Profiler(Cycle sample_interval = 64);
 
     /** Offset added to every recorded cycle (multi-launch timelines). */
     void set_time_base(Cycle base) { base_ = base; }
-    Cycle time_base() const { return base_; }
 
     /// @name Instrumentation hooks (called by the simulator when attached)
     /// @{
@@ -168,75 +159,14 @@ class Profiler
 
     /** Cycle boundary: flushes sampling accumulators into the series.
      *  @p dram_queued is the DRAM controller's instantaneous queue
-     *  occupancy (requests waiting or in service). */
-    void end_cycle(Cycle now, unsigned dram_queued);
+     *  occupancy (requests waiting or in service); @p dram_retries is
+     *  the number of DRAM re-enqueues since the previous report. */
+    void end_cycle(Cycle now, unsigned dram_queued,
+                   std::uint64_t dram_retries);
 
-    /** Memory-instruction coalescing outcome (LSU front-end). */
-    void
-    on_coalesce(unsigned lanes, unsigned lines)
-    {
-        ++c_mem_instrs_;
-        c_mem_lanes_ += lanes;
-        c_mem_lines_ += lines;
-    }
-
-    /** One BCU runtime check (Fig. 12 timing outcome). */
-    void
-    on_bcu_check(Cycle stall_cycles, bool violation)
-    {
-        ++c_bcu_checks_;
-        c_bcu_stall_cycles_ += stall_cycles;
-        if (stall_cycles > 0)
-            ++c_bcu_exposed_;
-        if (violation)
-            ++c_bcu_violations_;
-    }
-
-    /** RCache lookup outcome: 0 = L1 hit, 1 = L2 hit, 2 = miss. */
-    void
-    on_rcache_lookup(int level)
-    {
-        ++c_rcache_lookups_;
-        if (level == 0)
-            ++c_rcache_l1_hits_;
-        else if (level == 1)
-            ++c_rcache_l2_hits_;
-        else
-            ++c_rcache_misses_;
-    }
-
-    /** Hierarchy transaction issued (L1 outcome known immediately). */
-    void
-    on_mem_access(bool l1_hit)
-    {
-        ++c_mem_accesses_;
-        if (l1_hit)
-            ++c_mem_l1_hits_;
-    }
-
-    /** DRAM controller serviced a request. */
-    void
-    on_dram_service(bool row_hit)
-    {
-        ++c_dram_services_;
-        if (row_hit)
-            ++c_dram_row_hits_;
-    }
-
-    /** DRAM channel queue rejected an enqueue (back-pressure). */
-    void
-    on_dram_reject()
-    {
-        ++c_dram_rejects_;
-    }
-
-    /** Hierarchy re-tried a rejected DRAM request. */
-    void
-    on_dram_retry()
-    {
-        ++c_dram_retries_;
-        ++interval_dram_retries_;
-    }
+    /** DRAM re-enqueues after the last end_cycle of a run; they count
+     *  towards the next sample. */
+    void add_dram_retries(std::uint64_t n) { interval_dram_retries_ += n; }
     /// @}
 
     /// @name Results
@@ -256,9 +186,6 @@ class Profiler
     std::array<std::uint64_t, kNumStallCauses>
     core_stalls(CoreId core) const;
 
-    /** Event counters (bcu_checks, rcache_l1_hits, dram_row_hits, ...). */
-    const StatSet &events() const { return events_; }
-
     /**
      * Emits everything as Chrome trace-event JSON: pid 0 holds kernel
      * phase spans (tid = kernel id), pid 100+c holds SM c's workgroup
@@ -267,9 +194,6 @@ class Profiler
      * carry the per-warp stall breakdown.
      */
     void write_chrome_trace(std::ostream &os) const;
-
-    /** Drops all recorded data (config and time base survive). */
-    void clear();
     /// @}
 
   private:
@@ -286,7 +210,7 @@ class Profiler
 
     CoreState &core_state(CoreId core);
 
-    ProfileConfig cfg_;
+    Cycle sample_interval_;
     Cycle base_ = 0;
     Cycle profiled_cycles_ = 0;
     Cycle last_ts_ = 0;
@@ -298,14 +222,6 @@ class Profiler
     std::vector<CounterSample> dram_queue_series_;
     std::vector<CounterSample> dram_retry_series_;
     std::uint64_t interval_dram_retries_ = 0;
-
-    StatSet events_;
-    StatSet::Counter c_mem_instrs_, c_mem_lanes_, c_mem_lines_,
-        c_bcu_checks_, c_bcu_stall_cycles_, c_bcu_exposed_,
-        c_bcu_violations_, c_rcache_lookups_, c_rcache_l1_hits_,
-        c_rcache_l2_hits_, c_rcache_misses_, c_mem_accesses_,
-        c_mem_l1_hits_, c_dram_services_, c_dram_row_hits_,
-        c_dram_rejects_, c_dram_retries_;
 };
 
 } // namespace gpushield::obs

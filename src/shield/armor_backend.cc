@@ -4,7 +4,6 @@
 
 #include "common/bitutil.h"
 #include "common/log.h"
-#include "obs/profiler.h"
 #include "shield/pointer.h"
 
 namespace gpushield {
@@ -141,8 +140,6 @@ ArmorShieldBackend::check(const BcuRequest &req)
             resp.region_end = b.base_addr + b.size;
             log(req, resp.kind);
         }
-        if (prof_ != nullptr)
-            prof_->on_bcu_check(resp.stall_cycles, resp.violation);
         return resp;
     }
 
@@ -221,8 +218,6 @@ ArmorShieldBackend::check(const BcuRequest &req)
     resp.stall_cycles = exposed_stall(req, check_latency);
     if (resp.stall_cycles > 0)
         c_stall_cycles_ += resp.stall_cycles;
-    if (prof_ != nullptr)
-        prof_->on_bcu_check(resp.stall_cycles, resp.violation);
     return resp;
 }
 

@@ -64,8 +64,6 @@ class ArmorShieldBackend : public ShieldBackend
     const StatSet &stats() const override { return stats_; }
     StatSet metadata_stats() const override { return meta_stats_; }
 
-    void set_profiler(obs::Profiler *prof) override { prof_ = prof; }
-
     const char *
     weakness_label(const ShieldMissContext &ctx) const override;
 
@@ -91,7 +89,6 @@ class ArmorShieldBackend : public ShieldBackend
     bool cache_lookup(KernelId kernel, BufferId id);
 
     ArmorShieldConfig cfg_;
-    obs::Profiler *prof_ = nullptr;
     Cycle pipeline_slack_;
     std::unordered_map<KernelId, KernelState> kernels_;
 

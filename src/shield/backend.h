@@ -30,10 +30,6 @@
 #include "shield/config.h"
 #include "shield/rbt.h"
 
-namespace gpushield::obs {
-class Profiler;
-}
-
 namespace gpushield {
 
 /** Classification of a detected memory-safety violation. */
@@ -212,9 +208,6 @@ class ShieldBackend
      *  for Armor). Both backends use the "lookups"/"l1_hits"/"refills"
      *  names so hit-rate ratios work unchanged. */
     virtual StatSet metadata_stats() const = 0;
-
-    /** Attaches a stall-attribution profiler; nullptr detaches. */
-    virtual void set_profiler(obs::Profiler *prof) = 0;
 
     /**
      * Classifies a true bounds violation this backend checked but did

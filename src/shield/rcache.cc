@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.h"
-#include "obs/profiler.h"
 
 namespace gpushield {
 
@@ -56,8 +55,6 @@ RCache::lookup(KernelId kernel, BufferId id)
         ++c_l1_hits_;
         result.level = RCacheLevel::L1;
         result.bounds = e->bounds;
-        if (prof_ != nullptr)
-            prof_->on_rcache_lookup(0);
         return result;
     }
     ++c_l1_misses_;
@@ -68,13 +65,9 @@ RCache::lookup(KernelId kernel, BufferId id)
         result.level = RCacheLevel::L2;
         result.bounds = e->bounds;
         insert_l1(bank, kernel, id, e->bounds);
-        if (prof_ != nullptr)
-            prof_->on_rcache_lookup(1);
         return result;
     }
     ++c_l2_misses_;
-    if (prof_ != nullptr)
-        prof_->on_rcache_lookup(2);
     return result;
 }
 

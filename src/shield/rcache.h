@@ -21,10 +21,6 @@
 #include "common/types.h"
 #include "shield/rbt.h"
 
-namespace gpushield::obs {
-class Profiler;
-}
-
 namespace gpushield {
 
 /** RCache geometry and latencies (latencies are from AGEN, in cycles). */
@@ -78,9 +74,6 @@ class RCache
      */
     void invalidate_kernel(KernelId kernel);
 
-    /** Attaches a stall-attribution profiler; nullptr detaches. */
-    void set_profiler(obs::Profiler *prof) { prof_ = prof; }
-
     const RCacheConfig &config() const { return cfg_; }
     const StatSet &stats() const { return stats_; }
 
@@ -119,7 +112,6 @@ class RCache
 
     RCacheConfig cfg_;
     std::vector<Bank> banks_;
-    obs::Profiler *prof_ = nullptr;
     std::uint64_t lru_stamp_ = 0; //!< L2 LRU clock
     StatSet stats_;
     // Interned per-lookup counters (resolved once; bumped per event).

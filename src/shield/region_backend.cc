@@ -4,7 +4,6 @@
 
 #include "common/bitutil.h"
 #include "common/log.h"
-#include "obs/profiler.h"
 #include "shield/pointer.h"
 
 namespace gpushield {
@@ -33,13 +32,6 @@ RegionShieldBackend::RegionShieldBackend(const RCacheConfig &cfg,
       c_violations_(stats_.counter("violations")),
       c_stall_cycles_(stats_.counter("stall_cycles"))
 {
-}
-
-void
-RegionShieldBackend::set_profiler(obs::Profiler *prof)
-{
-    prof_ = prof;
-    rcache_.set_profiler(prof);
 }
 
 void
@@ -126,8 +118,6 @@ RegionShieldBackend::check(const BcuRequest &req)
             resp.region_end = b.base_addr + b.size;
             log(req, resp.kind);
         }
-        if (prof_ != nullptr)
-            prof_->on_bcu_check(resp.stall_cycles, resp.violation);
         return resp;
     }
 
@@ -168,8 +158,6 @@ RegionShieldBackend::check(const BcuRequest &req)
         }
         // Offset comparison completes in the address-gather stage; no
         // exposed stall.
-        if (prof_ != nullptr)
-            prof_->on_bcu_check(resp.stall_cycles, resp.violation);
         return resp;
     }
 
@@ -231,8 +219,6 @@ RegionShieldBackend::check(const BcuRequest &req)
     resp.stall_cycles = exposed_stall(req, check_latency);
     if (resp.stall_cycles > 0)
         c_stall_cycles_ += resp.stall_cycles;
-    if (prof_ != nullptr)
-        prof_->on_bcu_check(resp.stall_cycles, resp.violation);
     return resp;
 }
 

@@ -82,10 +82,6 @@ class RegionShieldBackend : public ShieldBackend
     /** Clears the violation log (read out by the host at kernel end). */
     void clear_violations() override { violations_.clear(); }
 
-    /** Attaches a stall-attribution profiler (propagated to the
-     *  RCache); nullptr detaches. */
-    void set_profiler(obs::Profiler *prof) override;
-
     RCache &rcache() { return rcache_; }
     const RCache &rcache() const { return rcache_; }
     const StatSet &stats() const override { return stats_; }
@@ -105,7 +101,6 @@ class RegionShieldBackend : public ShieldBackend
     Cycle exposed_stall(const BcuRequest &req, Cycle check_latency) const;
 
     RCache rcache_;
-    obs::Profiler *prof_ = nullptr;
     Cycle pipeline_slack_;
     std::unordered_map<KernelId, KernelState> kernels_;
     std::vector<Violation> violations_;

@@ -29,11 +29,9 @@ Core::backend_for(ShieldBackendKind kind)
     // A resident kernel was signed for the other backend (mixed-backend
     // co-scheduling): instantiate it on first use so single-backend
     // runs never create — or aggregate stats from — a second unit.
-    if (alt_shield_ == nullptr) {
+    if (alt_shield_ == nullptr)
         alt_shield_ =
             make_shield_backend(kind, cfg_.shield, cfg_.lsu_pipeline_slack);
-        alt_shield_->set_profiler(profiler_);
-    }
     return *alt_shield_;
 }
 
@@ -226,15 +224,6 @@ Core::start_workgroup(KernelExec *kernel, std::uint32_t wg_index)
         profiler_->on_workgroup_start(
             id_, static_cast<unsigned>(slot - slots_.begin()),
             kernel->launch->kernel_id, wg_index, warps, eq_.now());
-}
-
-void
-Core::set_profiler(obs::Profiler *profiler)
-{
-    profiler_ = profiler;
-    shield_->set_profiler(profiler);
-    if (alt_shield_ != nullptr)
-        alt_shield_->set_profiler(profiler);
 }
 
 void
@@ -480,9 +469,6 @@ Core::handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op)
     coalesce_into(op, cfg_.mem.l1.line_size, lines_scratch_);
     const std::vector<VAddr> &lines = lines_scratch_;
     hot.transactions += lines.size();
-    if (profiler_ != nullptr)
-        profiler_->on_coalesce(active_lanes(op),
-                               static_cast<unsigned>(lines.size()));
 
     // Software-tool instrumentation (baseline models) occupies issue
     // slots and adds shadow-metadata traffic.
@@ -543,121 +529,115 @@ Core::handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op)
             kernel->stats.add("checks_covered");
             ev.covered = true;
         } else {
-        BcuRequest req;
-        req.kernel = launch.kernel_id;
-        req.tenant = launch.tenant;
-        req.core = id_;
-        req.warp = warp.id;
-        req.pc = op.pc;
-        req.pointer = op.pointer;
-        req.min_addr = op.min_addr;
-        req.max_end = op.max_end;
-        req.is_store = op.is_store;
-        req.num_transactions = static_cast<unsigned>(lines.size());
-        req.dcache_hit = dcache_probe_hit;
-        req.has_base_offset = op.has_base_offset;
-        req.min_offset = op.min_offset;
-        req.max_offset_end = op.max_offset_end;
-        req.has_bt_bounds = op.has_bt;
-        req.bt_bounds = op.bt_bounds;
-        req.silent = op.instr->check == CheckMode::GuardReplaced;
+            BcuRequest req;
+            req.kernel = launch.kernel_id;
+            req.tenant = launch.tenant;
+            req.core = id_;
+            req.warp = warp.id;
+            req.pc = op.pc;
+            req.pointer = op.pointer;
+            req.min_addr = op.min_addr;
+            req.max_end = op.max_end;
+            req.is_store = op.is_store;
+            req.num_transactions = static_cast<unsigned>(lines.size());
+            req.dcache_hit = dcache_probe_hit;
+            req.has_base_offset = op.has_base_offset;
+            req.min_offset = op.min_offset;
+            req.max_offset_end = op.max_offset_end;
+            req.has_bt_bounds = op.has_bt;
+            req.bt_bounds = op.bt_bounds;
+            req.silent = op.instr->check == CheckMode::GuardReplaced;
 
-        bool probe_passed = false;
-        if (probe_now) {
-            // The probe checks the whole statically-derived hull (a
-            // store probe when any covered row stores). It stalls and
-            // refills like a normal check — it *is* this execution's
-            // check when it passes.
-            BcuRequest preq = req;
-            preq.min_addr = cover->va_lo;
-            preq.max_end = cover->va_end;
-            preq.is_store = cover->is_store || op.is_store;
-            preq.min_offset = cover->rel_lo;
-            preq.max_offset_end = cover->rel_end;
-            preq.silent = false;
-            preq.cover_probe = true;
-            const BcuResponse presp =
-                backend_for(launch.shield_backend).check(preq);
-            kernel->stats.add("cover_probes");
-            if (presp.stall_cycles > 0) {
-                issue_busy_until_ =
-                    std::max(issue_busy_until_, now + presp.stall_cycles);
-                lsu_busy_until_ =
-                    std::max(lsu_busy_until_, now + presp.stall_cycles);
-                bcu_busy_until_ =
-                    std::max(bcu_busy_until_, now + presp.stall_cycles);
-                hot.bcu_stall_cycles += presp.stall_cycles;
-            }
-            if (presp.refill) {
-                ++hot.rbt_refills;
-                refill = true;
-                refill_paddr = presp.refill_paddr;
-            }
-            if (presp.checked && !presp.violation) {
-                warp.cover_state[static_cast<std::size_t>(probe_pc)] = 1;
-                probe_passed = true;
-                ++hot.checks;
-                ev.checked = true;
-                ev.cover_probe = true;
-            } else {
-                warp.cover_state[static_cast<std::size_t>(probe_pc)] = 2;
-                kernel->stats.add("cover_probe_fails");
-            }
-        }
-        if (!probe_passed) {
-        const BcuResponse resp =
-            backend_for(launch.shield_backend).check(req);
-        ++hot.checks;
-        if (resp.stall_cycles > 0) {
-            // Exposed pipeline bubble: the LSU (and issue stage behind
-            // it) stalls.
-            issue_busy_until_ =
-                std::max(issue_busy_until_, now + resp.stall_cycles);
-            lsu_busy_until_ =
-                std::max(lsu_busy_until_, now + resp.stall_cycles);
-            bcu_busy_until_ =
-                std::max(bcu_busy_until_, now + resp.stall_cycles);
-            hot.bcu_stall_cycles += resp.stall_cycles;
-        }
-        if (resp.refill) {
-            ++hot.rbt_refills;
-            refill = true;
-            refill_paddr = resp.refill_paddr;
-        }
-        if (resp.violation) {
-            // Detection is warp-granular; squashing is lane-granular
-            // when the violated region is known.
-            if (resp.region_known) {
-                for (unsigned lane = 0; lane < kWarpSize; ++lane) {
-                    if (((op.mask >> lane) & 1) == 0)
-                        continue;
-                    const VAddr lo = op.lane_addr[lane];
-                    if (lo < resp.region_base ||
-                        lo + op.size > resp.region_end)
-                        suppress_mask |= LaneMask{1} << lane;
+            // Applies a check's timing: an exposed pipeline bubble
+            // stalls the LSU (and the issue stage behind it), and an
+            // RCache miss queues an RBT refill.
+            const auto apply_check = [&](const BcuResponse &r) {
+                if (r.stall_cycles > 0) {
+                    issue_busy_until_ =
+                        std::max(issue_busy_until_, now + r.stall_cycles);
+                    lsu_busy_until_ =
+                        std::max(lsu_busy_until_, now + r.stall_cycles);
+                    bcu_busy_until_ =
+                        std::max(bcu_busy_until_, now + r.stall_cycles);
+                    hot.bcu_stall_cycles += r.stall_cycles;
                 }
-                if (suppress_mask == 0)
-                    suppress_mask = op.mask; // defensive: squash all
-            } else {
-                suppress_mask = op.mask;
+                if (r.refill) {
+                    ++hot.rbt_refills;
+                    refill = true;
+                    refill_paddr = r.refill_paddr;
+                }
+            };
+
+            bool probe_passed = false;
+            if (probe_now) {
+                // The probe checks the whole statically-derived hull (a
+                // store probe when any covered row stores). It stalls
+                // and refills like a normal check — it *is* this
+                // execution's check when it passes.
+                BcuRequest preq = req;
+                preq.min_addr = cover->va_lo;
+                preq.max_end = cover->va_end;
+                preq.is_store = cover->is_store || op.is_store;
+                preq.min_offset = cover->rel_lo;
+                preq.max_offset_end = cover->rel_end;
+                preq.silent = false;
+                preq.cover_probe = true;
+                const BcuResponse presp =
+                    backend_for(launch.shield_backend).check(preq);
+                kernel->stats.add("cover_probes");
+                apply_check(presp);
+                std::uint8_t &probe_state =
+                    warp.cover_state[static_cast<std::size_t>(probe_pc)];
+                if (presp.checked && !presp.violation) {
+                    probe_state = 1;
+                    probe_passed = true;
+                    ++hot.checks;
+                    ev.checked = true;
+                    ev.cover_probe = true;
+                } else {
+                    probe_state = 2;
+                    kernel->stats.add("cover_probe_fails");
+                }
             }
-            if (!req.silent) {
-                ++hot.violations;
-                // §5.5.2: precise-exception GPUs raise a fault at the
-                // offending instruction instead of logging. Deferred
-                // past the lane-observer hook below.
-                abort_now = cfg_.precise_exceptions;
-            } else {
-                hot.guard_suppressed_lanes +=
-                    static_cast<std::uint64_t>(
-                        std::popcount(suppress_mask));
+            if (!probe_passed) {
+                const BcuResponse resp =
+                    backend_for(launch.shield_backend).check(req);
+                ++hot.checks;
+                apply_check(resp);
+                if (resp.violation) {
+                    // Detection is warp-granular; squashing is
+                    // lane-granular when the violated region is known.
+                    if (resp.region_known) {
+                        for (unsigned lane = 0; lane < kWarpSize; ++lane) {
+                            if (((op.mask >> lane) & 1) == 0)
+                                continue;
+                            const VAddr lo = op.lane_addr[lane];
+                            if (lo < resp.region_base ||
+                                lo + op.size > resp.region_end)
+                                suppress_mask |= LaneMask{1} << lane;
+                        }
+                        if (suppress_mask == 0)
+                            suppress_mask = op.mask; // defensive: squash all
+                    } else {
+                        suppress_mask = op.mask;
+                    }
+                    if (!req.silent) {
+                        ++hot.violations;
+                        // §5.5.2: precise-exception GPUs raise a fault at
+                        // the offending instruction instead of logging.
+                        // Deferred past the lane-observer hook below.
+                        abort_now = cfg_.precise_exceptions;
+                    } else {
+                        hot.guard_suppressed_lanes +=
+                            static_cast<std::uint64_t>(
+                                std::popcount(suppress_mask));
+                    }
+                }
+                ev.checked = true;
+                ev.violation = resp.violation;
+                ev.silent = req.silent;
+                ev.kind = resp.kind;
             }
-        }
-        ev.checked = true;
-        ev.violation = resp.violation;
-        ev.silent = req.silent;
-        ev.kind = resp.kind;
-        }
         }
     } else if (shield) {
         ++hot.checks_skipped_unprotected;

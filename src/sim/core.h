@@ -155,9 +155,9 @@ class Core
      *  detaches. Not owned. */
     void set_lane_observer(LaneObserver *obs) { lane_obs_ = obs; }
 
-    /** Attaches a stall-attribution profiler (propagated to the BCU and
-     *  RCache); nullptr detaches. Not owned. */
-    void set_profiler(obs::Profiler *profiler);
+    /** Attaches a stall-attribution profiler; nullptr detaches. Not
+     *  owned. */
+    void set_profiler(obs::Profiler *profiler) { profiler_ = profiler; }
 
     /**
      * Attributes this cycle to a cause for every resident warp. Called

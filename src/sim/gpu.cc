@@ -110,14 +110,11 @@ Gpu::run()
     // The stall profiler's warp-cycle attribution invariant (counted
     // warp-cycles == residency) requires visiting every cycle.
     const bool per_cycle = profiler_ != nullptr;
-    const std::uint64_t skipped_before = cycles_skipped_;
-    std::uint64_t ticked = 0;
+    // The profiler's DRAM-retry series is fed from the hierarchy's
+    // counter: each sample takes the retries since the last report.
+    std::uint64_t retries_reported = hier_.stats().get("dram_retries");
 
-    while (!all_done()) {
-        if (eq_.now() >= deadline)
-            throw SimulationError(
-                "Gpu::run: cycle budget exhausted (possible livelock)");
-
+    while (!all_done() && eq_.now() < deadline) {
         // Progress (some core dispatched a workgroup or issued an
         // instruction) gates the clock-jump scan below: a busy cycle
         // skips the per-core next_work_cycle query entirely, and the
@@ -129,14 +126,16 @@ Gpu::run()
             for (auto &core : cores_)
                 progress |= core->tick();
         }
-        ++ticked;
 
         // Attribute this cycle before the queue advances so workgroup
         // residency and counted warp-cycles agree exactly.
         if (profiler_ != nullptr) {
             for (auto &core : cores_)
                 core->profile_cycle();
-            profiler_->end_cycle(eq_.now(), hier_.dram().total_queued());
+            const std::uint64_t retries = hier_.stats().get("dram_retries");
+            profiler_->end_cycle(eq_.now(), hier_.dram().total_queued(),
+                                 retries - retries_reported);
+            retries_reported = retries;
         }
 
         {
@@ -168,8 +167,14 @@ Gpu::run()
         }
     }
 
-    if (engine_prof_ != nullptr)
-        engine_prof_->note_cycles(ticked, cycles_skipped_ - skipped_before);
+    // Retries of the last event step go into the profiler's next
+    // sample, taken by a later run or by another Gpu sharing it.
+    if (profiler_ != nullptr)
+        profiler_->add_dram_retries(hier_.stats().get("dram_retries") -
+                                    retries_reported);
+    if (!all_done())
+        throw SimulationError(
+            "Gpu::run: cycle budget exhausted (possible livelock)");
 }
 
 KernelResult
@@ -237,7 +242,6 @@ Gpu::set_profiler(obs::Profiler *profiler)
     profiler_ = profiler;
     for (auto &core : cores_)
         core->set_profiler(profiler);
-    hier_.set_profiler(profiler);
 }
 
 void

@@ -101,10 +101,10 @@ class Gpu
     }
 
     /**
-     * Attaches a stall-attribution profiler (src/obs) to every core, the
-     * BCU/RCache pairs, and the memory hierarchy; nullptr detaches. The
-     * profiler observes only — attaching one never changes simulated
-     * timing. Not owned; must outlive run().
+     * Attaches a stall-attribution profiler (src/obs) to the GPU and
+     * every core; nullptr detaches. The profiler observes only —
+     * attaching one never changes simulated timing. Not owned; must
+     * outlive run().
      */
     void set_profiler(obs::Profiler *profiler);
 

@@ -1,7 +1,6 @@
 #include "sim/lsu.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/bitutil.h"
 
@@ -33,12 +32,6 @@ coalesce(const MemOp &op, std::uint64_t line_size)
     lines.reserve(4);
     coalesce_into(op, line_size, lines);
     return lines;
-}
-
-unsigned
-active_lanes(const MemOp &op)
-{
-    return static_cast<unsigned>(std::popcount(op.mask));
 }
 
 } // namespace gpushield

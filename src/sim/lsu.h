@@ -32,10 +32,6 @@ void coalesce_into(const MemOp &op, std::uint64_t line_size,
 /** Convenience form returning a fresh vector (tests / cold paths). */
 std::vector<VAddr> coalesce(const MemOp &op, std::uint64_t line_size);
 
-/** Number of active lanes in @p op's mask (coalescing-efficiency
- *  numerator the profiler reports alongside transaction counts). */
-unsigned active_lanes(const MemOp &op);
-
 } // namespace gpushield
 
 #endif // GPUSHIELD_SIM_LSU_H

@@ -194,6 +194,20 @@ TEST(Api, ArgumentMismatchThrows)
     EXPECT_THROW(ctx.launch(prog, {32, 1},
                             {arg(std::int64_t{1}), arg(buf)}),
                  std::invalid_argument);
+
+    // A buffer index outside the argument list (e.g. from a decoded
+    // binary) throws instead of indexing or growing the buffer table.
+    EXPECT_NO_THROW(make_launch_config(prog, {32, 1}, {arg(buf), arg(buf)},
+                                       LaunchOptions{}));
+    for (const int bad : {-1, 1 << 30}) {
+        KernelProgram mangled = prog;
+        for (KernelArgSpec &spec : mangled.args)
+            if (spec.is_pointer)
+                spec.buffer_index = bad;
+        EXPECT_THROW(ctx.launch(mangled, {32, 1}, {arg(buf), arg(buf)}),
+                     std::invalid_argument)
+            << bad;
+    }
 }
 
 TEST(Api, PreciseExceptionAbortIsReported)

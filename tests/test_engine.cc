@@ -251,8 +251,6 @@ TEST(Engine, HostProfilerObservesWithoutChangingResults)
     EXPECT_TRUE(observed.result.stats == plain.result.stats);
     EXPECT_EQ(observed.cycles_skipped, plain.cycles_skipped);
 
-    EXPECT_GT(prof.cycles_simulated(), 0u);
-    EXPECT_EQ(prof.cycles_skipped(), observed.cycles_skipped);
     EXPECT_GT(prof.ns(obs::HostEngineProfiler::Phase::Issue) +
                   prof.ns(obs::HostEngineProfiler::Phase::Events),
               0u);

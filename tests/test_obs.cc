@@ -2,7 +2,8 @@
  * @file
  * Observability subsystem tests: the stall-attribution invariant (per
  * warp, cause cycles sum to workgroup residency), Chrome-trace export /
- * parse / validate round-trips, the trace validator's rejection paths,
+ * parse / validate round-trips, the DRAM-retry series fed from the
+ * hierarchy's counter, the trace validator's rejection paths,
  * and the harness integration (RunRecord::obs JSONL round-trip, the
  * profiled sweep path, and the unprofiled path staying byte-stable).
  */
@@ -15,6 +16,7 @@
 #include "harness/executor.h"
 #include "harness/metrics.h"
 #include "harness/suites.h"
+#include "isa/builder.h"
 #include "obs/profiler.h"
 #include "obs/trace_json.h"
 #include "sim/config.h"
@@ -196,6 +198,68 @@ TEST(ChromeTrace, KernelSpanKeepsHostileName)
         EXPECT_EQ(e.find("name")->as_string(), w.program.name);
     }
     EXPECT_EQ(spans, 1u);
+}
+
+/** Sum of the trace's dram_retries samples. */
+double
+sampled_dram_retries(const obs::Profiler &prof)
+{
+    std::ostringstream os;
+    prof.write_chrome_trace(os);
+    const JsonValue root = parse_json(os.str());
+    double sum = 0.0;
+    for (const JsonValue &e : root.find("traceEvents")->array)
+        if (e.find("ph")->as_string() == "C" &&
+            e.find("name")->as_string() == "dram_retries")
+            sum += e.find("args")->find("value")->as_double();
+    return sum;
+}
+
+TEST(ChromeTrace, DramRetrySeriesComesFromHierarchyCounter)
+{
+    GpuDevice dev(kPageSize2M);
+    Driver driver(dev);
+    // Poorly coalesced stores into a one-deep DRAM queue: requests are
+    // still being retried when the kernel ends.
+    PatternParams p;
+    p.name = "scatter";
+    p.stride = 8;
+    WorkloadInstance w;
+    w.program = make_strided(p);
+    w.ntid = 256;
+    w.nctaid = 4;
+    const std::uint64_t n = std::uint64_t{w.ntid} * w.nctaid;
+    w.buffers.push_back(driver.create_buffer(n * 4));
+    w.buffers.push_back(driver.create_buffer(n * 4));
+    w.scalars = {0, 0, static_cast<std::int64_t>(n)};
+    w.scalar_static = {true, true, true};
+    GpuConfig cfg = nvidia_config();
+    cfg.mem.dram.queue_capacity = 1;
+    obs::Profiler prof(1);
+    const RunOutcome out =
+        run_workload(cfg, driver, w, true, false, 0, 0, &prof);
+
+    // With a one-cycle interval each sample is that cycle's retry count.
+    // Retries after the last profiled cycle wait for a next sample, so
+    // the series falls short of the hierarchy's total.
+    const double total =
+        static_cast<double>(out.mem.get("hier.dram_retries"));
+    EXPECT_GT(sampled_dram_retries(prof), 0.0);
+    EXPECT_LT(sampled_dram_retries(prof), total);
+
+    // A second GPU on the same profiler takes the next sample: it holds
+    // the first run's remaining retries, and a kernel without memory
+    // traffic adds none of its own.
+    KernelBuilder b("idle");
+    b.exit();
+    WorkloadInstance idle;
+    idle.program = b.finish();
+    idle.ntid = 32;
+    idle.nctaid = 1;
+    const RunOutcome quiet =
+        run_workload(cfg, driver, idle, true, false, 0, 0, &prof);
+    EXPECT_EQ(quiet.mem.get("hier.dram_retries"), 0u);
+    EXPECT_EQ(sampled_dram_retries(prof), total);
 }
 
 TEST(ChromeTrace, ValidatorRejectsMalformedInput)

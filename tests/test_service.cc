@@ -144,6 +144,16 @@ TEST(Service, SubmitValidatesArgBindingEagerly)
                  std::invalid_argument);
     EXPECT_THROW((void)svc.submit(cred, prog, {1, 1}, {}),
                  std::invalid_argument);
+    // A buffer index outside the argument list throws at submit too.
+    const BufferHandle buf = svc.create_buffer(cred, 64);
+    for (const int bad : {-1, 1 << 30}) {
+        KernelProgram mangled = prog;
+        mangled.args[0].buffer_index = bad;
+        EXPECT_THROW((void)svc.submit(cred, mangled, {1, 1},
+                                      {api::arg(buf)}),
+                     std::invalid_argument)
+            << bad;
+    }
     EXPECT_EQ(svc.pending(cred.tenant), 0u);
 }
 
