@@ -30,6 +30,17 @@ cmp build/smoke.jsonl build/smoke-serial.jsonl
 # disabled-path invisibility.
 cmp build/smoke-serial.jsonl tests/golden/smoke.jsonl
 
+# Paper-grid golden gate: the Fig. 14, 15 and 18 grids must match their
+# committed records as well. Unlike smoke, their graph cells saturate
+# the DRAM channel queues, so this also pins the order in which refused
+# DRAM requests retry. The same rule applies: a legitimate model change
+# regenerates these files in the same commit.
+for suite in fig14 fig15 fig18; do
+    ./build/src/gpushield-sweep --suite "$suite" --jobs "$JOBS" --quiet \
+        --jsonl "build/$suite.jsonl" > /dev/null
+    cmp "build/$suite.jsonl" "tests/golden/$suite.jsonl"
+done
+
 # Observer gate: profiling only observes. The whole smoke grid (pair
 # cells and the x3 cell included) run under the stall profiler must,
 # with its "obs" fields stripped, match the committed golden as well.

@@ -58,6 +58,9 @@ make_launch_config(const KernelProgram &program, Grid grid,
 {
     // Host-API misuse throws (the contract in the header); everything
     // the simulated program does is reported via LaunchResult::status.
+    // The program may come from a tenant: a register or target outside
+    // its declared ranges would otherwise be dereferenced by the core.
+    program.validate();
     if (args.size() != program.args.size())
         throw std::invalid_argument(
             "api::launch: argument count mismatch (" +

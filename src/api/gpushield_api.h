@@ -16,10 +16,11 @@
  *
  * `Context::launch` separates two failure worlds:
  *
- *  - **Host-API misuse** — wrong argument count, buffer passed where a
- *    scalar is declared (or vice versa) — throws `std::invalid_argument`
- *    at bind time, before any simulation runs. These are bugs in the
- *    calling host program.
+ *  - **Host-API misuse** — a malformed program (register, target or
+ *    index outside its declared ranges), wrong argument count, buffer
+ *    passed where a scalar is declared (or vice versa) — throws
+ *    `std::invalid_argument` at bind time, before any simulation runs.
+ *    These are bugs in the calling host program.
  *  - **Simulated-program outcomes** never throw. They come back on
  *    `LaunchResult::status`: `Ok` (ran to completion; bounds violations
  *    in error-logging mode still count as Ok — inspect
@@ -182,8 +183,9 @@ const char *to_string(LaunchStatus status);
  * service front end (src/service/), which drives per-tenant Drivers
  * directly. The returned config aliases @p program — the program must
  * outlive any Driver::launch performed with it.
- * @throws std::invalid_argument on argument count/kind mismatch, or a
- *         pointer argument whose buffer_index lies outside
+ * @throws std::invalid_argument when @p program fails
+ *         KernelProgram::validate(), on argument count/kind mismatch,
+ *         or on a pointer argument whose buffer_index lies outside
  *         [0, args.size()).
  */
 LaunchConfig make_launch_config(const KernelProgram &program, Grid grid,
@@ -231,9 +233,10 @@ class Context
 
     /**
      * Launches @p program synchronously and returns the outcome.
-     * @throws std::invalid_argument on host-API misuse (argument
-     *         count/kind mismatch); simulated-program faults never
-     *         throw — see LaunchResult::status.
+     * @throws std::invalid_argument on host-API misuse (a program that
+     *         fails KernelProgram::validate(), argument count/kind
+     *         mismatch); simulated-program faults never throw — see
+     *         LaunchResult::status.
      */
     LaunchResult launch(const KernelProgram &program, Grid grid,
                         const std::vector<Arg> &args,

@@ -4,15 +4,16 @@
  *
  * Events scheduled for the same cycle execute in scheduling order
  * (a monotonically increasing sequence number breaks ties), which keeps
- * simulations deterministic.
+ * simulations deterministic. Dispatch moves each event out of the heap,
+ * so a callback is never copied.
  */
 
 #ifndef GPUSHIELD_COMMON_EVENT_QUEUE_H
 #define GPUSHIELD_COMMON_EVENT_QUEUE_H
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/log.h"
@@ -43,7 +44,8 @@ class EventQueue
     {
         if (when < now_)
             when = now_;
-        heap_.push(Event{when, next_seq_++, std::move(cb)});
+        heap_.push_back(Event{when, next_seq_++, std::move(cb)});
+        std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
     }
 
     /** Schedules @p cb @p delta cycles from now. */
@@ -56,6 +58,13 @@ class EventQueue
     /** Current simulation cycle. */
     Cycle now() const { return now_; }
 
+    /**
+     * Sequence number the next schedule() takes. It grows by one per
+     * schedule(), so an unchanged value means nothing was scheduled in
+     * between.
+     */
+    std::uint64_t next_seq() const { return next_seq_; }
+
     /** True when no events remain. */
     bool empty() const { return heap_.empty(); }
 
@@ -63,7 +72,7 @@ class EventQueue
     Cycle
     next_event_cycle() const
     {
-        return heap_.empty() ? kCycleMax : heap_.top().when;
+        return heap_.empty() ? kCycleMax : heap_.front().when;
     }
 
     /**
@@ -73,9 +82,10 @@ class EventQueue
     void
     run_until(Cycle until)
     {
-        while (!heap_.empty() && heap_.top().when <= until) {
-            Event ev = heap_.top();
-            heap_.pop();
+        while (!heap_.empty() && heap_.front().when <= until) {
+            std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+            Event ev = std::move(heap_.back());
+            heap_.pop_back();
             now_ = ev.when;
             ev.cb();
         }
@@ -99,7 +109,7 @@ class EventQueue
         }
     };
 
-    std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
+    std::vector<Event> heap_; //!< min-heap under std::greater<>
     Cycle now_ = 0;
     std::uint64_t next_seq_ = 0;
 };

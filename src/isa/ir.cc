@@ -1,8 +1,8 @@
 #include "isa/ir.h"
 
 #include <sstream>
-
-#include "common/log.h"
+#include <stdexcept>
+#include <string>
 
 namespace gpushield {
 
@@ -113,19 +113,24 @@ sreg_name(SpecialReg sreg)
 
 namespace {
 
+[[noreturn]] void
+reject(const KernelProgram &prog, const std::string &what, std::size_t pc)
+{
+    throw std::invalid_argument(prog.name + ": " + what + " at pc " +
+                                std::to_string(pc));
+}
+
 void
 check_reg(const KernelProgram &prog, int reg, bool required,
           const char *what, std::size_t pc)
 {
     if (reg == kNoReg) {
         if (required)
-            fatal(prog.name + ": missing " + what + " at pc " +
-                  std::to_string(pc));
+            reject(prog, std::string("missing ") + what, pc);
         return;
     }
     if (reg < 0 || reg >= prog.num_regs)
-        fatal(prog.name + ": register out of range at pc " +
-              std::to_string(pc));
+        reject(prog, "register out of range", pc);
 }
 
 } // namespace
@@ -134,7 +139,7 @@ void
 KernelProgram::validate() const
 {
     if (code.empty())
-        fatal(name + ": empty kernel");
+        throw std::invalid_argument(name + ": empty kernel");
     bool has_exit = false;
     for (std::size_t pc = 0; pc < code.size(); ++pc) {
         const Instr &in = code[pc];
@@ -146,32 +151,27 @@ KernelProgram::validate() const
           case Op::Ssy:
             if (in.target < 0 ||
                 static_cast<std::size_t>(in.target) >= code.size())
-                fatal(name + ": branch target out of range at pc " +
-                      std::to_string(pc));
+                reject(*this, "branch target out of range", pc);
             if (in.op == Op::Bra && in.pred != kNoReg &&
                 in.pred >= num_preds)
-                fatal(name + ": predicate out of range at pc " +
-                      std::to_string(pc));
+                reject(*this, "predicate out of range", pc);
             break;
           case Op::Setp:
             if (in.rd < 0 || in.rd >= num_preds)
-                fatal(name + ": predicate destination out of range at pc " +
-                      std::to_string(pc));
+                reject(*this, "predicate destination out of range", pc);
             check_reg(*this, in.ra, true, "ra", pc);
             check_reg(*this, in.rb, false, "rb", pc);
             break;
           case Op::Ldarg:
             if (in.arg_index < 0 ||
                 static_cast<std::size_t>(in.arg_index) >= args.size())
-                fatal(name + ": argument index out of range at pc " +
-                      std::to_string(pc));
+                reject(*this, "argument index out of range", pc);
             check_reg(*this, in.rd, true, "rd", pc);
             break;
           case Op::Ldloc:
             if (in.arg_index < 0 ||
                 static_cast<std::size_t>(in.arg_index) >= locals.size())
-                fatal(name + ": local index out of range at pc " +
-                      std::to_string(pc));
+                reject(*this, "local index out of range", pc);
             check_reg(*this, in.rd, true, "rd", pc);
             break;
           case Op::Mad:
@@ -184,9 +184,10 @@ KernelProgram::validate() const
           case Op::Lds:
             check_reg(*this, in.rd, true, "rd", pc);
             check_reg(*this, in.ra, in.bt_index < 0, "address", pc);
+            if (in.base_offset)
+                check_reg(*this, in.rb, true, "index", pc);
             if (in.bt_index >= 256)
-                fatal(name + ": binding-table index out of range at pc " +
-                      std::to_string(pc));
+                reject(*this, "binding-table index out of range", pc);
             break;
           case Op::St:
           case Op::Sts:
@@ -196,8 +197,7 @@ KernelProgram::validate() const
             if (in.base_offset)
                 check_reg(*this, in.rc, true, "source", pc);
             if (in.bt_index >= 256)
-                fatal(name + ": binding-table index out of range at pc " +
-                      std::to_string(pc));
+                reject(*this, "binding-table index out of range", pc);
             break;
           default:
             check_reg(*this, in.rd, false, "rd", pc);
@@ -207,7 +207,7 @@ KernelProgram::validate() const
         }
     }
     if (!has_exit)
-        fatal(name + ": kernel has no exit instruction");
+        throw std::invalid_argument(name + ": kernel has no exit instruction");
 }
 
 std::string

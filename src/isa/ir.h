@@ -181,7 +181,9 @@ struct KernelProgram
 
     /**
      * Validates structural invariants (targets in range, registers within
-     * bounds, Exit present). Calls fatal() on violation.
+     * bounds, Exit present). Throws std::invalid_argument on violation:
+     * a program can come from a tenant, so a bad one must not end the
+     * process.
      */
     void validate() const;
 

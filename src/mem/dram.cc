@@ -1,6 +1,9 @@
 #include "mem/dram.h"
 
 #include <algorithm>
+#include <string>
+
+#include "common/log.h"
 
 namespace gpushield {
 
@@ -11,6 +14,15 @@ Dram::Dram(EventQueue &eq, const DramConfig &cfg)
       c_row_hits_(stats_.counter("row_hits")),
       c_row_misses_(stats_.counter("row_misses"))
 {
+    // MemoryHierarchy retries refused requests in one batch a cycle
+    // ahead; that keeps the event order exact only while no completion
+    // can land on the next cycle.
+    const Cycle min_service =
+        std::min(cfg_.row_hit_latency, cfg_.row_miss_latency) +
+        cfg_.burst_cycles;
+    if (min_service < 2)
+        panic("dram: service latency " + std::to_string(min_service) +
+              " is below 2 cycles");
     for (Channel &ch : channels_)
         ch.open_row.assign(cfg_.banks_per_channel, ~std::uint64_t{0});
 }
@@ -49,7 +61,7 @@ Dram::enqueue(PAddr paddr, bool is_write, Callback &&done)
         return false;
     }
     ++c_requests_;
-    ch.queue.push_back(Request{paddr, is_write, next_seq_++, std::move(done)});
+    ch.queue.push_back(Request{paddr, is_write, std::move(done)});
     if (!ch.busy)
         service_next(ch_idx);
     return true;

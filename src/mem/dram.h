@@ -22,7 +22,11 @@
 
 namespace gpushield {
 
-/** DRAM timing and geometry parameters (in core cycles). */
+/**
+ * DRAM timing and geometry parameters (in core cycles). The shortest
+ * service time, min(row_hit_latency, row_miss_latency) + burst_cycles,
+ * must be at least 2 cycles; Dram panics otherwise.
+ */
 struct DramConfig
 {
     unsigned channels = 16;
@@ -69,7 +73,6 @@ class Dram
     {
         PAddr paddr = 0;
         bool is_write = false;
-        std::uint64_t seq = 0;
         Callback done;
     };
 
@@ -90,7 +93,6 @@ class Dram
     EventQueue &eq_;
     DramConfig cfg_;
     std::vector<Channel> channels_;
-    std::uint64_t next_seq_ = 0;
     StatSet stats_;
     // Interned per-request counters (resolved once; bumped per event).
     StatSet::Counter c_requests_, c_queue_full_, c_row_hits_, c_row_misses_;

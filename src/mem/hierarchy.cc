@@ -1,5 +1,7 @@
 #include "mem/hierarchy.h"
 
+#include <iterator>
+
 #include "common/bitutil.h"
 
 namespace gpushield {
@@ -92,22 +94,54 @@ MemoryHierarchy::enqueue_dram(PAddr paddr, bool is_write, Callback done)
     // callback; retry next cycle until a slot frees up.
     ++c_dram_retries_;
     ++pending_dram_retries_;
-    schedule_dram_retry(paddr, is_write, std::move(done));
+    joinable_retry_run().push_back(
+        DramWaiter{paddr, is_write, std::move(done)});
+}
+
+MemoryHierarchy::RetryRun &
+MemoryHierarchy::joinable_retry_run()
+{
+    // With nothing scheduled since the tail run's event, a retry event
+    // of its own would sit right after the tail run's last waiter.
+    if (tail_run_when_ != eq_.now() + 1 ||
+        eq_.next_seq() != tail_run_seq_ + 1) {
+        tail_run_when_ = eq_.now() + 1;
+        tail_run_seq_ = eq_.next_seq();
+        eq_.schedule_in(1, [this] { retry_front_run(); });
+        retry_runs_.emplace_back();
+    }
+    return retry_runs_.back();
 }
 
 void
-MemoryHierarchy::schedule_dram_retry(PAddr paddr, bool is_write,
-                                     Callback done)
+MemoryHierarchy::retry_front_run()
 {
-    eq_.schedule_in(1, [this, paddr, is_write,
-                        done = std::move(done)]() mutable {
-        if (dram_.enqueue(paddr, is_write, std::move(done))) {
+    RetryRun run = std::move(retry_runs_.front());
+    retry_runs_.pop_front();
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < run.size(); ++i) {
+        DramWaiter &w = run[i];
+        if (dram_.enqueue(w.paddr, w.is_write, std::move(w.done))) {
             --pending_dram_retries_;
-            return;
+            continue;
         }
         ++c_dram_retries_;
-        schedule_dram_retry(paddr, is_write, std::move(done));
-    });
+        if (kept != i)
+            run[kept] = std::move(w);
+        ++kept;
+    }
+    run.resize(kept);
+    if (run.empty())
+        return;
+    // An accepted waiter schedules only its completion, at least two
+    // cycles ahead (Dram's latency invariant), so nothing has landed on
+    // the next cycle between the survivors: they re-join as one block.
+    RetryRun &next = joinable_retry_run();
+    if (next.empty())
+        next = std::move(run);
+    else
+        next.insert(next.end(), std::make_move_iterator(run.begin()),
+                    std::make_move_iterator(run.end()));
 }
 
 void

@@ -13,6 +13,7 @@
 #define GPUSHIELD_MEM_HIERARCHY_H
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -82,15 +83,18 @@ class MemoryHierarchy
     void flush_core(CoreId core);
 
     /**
-     * Hands a request to the DRAM controller, honouring back-pressure:
-     * when the channel queue is full the request is retried every cycle
-     * until accepted (`dram_retries` counts the re-enqueue attempts).
+     * Hands a request to the DRAM controller, honouring back-pressure.
+     * A request the channel queue refuses waits in a retry run and is
+     * retried every cycle until accepted. One event per run per cycle
+     * retries the run's waiters in order, in the same (cycle, seq)
+     * order one retry event per waiter would have had (INTERNALS §5).
+     * `dram_retries` counts every refusal, the first one included.
      */
     void enqueue_dram(PAddr paddr, bool is_write, Callback done);
 
-    /** True while at least one rejected DRAM request is waiting to
-     *  re-enqueue — the signal the profiler uses to attribute blocked
-     *  warps to DRAM back-pressure rather than plain memory latency. */
+    /** True while at least one refused DRAM request waits in a retry
+     *  run — the signal the profiler uses to attribute blocked warps
+     *  to DRAM back-pressure rather than plain memory latency. */
     bool dram_backpressure() const { return pending_dram_retries_ > 0; }
 
     const MemHierConfig &config() const { return cfg_; }
@@ -102,9 +106,25 @@ class MemoryHierarchy
     const StatSet &stats() const { return stats_; }
 
   private:
-    /** Re-enqueues a rejected DRAM request one cycle later, repeating
-     *  until accepted; keeps pending_dram_retries_ balanced. */
-    void schedule_dram_retry(PAddr paddr, bool is_write, Callback done);
+    /** A refused DRAM request waiting to re-enqueue. */
+    struct DramWaiter
+    {
+        PAddr paddr = 0;
+        bool is_write = false;
+        Callback done;
+    };
+    using RetryRun = std::vector<DramWaiter>;
+
+    /**
+     * The run a waiter refused at now() joins: the tail run when its
+     * event fires next cycle and nothing has been scheduled since,
+     * otherwise a new run with its own event one cycle ahead.
+     */
+    RetryRun &joinable_retry_run();
+
+    /** Event body: retries the front run's waiters in order; the
+     *  survivors join a run for the next cycle. */
+    void retry_front_run();
 
     EventQueue &eq_;
     PageTable &pt_;
@@ -114,6 +134,12 @@ class MemoryHierarchy
     Cache l2_cache_;
     Tlb l2_tlb_;
     Dram dram_;
+    /** Pending retry runs. Each run's event fires the cycle after the
+     *  run is made, so runs fire in the order they were made and the
+     *  front run's event is always the next to fire. */
+    std::deque<RetryRun> retry_runs_;
+    Cycle tail_run_when_ = 0;          //!< cycle of the back run's event
+    std::uint64_t tail_run_seq_ = 0;   //!< seq of the back run's event
     unsigned pending_dram_retries_ = 0;
     StatSet stats_;
     // Interned per-access counters (resolved once; bumped per event).

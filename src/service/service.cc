@@ -206,8 +206,9 @@ GpuService::submit(const Credential &cred, const KernelProgram &program,
                    const api::LaunchOptions &options)
 {
     TenantCtx &t = authenticate(cred);
-    // Bind now so argument-count/kind misuse throws at submit time (the
-    // api::Context contract), not asynchronously inside the scheduler.
+    // Validate and bind now so a malformed program or argument-count/
+    // kind misuse throws at submit time (the api::Context contract),
+    // not asynchronously inside the scheduler.
     (void)api::make_launch_config(program, grid, args, options);
 
     if (t.queue.size() >= cfg_.queue_capacity) {

@@ -178,8 +178,9 @@ class GpuService
     /**
      * Enqueues a launch. The program/args are copied; execution happens
      * when the scheduler drains the tenant's queue (step()/drain()).
-     * @throws std::invalid_argument on a bad credential or on
-     *         argument-binding misuse (count/kind mismatch).
+     * @throws std::invalid_argument on a bad credential, a program
+     *         that fails KernelProgram::validate(), or argument-binding
+     *         misuse (count/kind mismatch).
      */
     SubmitResult submit(const Credential &cred,
                         const KernelProgram &program, api::Grid grid,

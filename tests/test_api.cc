@@ -208,6 +208,22 @@ TEST(Api, ArgumentMismatchThrows)
                      std::invalid_argument)
             << bad;
     }
+
+    // So does a program that fails validate(): here a load whose address
+    // register, or base+offset index register, lies past the register
+    // file, which the core would otherwise read out of bounds.
+    for (const bool index : {false, true}) {
+        KernelProgram mangled = prog;
+        for (Instr &in : mangled.code) {
+            if (in.op != Op::Ld)
+                continue;
+            in.base_offset = index;
+            (index ? in.rb : in.ra) = 1 << 20;
+        }
+        EXPECT_THROW(ctx.launch(mangled, {32, 1}, {arg(buf), arg(buf)}),
+                     std::invalid_argument)
+            << index;
+    }
 }
 
 TEST(Api, PreciseExceptionAbortIsReported)

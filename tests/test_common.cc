@@ -336,6 +336,45 @@ TEST(EventQueue, SameCycleScheduleDuringDispatchRunsInSeqOrder)
     EXPECT_TRUE(eq.empty());
 }
 
+TEST(EventQueue, DispatchNeverCopiesCallbacks)
+{
+    // Dispatch moves each event out of the heap; a callback that is
+    // copied per event costs an allocation on the hottest host path.
+    struct CountCopies
+    {
+        unsigned *copies;
+        unsigned *calls;
+        CountCopies(unsigned *c, unsigned *n) : copies(c), calls(n) {}
+        CountCopies(const CountCopies &o) : copies(o.copies), calls(o.calls)
+        {
+            ++*copies;
+        }
+        CountCopies(CountCopies &&) = default;
+        void operator()() const { ++*calls; }
+    };
+    unsigned copies = 0;
+    unsigned calls = 0;
+    EventQueue eq;
+    for (const Cycle when : {5, 3, 9, 3, 1, 7})
+        eq.schedule(when, CountCopies(&copies, &calls));
+    copies = 0;
+    eq.run_until(10);
+    EXPECT_EQ(calls, 6u);
+    EXPECT_EQ(copies, 0u);
+}
+
+TEST(EventQueue, NextSeqGrowsByOnePerSchedule)
+{
+    EventQueue eq;
+    EXPECT_EQ(eq.next_seq(), 0u);
+    eq.schedule(4, [] {});
+    EXPECT_EQ(eq.next_seq(), 1u);
+    eq.schedule_in(1, [] {});
+    EXPECT_EQ(eq.next_seq(), 2u);
+    eq.run_until(10); // dispatch takes no sequence number
+    EXPECT_EQ(eq.next_seq(), 2u);
+}
+
 TEST(EventQueue, PastScheduleClampsToNow)
 {
     // Under the event-driven engine the clock can jump past a stale

@@ -6,11 +6,26 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "isa/builder.h"
 #include "isa/ir.h"
 
 namespace gpushield {
 namespace {
+
+/** What validate() throws for @p prog, or "" when it passes. */
+std::string
+validation_error(const KernelProgram &prog)
+{
+    try {
+        prog.validate();
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return "";
+}
 
 TEST(Builder, SimpleStreamingKernelValidates)
 {
@@ -180,7 +195,7 @@ TEST(Validate, OpNamesCovered)
     EXPECT_STREQ(sreg_name(SpecialReg::GlobalId), "gid");
 }
 
-TEST(Validate, DeathOnBadTarget)
+TEST(Validate, ThrowsOnBadTarget)
 {
     KernelProgram prog;
     prog.name = "bad";
@@ -191,16 +206,18 @@ TEST(Validate, DeathOnBadTarget)
     Instr ex;
     ex.op = Op::Exit;
     prog.code.push_back(ex);
-    EXPECT_EXIT(prog.validate(), ::testing::ExitedWithCode(1), "target");
+    EXPECT_THROW(prog.validate(), std::invalid_argument);
+    EXPECT_NE(validation_error(prog).find("target"), std::string::npos);
 }
 
-TEST(Validate, DeathOnMissingExit)
+TEST(Validate, ThrowsOnMissingExit)
 {
     KernelProgram prog;
     prog.name = "noexit";
     Instr nop;
     prog.code.push_back(nop);
-    EXPECT_EXIT(prog.validate(), ::testing::ExitedWithCode(1), "exit");
+    EXPECT_THROW(prog.validate(), std::invalid_argument);
+    EXPECT_NE(validation_error(prog).find("exit"), std::string::npos);
 }
 
 } // namespace

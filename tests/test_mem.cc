@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "common/event_queue.h"
 #include "mem/cache.h"
@@ -422,6 +424,20 @@ TEST(DramQueue, RejectedCallbackStaysUsable)
     EXPECT_EQ(done, 2u);
 }
 
+TEST(DramDeathTest, ServiceLatencyBelowTwoCyclesPanics)
+{
+    // MemoryHierarchy batches DRAM retries one cycle ahead; that keeps
+    // the event order exact only while no completion can land there.
+    EventQueue eq;
+    DramConfig cfg;
+    cfg.row_hit_latency = 1;
+    cfg.burst_cycles = 0;
+    EXPECT_DEATH({ Dram dram(eq, cfg); }, "latency");
+    cfg.burst_cycles = 1;
+    Dram dram(eq, cfg);
+    EXPECT_TRUE(dram.idle());
+}
+
 TEST(DramChannels, InterleavingSpreadsLoad)
 {
     // With 16 channels, line-interleaved requests should finish much
@@ -476,6 +492,63 @@ TEST(HierarchyBackPressure, RetriesUntilEveryAccessCompletes)
     eq.run_until(10'000'000);
     EXPECT_EQ(done, n);
     EXPECT_GT(hier.stats().get("dram_retries"), 0u);
+}
+
+TEST(HierarchyBackPressure, RetriesKeepScheduleOrder)
+{
+    // Two channels, one slot each. Several misses are refused in one
+    // cycle, other events are scheduled between two refusals (an
+    // accepted miss's completion, and a probe for the next cycle), and
+    // channel 1 frees while channel 0 stays full in the middle of a
+    // retry pass. Every completion's order and cycle, the retry count
+    // the probe sees, and both retry counters were captured with one
+    // retry event per refused request per cycle; retrying in batches
+    // must not move them.
+    EventQueue eq;
+    PageTable pt(kPageSize2M);
+    MemHierConfig cfg;
+    cfg.dram.channels = 2;
+    cfg.dram.queue_capacity = 1;
+    MemoryHierarchy hier(eq, pt, cfg, 1);
+
+    // Lines alternate channels; every line below sits in row 0 of bank
+    // 0 of its channel. Warm-up opens channel 1's row so that its next
+    // requests are row hits and it frees well before channel 0.
+    const auto line = [](unsigned n) { return static_cast<PAddr>(n) * 128; };
+    hier.access_physical(line(1), [] {});
+    eq.run_until(1000);
+    ASSERT_TRUE(hier.dram().idle());
+
+    std::vector<std::pair<char, Cycle>> done;
+    const auto request = [&](char name, unsigned n) {
+        hier.access_physical(line(n), [&, name] {
+            done.emplace_back(name, eq.now());
+        });
+    };
+    request('a', 0); // channel 0: accepted
+    request('b', 2); // channel 0: refused
+    request('c', 3); // channel 1: accepted, schedules its completion
+    std::uint64_t retries_at_probe = 0;
+    eq.schedule(1000 + cfg.l2_latency, [&] {
+        eq.schedule_in(1, [&] {
+            retries_at_probe = hier.stats().get("dram_retries");
+        });
+    });
+    request('d', 4); // channel 0: refused
+    request('e', 5); // channel 1: refused
+    request('f', 7); // channel 1: refused
+    eq.run_until(1000 + cfg.l2_latency);
+    EXPECT_TRUE(hier.dram_backpressure());
+    eq.run_until(10'000);
+
+    const std::vector<std::pair<char, Cycle>> expected = {
+        {'c', 1134}, {'e', 1178}, {'a', 1194},
+        {'f', 1222}, {'b', 1238}, {'d', 1282}};
+    EXPECT_EQ(done, expected);
+    EXPECT_EQ(retries_at_probe, 5u);
+    EXPECT_EQ(hier.stats().get("dram_retries"), 384u);
+    EXPECT_EQ(hier.dram().stats().get("queue_full"), 384u);
+    EXPECT_FALSE(hier.dram_backpressure());
 }
 
 } // namespace

@@ -154,6 +154,23 @@ TEST(Service, SubmitValidatesArgBindingEagerly)
                      std::invalid_argument)
             << bad;
     }
+    // So does a load whose address register, or base+offset index
+    // register, lies past the register file: accepted, it would read
+    // outside the warp's registers at drain() and take down every
+    // tenant.
+    for (const bool index : {false, true}) {
+        KernelProgram mangled = prog;
+        for (Instr &in : mangled.code) {
+            if (in.op != Op::Ld)
+                continue;
+            in.base_offset = index;
+            (index ? in.rb : in.ra) = 1 << 20;
+        }
+        EXPECT_THROW((void)svc.submit(cred, mangled, {1, 1},
+                                      {api::arg(buf)}),
+                     std::invalid_argument)
+            << index;
+    }
     EXPECT_EQ(svc.pending(cred.tenant), 0u);
 }
 
