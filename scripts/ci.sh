@@ -12,6 +12,20 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 
 cmake -B build -S .
 cmake --build build -j"$JOBS"
+
+# fatal() ratchet: fatal() exits the process, so a call site that input
+# can reach lets one tenant end the service for all. ROADMAP item 3
+# turns such sites into typed errors and lowers this number; no change
+# may raise it. Today: driver 16, mem 8, sim/gpu 2, shield 2.
+FATAL_SITES_MAX=28
+fatal_sites="$( (grep -rE --include='*.cc' '\bfatal\(([^)]|$)' src || true) \
+    | wc -l)"
+if (( fatal_sites > FATAL_SITES_MAX )); then
+    echo "ci: $fatal_sites fatal() call sites in src/, more than" \
+        "$FATAL_SITES_MAX" >&2
+    exit 1
+fi
+
 ctest --test-dir build --output-on-failure -j"$JOBS"
 
 # Smoke sweep: every cell shape, parallel executor, JSONL/CSV sinks.

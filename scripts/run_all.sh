@@ -5,7 +5,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
+cmake -B build -S .
 cmake --build build
 
 ctest --test-dir build --output-on-failure 2>&1 | tee test_output.txt

@@ -59,20 +59,6 @@ panic(const std::string &msg)
     detail::die("panic", msg, /*abort_process=*/true);
 }
 
-/** Non-fatal warning to stderr. */
-inline void
-warn(const std::string &msg)
-{
-    std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-/** Informational message to stderr. */
-inline void
-inform(const std::string &msg)
-{
-    std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
 } // namespace gpushield
 
 #endif // GPUSHIELD_COMMON_LOG_H

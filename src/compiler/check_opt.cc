@@ -152,15 +152,6 @@ address_varies(const Instr &in, const Loop &loop)
 
 } // namespace
 
-double
-CheckOptStats::optimized_fraction() const
-{
-    if (rows == 0)
-        return 0.0;
-    return static_cast<double>(hoisted + widened + elided) /
-           static_cast<double>(rows);
-}
-
 std::string
 CheckOptStats::to_string() const
 {

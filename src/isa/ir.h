@@ -142,13 +142,6 @@ is_global_mem(Op op)
     return op == Op::Ld || op == Op::St;
 }
 
-/** True when @p op is any memory operation (incl. shared scratchpad). */
-constexpr bool
-is_mem(Op op)
-{
-    return is_global_mem(op) || op == Op::Lds || op == Op::Sts;
-}
-
 /** Kernel argument descriptor (what the host passes at launch). */
 struct KernelArgSpec
 {

@@ -92,25 +92,4 @@ Cache::probe(std::uint64_t addr) const
     return false;
 }
 
-void
-Cache::flush()
-{
-    for (Line &line : lines_)
-        line = Line{};
-}
-
-void
-Cache::invalidate(std::uint64_t addr)
-{
-    const std::uint64_t set = set_index(addr);
-    const std::uint64_t tag = tag_of(addr);
-    Line *base = &lines_[set * cfg_.assoc];
-    for (unsigned way = 0; way < cfg_.assoc; ++way) {
-        if (base[way].valid && base[way].tag == tag) {
-            base[way] = Line{};
-            return;
-        }
-    }
-}
-
 } // namespace gpushield

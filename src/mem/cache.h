@@ -55,12 +55,6 @@ class Cache
     /** Probes without updating any state. */
     bool probe(std::uint64_t addr) const;
 
-    /** Invalidates everything (kernel termination / context switch). */
-    void flush();
-
-    /** Invalidates one line if present. */
-    void invalidate(std::uint64_t addr);
-
     const CacheConfig &config() const { return cfg_; }
     const StatSet &stats() const { return stats_; }
     StatSet &stats() { return stats_; }

@@ -160,11 +160,4 @@ MemoryHierarchy::access_physical(PAddr paddr, Callback done)
     });
 }
 
-void
-MemoryHierarchy::flush_core(CoreId core)
-{
-    l1_[core]->flush();
-    l1_tlb_[core]->flush();
-}
-
 } // namespace gpushield

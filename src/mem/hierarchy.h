@@ -79,9 +79,6 @@ class MemoryHierarchy
      */
     void access_physical(PAddr paddr, Callback done);
 
-    /** Flushes per-core L1 state (kernel termination / context switch). */
-    void flush_core(CoreId core);
-
     /**
      * Hands a request to the DRAM controller, honouring back-pressure.
      * A request the channel queue refuses waits in a retry run and is

@@ -21,16 +21,4 @@ Tlb::access(VAddr vaddr)
     return array_.access(vaddr, /*is_write=*/false).hit;
 }
 
-bool
-Tlb::probe(VAddr vaddr) const
-{
-    return array_.probe(vaddr);
-}
-
-void
-Tlb::flush()
-{
-    array_.flush();
-}
-
 } // namespace gpushield

@@ -32,12 +32,6 @@ class Tlb
     /** Looks up the page of @p vaddr, filling on miss. @return hit? */
     bool access(VAddr vaddr);
 
-    /** Probe without state change. */
-    bool probe(VAddr vaddr) const;
-
-    /** Drops all entries (context switch). */
-    void flush();
-
     double hit_rate() const { return array_.hit_rate(); }
     const StatSet &stats() const { return array_.stats(); }
 

@@ -30,7 +30,7 @@ class HostEngineProfiler
     enum class Phase : unsigned {
         Issue,  //!< every core's tick: dispatch, issue, effects
         Events, //!< event-queue dispatch (step / jump run_until)
-        Detach, //!< completed-kernel detach + RCache flush
+        Detach, //!< completed-kernel detach + RCache invalidation
     };
     static constexpr unsigned kPhases = 3;
 

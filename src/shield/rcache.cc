@@ -122,17 +122,6 @@ RCache::fill(KernelId kernel, BufferId id, const Bounds &bounds)
 }
 
 void
-RCache::flush()
-{
-    for (Bank &bank : banks_) {
-        for (Entry &e : bank.l1)
-            e.valid = false;
-        for (Entry &e : bank.l2)
-            e.valid = false;
-    }
-}
-
-void
 RCache::invalidate_kernel(KernelId kernel)
 {
     // §5.5 requires only the terminating kernel's state to go; entries

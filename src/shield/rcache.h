@@ -7,8 +7,8 @@
  * associative L2 split into tag and data arrays. Entries are matched on
  * (kernel ID, buffer ID) so concurrently resident kernels can share a
  * core (§6.2). Kernel termination invalidates only the terminating
- * kernel's entries (co-resident kernels keep their cached bounds);
- * context switches flush everything.
+ * kernel's entries, through invalidate_kernel (§5.5), so co-resident
+ * kernels keep their cached bounds (§6.2).
  */
 
 #ifndef GPUSHIELD_SHIELD_RCACHE_H
@@ -64,9 +64,6 @@ class RCache
 
     /** Inserts a refilled RBT entry (L2 + L1). */
     void fill(KernelId kernel, BufferId id, const Bounds &bounds);
-
-    /** Drops everything (context switch, §5.5). */
-    void flush();
 
     /**
      * Drops only @p kernel's entries (kernel termination, §5.5) so

@@ -106,7 +106,7 @@ class Core
     /** Makes @p kernel resident (registers its key/RBT with the BCU). */
     void attach_kernel(KernelExec *kernel);
 
-    /** Removes a finished kernel and flushes its RCache entries
+    /** Removes a finished kernel and invalidates its RCache entries
      *  (§5.5). */
     void detach_kernel(KernelExec *kernel);
 

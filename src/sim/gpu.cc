@@ -59,8 +59,8 @@ Gpu::all_done() const
 void
 Gpu::detach_completed()
 {
-    // Detach kernels that just completed/aborted so RCaches flush at
-    // kernel termination (§5.5).
+    // Detach kernels that just completed/aborted so their RCache entries
+    // are invalidated at kernel termination (§5.5).
     for (Launched &l : launched_) {
         if (l.exec->done && !l.detached) {
             for (auto &core : cores_)

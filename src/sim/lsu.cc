@@ -25,13 +25,4 @@ coalesce_into(const MemOp &op, std::uint64_t line_size,
     lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
 }
 
-std::vector<VAddr>
-coalesce(const MemOp &op, std::uint64_t line_size)
-{
-    std::vector<VAddr> lines;
-    lines.reserve(4);
-    coalesce_into(op, line_size, lines);
-    return lines;
-}
-
 } // namespace gpushield

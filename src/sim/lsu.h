@@ -20,17 +20,14 @@ namespace gpushield {
 
 /**
  * Writes the sorted unique line addresses touched by @p op into
- * @p lines (replacing its contents). The hot-path form: the caller
- * keeps a reusable scratch vector, so the per-instruction coalesce
- * costs no allocation once the scratch has grown to steady state.
+ * @p lines (replacing its contents). The caller keeps a reusable
+ * scratch vector, so the per-instruction coalesce costs no allocation
+ * once the scratch has grown to steady state.
  *
  * @param line_size transaction granularity (128B by default)
  */
 void coalesce_into(const MemOp &op, std::uint64_t line_size,
                    std::vector<VAddr> &lines);
-
-/** Convenience form returning a fresh vector (tests / cold paths). */
-std::vector<VAddr> coalesce(const MemOp &op, std::uint64_t line_size);
 
 } // namespace gpushield
 

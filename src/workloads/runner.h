@@ -48,8 +48,9 @@ RunOutcome run_workload(const GpuConfig &cfg, Driver &driver,
                         LaneObserver *lane_obs = nullptr);
 
 /**
- * Runs @p instance @p launches times back-to-back on one GPU (RCaches
- * flush between kernels as the paper requires). Returns total cycles
+ * Runs @p instance @p launches times back-to-back on one GPU. Each
+ * kernel's termination invalidates only that kernel's RCache entries,
+ * through RCache::invalidate_kernel (§5.5, §6.2). Returns total cycles
  * across all launches plus the aggregated stats of the final state.
  */
 struct MultiLaunchOutcome

@@ -161,18 +161,6 @@ TEST(Cache, DirtyWritebackReported)
     EXPECT_EQ(r.evicted_tag_addr, 0x000u);
 }
 
-TEST(Cache, FlushInvalidatesEverything)
-{
-    CacheConfig cfg;
-    cfg.size_bytes = 1024;
-    cfg.assoc = 4;
-    cfg.line_size = 64;
-    Cache cache(cfg);
-    cache.access(0x40, false);
-    cache.flush();
-    EXPECT_FALSE(cache.probe(0x40));
-}
-
 TEST(Cache, HitRateStat)
 {
     CacheConfig cfg;
@@ -322,16 +310,6 @@ TEST_F(HierarchyTest, L1HitIsFasterThanMiss)
     hier_->access(0, region_.base, false, [&] { t_hit = eq_.now(); });
     eq_.run_until(200'000);
     EXPECT_LT(t_hit - start, t_miss);
-}
-
-TEST_F(HierarchyTest, FlushCoreDropsL1)
-{
-    hier_->access(0, region_.base, false, [] {});
-    eq_.run_until(100'000);
-    hier_->flush_core(0);
-    const AccessIssue again = hier_->access(0, region_.base, false, [] {});
-    EXPECT_FALSE(again.l1_hit);
-    eq_.run_until(200'000);
 }
 
 TEST_F(HierarchyTest, PhysicalAccessCompletes)

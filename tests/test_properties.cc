@@ -255,7 +255,10 @@ TEST_P(CoalescerSeed, LinesCoverEveryAccessedByte)
     for (unsigned lane = 0; lane < kWarpSize; ++lane)
         op.lane_addr[lane] = 0x10000 + rng.below(4096);
 
-    const std::vector<VAddr> lines = coalesce(op, kLineSize);
+    // coalesce_into replaces the scratch vector's contents: stale lines
+    // from an earlier instruction must not survive.
+    std::vector<VAddr> lines = {0x0, 0xFFFF'0000};
+    coalesce_into(op, kLineSize, lines);
 
     // Sorted, unique, aligned.
     for (std::size_t i = 0; i < lines.size(); ++i) {

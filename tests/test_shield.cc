@@ -241,14 +241,6 @@ TEST(RCache, KernelIdDisambiguates)
     EXPECT_EQ(rc.lookup(1, 5).level, RCacheLevel::L1);
 }
 
-TEST(RCache, FlushEmptiesBothLevels)
-{
-    RCache rc(RCacheConfig{});
-    rc.fill(1, 5, mk_bounds(0x100, 4));
-    rc.flush();
-    EXPECT_EQ(rc.lookup(1, 5).level, RCacheLevel::Miss);
-}
-
 TEST(RCache, L2LruKeepsHotEntries)
 {
     RCacheConfig cfg;
@@ -259,10 +251,9 @@ TEST(RCache, L2LruKeepsHotEntries)
     rc.fill(1, 2, mk_bounds(0x200, 4));
     rc.lookup(1, 1);                     // touch 1 in L2 (via promote)
     rc.fill(1, 3, mk_bounds(0x300, 4));  // evicts LRU = 2
-    rc.flush();
-    // Rebuild to assert directly on hit levels: simpler to re-check via
-    // stats — evictions happened exactly once.
     EXPECT_EQ(rc.stats().get("l2_evictions"), 1u);
+    EXPECT_EQ(rc.lookup(1, 1).level, RCacheLevel::L2); // hot entry kept
+    EXPECT_EQ(rc.lookup(1, 2).level, RCacheLevel::Miss);
 }
 
 TEST(RCache, HitRateStat)
