@@ -4,7 +4,9 @@
 # ThreadSanitizer and re-runs its thread-pool executor;
 # `--asan` rebuilds the conformance, service, shield-backend, harness,
 # observability and trace tests (hostile JSON input, the instruction
-# observer) and two CLIs under AddressSanitizer.
+# observer), the interpreter, warp, simulator, engine and memory tests
+# (lane-mask iteration, register rows, cached frame pointers) and two
+# CLIs under AddressSanitizer.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -161,13 +163,19 @@ if [[ "${1:-}" == "--asan" ]]; then
     cmake --preset asan
     cmake --build build-asan -j"$JOBS" \
         --target test_conform test_service test_backend test_harness \
-        test_obs test_trace gpushield-conformance gpushield-service
+        test_obs test_trace test_interp test_warp test_sim test_engine \
+        test_mem gpushield-conformance gpushield-service
     ./build-asan/tests/test_conform
     ./build-asan/tests/test_service
     ./build-asan/tests/test_backend
     ./build-asan/tests/test_harness
     ./build-asan/tests/test_obs
     ./build-asan/tests/test_trace
+    ./build-asan/tests/test_interp
+    ./build-asan/tests/test_warp
+    ./build-asan/tests/test_sim
+    ./build-asan/tests/test_engine
+    ./build-asan/tests/test_mem
     ./build-asan/src/gpushield-conformance --seeds 10 --quiet
     ./build-asan/src/gpushield-conformance --seeds 10 --backend armor \
         --quiet

@@ -23,6 +23,19 @@ PhysicalMemory::frame_for(PAddr addr) const
     return it == frames_.end() ? nullptr : it->second.get();
 }
 
+std::uint8_t *
+PhysicalMemory::frame_bytes(PAddr frame_base)
+{
+    return frame_for(frame_base).data();
+}
+
+const std::uint8_t *
+PhysicalMemory::frame_bytes(PAddr frame_base) const
+{
+    const Frame *frame = frame_for(frame_base);
+    return frame == nullptr ? nullptr : frame->data();
+}
+
 void
 PhysicalMemory::read(PAddr addr, void *out, std::size_t len) const
 {

@@ -55,9 +55,19 @@ class PhysicalMemory
     /** Number of frames currently backed. */
     std::size_t backed_frames() const { return frames_.size(); }
 
-  private:
+    /** Size and alignment of one backing frame. */
     static constexpr std::uint64_t kFrameSize = kPageSize4K;
 
+    /** The bytes of the frame that starts at @p frame_base, allocated
+     *  (zeroed) on first use. The pointer stays valid for the life of
+     *  this memory. */
+    std::uint8_t *frame_bytes(PAddr frame_base);
+
+    /** The bytes of the frame that starts at @p frame_base, or nullptr
+     *  while it is unbacked (and so reads as zero). */
+    const std::uint8_t *frame_bytes(PAddr frame_base) const;
+
+  private:
     using Frame = std::array<std::uint8_t, kFrameSize>;
 
     /** Returns the frame containing @p addr, allocating (zeroed) if needed. */

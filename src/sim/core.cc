@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <type_traits>
 
 #include "common/log.h"
 #include "obs/profiler.h"
@@ -65,7 +66,7 @@ Core::detach_kernel(KernelExec *kernel)
         if (wg.live && wg.kernel == kernel) {
             warps_in_use_ -= static_cast<unsigned>(wg.warps.size());
             wg.live = false;
-            wg.token.reset(); // invalidate in-flight completion callbacks
+            ++wg.generation; // invalidate in-flight load completions
             --live_workgroups_;
             if (profiler_ != nullptr)
                 profiler_->on_workgroup_end(
@@ -97,9 +98,8 @@ Core::recompute_ready_hint(Cycle now)
     for (const WorkgroupCtx &wg : slots_) {
         if (!wg.live)
             continue;
-        for (const WarpState &warp : wg.warps) {
-            if (warp.status != WarpStatus::Ready)
-                continue;
+        for (std::uint32_t m = wg.ready_mask; m != 0; m &= m - 1) {
+            const WarpState &warp = wg.warps[std::countr_zero(m)];
             next = std::min(next, std::max(warp.ready_cycle, now + 1));
         }
     }
@@ -190,6 +190,14 @@ Core::start_workgroup(KernelExec *kernel, std::uint32_t wg_index)
                              [](const WorkgroupCtx &wg) { return !wg.live; });
     if (slot == slots_.end())
         panic("Core: no free workgroup slot");
+    const KernelProgram &prog = kernel->launch->program;
+    const std::uint32_t ntid = kernel->launch->ntid;
+    const unsigned warps = (ntid + kWarpSize - 1) / kWarpSize;
+    if (warps > 32)
+        throw SimulationError("Core: a workgroup of " +
+                              std::to_string(warps) +
+                              " warps exceeds the 32-warp scheduler mask");
+
     WorkgroupCtx &wg = *slot;
     wg.kernel = kernel;
     wg.wg_index = wg_index;
@@ -197,11 +205,9 @@ Core::start_workgroup(KernelExec *kernel, std::uint32_t wg_index)
     wg.warps_at_barrier = 0;
     wg.warps_finished = 0;
     wg.live = true;
-    wg.token = std::make_shared<bool>(true);
-
-    const KernelProgram &prog = kernel->launch->program;
-    const std::uint32_t ntid = kernel->launch->ntid;
-    const unsigned warps = (ntid + kWarpSize - 1) / kWarpSize;
+    wg.ready_mask = warps == 32 ? ~std::uint32_t{0}
+                                : (std::uint32_t{1} << warps) - 1;
+    ++wg.generation;
     wg.warps.reserve(warps);
     for (unsigned w = 0; w < warps; ++w) {
         wg.warps.emplace_back(static_cast<WarpId>(w), wg_index, w, ntid,
@@ -295,16 +301,13 @@ Core::tick()
         return dispatched; // no warp can issue before the hint cycle
 
     unsigned issued = 0;
-    // Greedy-then-oldest: re-issue from the last warp first, then scan
-    // slots/warps in order (oldest workgroups live in lower slots).
+    // Re-issue from the last-issued warp first, then scan the ready
+    // warps slot by slot in index order. start_workgroup reuses the
+    // lowest free slot, so slot order is not age order.
     auto try_warp = [&](int slot_idx, int warp_idx) -> bool {
         WorkgroupCtx &wg = slots_[slot_idx];
-        if (!wg.live)
-            return false;
         WarpState &warp = wg.warps[warp_idx];
-        if (warp.status != WarpStatus::Ready || warp.ready_cycle > now)
-            return false;
-        if (!issue_one(wg, warp))
+        if (warp.ready_cycle > now || !issue_one(wg, warp))
             return false;
         greedy_slot_ = slot_idx;
         greedy_warp_ = warp_idx;
@@ -314,26 +317,23 @@ Core::tick()
 
     while (issued < cfg_.issue_width) {
         bool progressed = false;
-        if (greedy_slot_ >= 0 &&
-            static_cast<std::size_t>(greedy_slot_) < slots_.size() &&
-            slots_[greedy_slot_].live &&
-            static_cast<std::size_t>(greedy_warp_) <
-                slots_[greedy_slot_].warps.size()) {
+        if (greedy_slot_ >= 0 && slots_[greedy_slot_].live &&
+            ((slots_[greedy_slot_].ready_mask >> greedy_warp_) & 1))
             progressed = try_warp(greedy_slot_, greedy_warp_);
-        }
-        if (!progressed) {
-            for (std::size_t s = 0; s < slots_.size() && !progressed; ++s) {
-                if (!slots_[s].live)
+        // A failed try changes no warp's status, so each slot's mask
+        // snapshot stays exact until an issue ends the scan.
+        for (std::size_t s = 0; s < slots_.size() && !progressed; ++s) {
+            if (!slots_[s].live)
+                continue;
+            for (std::uint32_t m = slots_[s].ready_mask; m != 0;
+                 m &= m - 1) {
+                const int w = std::countr_zero(m);
+                if (static_cast<int>(s) == greedy_slot_ &&
+                    w == greedy_warp_)
                     continue;
-                for (std::size_t w = 0; w < slots_[s].warps.size(); ++w) {
-                    if (static_cast<int>(s) == greedy_slot_ &&
-                        static_cast<int>(w) == greedy_warp_)
-                        continue;
-                    if (try_warp(static_cast<int>(s),
-                                 static_cast<int>(w))) {
-                        progressed = true;
-                        break;
-                    }
+                if (try_warp(static_cast<int>(s), w)) {
+                    progressed = true;
+                    break;
                 }
             }
         }
@@ -394,11 +394,13 @@ Core::issue_one(WorkgroupCtx &wg, WarpState &warp)
       }
       case StepKind::Barrier:
         warp.status = WarpStatus::AtBarrier;
+        wg.ready_mask &= ~(std::uint32_t{1} << warp.warp_in_wg());
         ++wg.warps_at_barrier;
         if (wg.warps_at_barrier >= live_warps(wg))
             release_barrier(wg);
         break;
       case StepKind::Exited:
+        wg.ready_mask &= ~(std::uint32_t{1} << warp.warp_in_wg());
         ++wg.warps_finished;
         finish_warp(wg);
         break;
@@ -417,6 +419,7 @@ Core::release_barrier(WorkgroupCtx &wg)
         if (w.status == WarpStatus::AtBarrier) {
             w.status = WarpStatus::Ready;
             w.ready_cycle = now + 1;
+            wg.ready_mask |= std::uint32_t{1} << w.warp_in_wg();
         }
     }
     wg.warps_at_barrier = 0;
@@ -466,7 +469,7 @@ Core::handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op)
     else
         ++hot.loads;
 
-    coalesce_into(op, cfg_.mem.l1.line_size, lines_scratch_);
+    coalesce_into(op, op.mask, cfg_.mem.l1.line_size, lines_scratch_);
     const std::vector<VAddr> &lines = lines_scratch_;
     hot.transactions += lines.size();
 
@@ -608,14 +611,12 @@ Core::handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op)
                     // Detection is warp-granular; squashing is
                     // lane-granular when the violated region is known.
                     if (resp.region_known) {
-                        for (unsigned lane = 0; lane < kWarpSize; ++lane) {
-                            if (((op.mask >> lane) & 1) == 0)
-                                continue;
+                        for_each_lane(op.mask, [&](unsigned lane) {
                             const VAddr lo = op.lane_addr[lane];
                             if (lo < resp.region_base ||
                                 lo + op.size > resp.region_end)
                                 suppress_mask |= LaneMask{1} << lane;
-                        }
+                        });
                         if (suppress_mask == 0)
                             suppress_mask = op.mask; // defensive: squash all
                     } else {
@@ -656,26 +657,25 @@ Core::handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op)
     }
 
     // The verdict is in: apply the effects — RBT refill, abort,
-    // traffic, functional write — then settle the warp's timing. Loads
-    // track completion across all their transactions; the workgroup
-    // token guards against callbacks outliving an aborted kernel's
-    // (reused) slot. Completion events carry latencies >= 1 cycle, so
-    // nothing fires before this function returns.
-    auto remaining = std::make_shared<unsigned>(0);
-    WarpState *warp_ptr = &warp;
-    std::weak_ptr<bool> alive = wg.token;
-    auto on_done = [this, remaining, warp_ptr, alive]() {
-        if (--*remaining == 0 && !alive.expired()) {
-            warp_ptr->status = WarpStatus::Ready;
-            warp_ptr->ready_cycle = eq_.now();
-            warp_ptr->profile_block_refill = false;
-            note_ready(warp_ptr->ready_cycle);
-        }
+    // traffic, functional write — then settle the warp's timing. A load
+    // counts its completions in a PendingLoad entry; the slot
+    // generation guards against completions outliving an aborted
+    // kernel's (reused) slot. Completion events carry latencies >= 1
+    // cycle, so nothing fires before this function returns.
+    const std::uint32_t load = is_load ? new_pending_load(wg, warp) : 0;
+    const auto on_done = [this, load] { complete_load(load); };
+    static_assert(sizeof(on_done) <= 16 &&
+                      std::is_trivially_copyable_v<decltype(on_done)>,
+                  "fits std::function's inline buffer");
+    // Frees the entry of a load that scheduled no completion.
+    const auto drop_idle_load = [&] {
+        if (is_load && pending_loads_[load].remaining == 0)
+            free_loads_.push_back(load);
     };
 
     if (refill) {
         if (is_load) {
-            ++*remaining;
+            ++pending_loads_[load].remaining;
             hier_.access_physical(refill_paddr, on_done);
         } else {
             hier_.access_physical(refill_paddr, [] {});
@@ -684,6 +684,7 @@ Core::handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op)
     // A precise exception or a translation fault aborts the kernel and
     // leaves the warp and the LSU timing untouched.
     if (abort_now) {
+        drop_idle_load();
         abort_kernel(kernel);
         return;
     }
@@ -693,9 +694,7 @@ Core::handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op)
     const bool fully_suppressed = suppress_mask == op.mask;
     const std::vector<VAddr> *live = &lines;
     if (suppress_mask != 0 && !fully_suppressed) {
-        MemOp surviving = op;
-        surviving.mask = op.mask & ~suppress_mask;
-        coalesce_into(surviving, cfg_.mem.l1.line_size,
+        coalesce_into(op, op.mask & ~suppress_mask, cfg_.mem.l1.line_size,
                       live_lines_scratch_);
         live = &live_lines_scratch_;
     }
@@ -706,11 +705,12 @@ Core::handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op)
                 is_load ? MemoryHierarchy::Callback(on_done)
                         : MemoryHierarchy::Callback([] {}));
             if (issue.translation_fault || issue.permission_fault) {
+                drop_idle_load();
                 abort_kernel(kernel);
                 return;
             }
             if (is_load)
-                ++*remaining;
+                ++pending_loads_[load].remaining;
         }
         // Shadow-metadata traffic for instrumented baselines. Shadow
         // pages are tool-managed and physically addressed here.
@@ -730,10 +730,12 @@ Core::handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op)
     // Timing: loads block until data (and any RBT refill) returns;
     // stores retire through the store path next cycle.
     if (is_load) {
-        if (*remaining > 0) {
+        if (pending_loads_[load].remaining > 0) {
             warp.status = WarpStatus::Blocked;
+            wg.ready_mask &= ~(std::uint32_t{1} << warp.warp_in_wg());
             warp.profile_block_refill = refill;
         } else {
+            drop_idle_load();
             warp.ready_cycle = now + cfg_.mem.l1_latency;
         }
     } else {
@@ -743,6 +745,41 @@ Core::handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op)
     // The LSU accepts one memory instruction per cycle; additional
     // coalesced transactions occupy it longer.
     lsu_busy_until_ = std::max(lsu_busy_until_, now + lines.size());
+}
+
+std::uint32_t
+Core::new_pending_load(const WorkgroupCtx &wg, const WarpState &warp)
+{
+    std::uint32_t idx;
+    if (free_loads_.empty()) {
+        idx = static_cast<std::uint32_t>(pending_loads_.size());
+        pending_loads_.emplace_back();
+    } else {
+        idx = free_loads_.back();
+        free_loads_.pop_back();
+    }
+    pending_loads_[idx] = PendingLoad{
+        0, wg.generation, static_cast<std::uint32_t>(&wg - slots_.data()),
+        warp.warp_in_wg()};
+    return idx;
+}
+
+void
+Core::complete_load(std::uint32_t idx)
+{
+    PendingLoad &load = pending_loads_[idx];
+    if (--load.remaining != 0)
+        return;
+    free_loads_.push_back(idx);
+    WorkgroupCtx &wg = slots_[load.slot];
+    if (wg.generation != load.generation)
+        return;
+    WarpState &warp = wg.warps[load.warp];
+    warp.status = WarpStatus::Ready;
+    warp.ready_cycle = eq_.now();
+    warp.profile_block_refill = false;
+    wg.ready_mask |= std::uint32_t{1} << load.warp;
+    note_ready(warp.ready_cycle);
 }
 
 } // namespace gpushield

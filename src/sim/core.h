@@ -2,12 +2,13 @@
  * @file
  * Shader-core (SM) timing model.
  *
- * Each core holds workgroup slots, schedules warps greedy-then-oldest,
- * and drives the LSU + BCU pair for memory instructions. One memory
- * instruction enters the LSU per cycle; its coalesced transactions go to
- * the memory hierarchy, and the BCU check runs alongside the LSU
- * pipeline (Fig. 12), exposing a bubble only when the check latency
- * exceeds the pipeline shadow.
+ * Each core holds workgroup slots, schedules warps greedy-then-lowest-
+ * slot (the last-issued warp first, then slots and their warps in index
+ * order), and drives the LSU + BCU pair for memory instructions. One
+ * memory instruction enters the LSU per cycle; its coalesced
+ * transactions go to the memory hierarchy, and the BCU check runs
+ * alongside the LSU pipeline (Fig. 12), exposing a bubble only when the
+ * check latency exceeds the pipeline shadow.
  *
  * tick() is the core's only per-cycle entry: it dispatches a workgroup
  * if one fits, then issues, applying every effect of an issued
@@ -178,9 +179,25 @@ class Core
         unsigned warps_at_barrier = 0;
         unsigned warps_finished = 0;
         bool live = false;
-        /** Liveness token: completion callbacks captured before an abort
-         *  must not touch a reused slot. */
-        std::shared_ptr<bool> token;
+        /** Bit w set iff warps[w] is WarpStatus::Ready. Kept in step
+         *  with every status transition, so the issue scan visits only
+         *  ready warps. */
+        std::uint32_t ready_mask = 0;
+        /** Bumped when the slot starts a workgroup and when an abort
+         *  kills it: a load completion issued under an older
+         *  generation must not touch the slot. */
+        std::uint32_t generation = 0;
+    };
+
+    /** A global load waiting for its transactions (and any RBT
+     *  refill). One per memory instruction: a warp of a kernel that
+     *  just aborted may issue again before the kernel is detached. */
+    struct PendingLoad
+    {
+        unsigned remaining = 0;      //!< completions still to come
+        std::uint32_t generation = 0; //!< slot generation at issue
+        std::uint32_t slot = 0;
+        std::uint32_t warp = 0;
     };
 
     bool try_dispatch();
@@ -194,6 +211,12 @@ class Core
     void start_workgroup(KernelExec *kernel, std::uint32_t wg_index);
     bool issue_one(WorkgroupCtx &wg, WarpState &warp);
     void handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op);
+    /** Takes a free PendingLoad entry for warp @p warp of @p wg. */
+    std::uint32_t new_pending_load(const WorkgroupCtx &wg,
+                                   const WarpState &warp);
+    /** Event body: one completion of load @p idx; the last one wakes
+     *  the warp unless its slot changed generation since the issue. */
+    void complete_load(std::uint32_t idx);
     /** Frees @p wg's slot once its last warp exited and advances the
      *  kernel's completion count. */
     void finish_warp(WorkgroupCtx &wg);
@@ -232,7 +255,7 @@ class Core
     Cycle issue_busy_until_ = 0; //!< instrumentation / bubbles
     Cycle bcu_busy_until_ = 0;   //!< the issue-busy share that is an
                                  //!< exposed BCU bubble (attribution)
-    int greedy_slot_ = -1;       //!< GTO: last-issued warp first
+    int greedy_slot_ = -1;       //!< last-issued warp goes first
     int greedy_warp_ = -1;
 
     /**
@@ -253,6 +276,13 @@ class Core
      *  surviving lanes after a partial squash). */
     std::vector<VAddr> lines_scratch_;
     std::vector<VAddr> live_lines_scratch_;
+
+    /** In-flight loads, indexed by the id their completion events
+     *  carry, and the free ids: a completion closure is {this, id}, so
+     *  it fits std::function's inline buffer and nothing allocates per
+     *  memory instruction in steady state. */
+    std::vector<PendingLoad> pending_loads_;
+    std::vector<std::uint32_t> free_loads_;
 };
 
 } // namespace gpushield

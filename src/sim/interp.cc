@@ -1,43 +1,71 @@
 #include "sim/interp.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
+#include <functional>
 
-#include "common/bitutil.h"
 #include "common/log.h"
 #include "shield/pointer.h"
 
 namespace gpushield {
 
+namespace {
+
+/** rd = f(ra, b) over the @p active lanes, where b is rb or the
+ *  immediate. The op is fixed before the lane loop. */
+template <typename F>
+void
+binary_lanes(WarpState &warp, const Instr &in, LaneMask active, F f)
+{
+    std::int64_t *rd = warp.reg_row(in.rd);
+    const std::int64_t *ra = warp.reg_row(in.ra);
+    if (in.rb != kNoReg) {
+        const std::int64_t *rb = warp.reg_row(in.rb);
+        for_each_lane(active,
+                      [&](unsigned lane) { rd[lane] = f(ra[lane], rb[lane]); });
+    } else {
+        const std::int64_t b = in.imm;
+        for_each_lane(active,
+                      [&](unsigned lane) { rd[lane] = f(ra[lane], b); });
+    }
+}
+
+/** The mask of @p active lanes for which cmp(ra, b) holds. */
+template <typename Cmp>
+LaneMask
+compare_lanes(const WarpState &warp, const Instr &in, LaneMask active,
+              Cmp cmp)
+{
+    const std::int64_t *ra = warp.reg_row(in.ra);
+    LaneMask v = 0;
+    if (in.rb != kNoReg) {
+        const std::int64_t *rb = warp.reg_row(in.rb);
+        for_each_lane(active, [&](unsigned lane) {
+            v |= static_cast<LaneMask>(cmp(ra[lane], rb[lane])) << lane;
+        });
+    } else {
+        const std::int64_t b = in.imm;
+        for_each_lane(active, [&](unsigned lane) {
+            v |= static_cast<LaneMask>(cmp(ra[lane], b)) << lane;
+        });
+    }
+    return v;
+}
+
+/** rd = v in every @p active lane. */
+void
+fill_lanes(WarpState &warp, int rd, LaneMask active, std::int64_t v)
+{
+    std::int64_t *row = warp.reg_row(rd);
+    for_each_lane(active, [&](unsigned lane) { row[lane] = v; });
+}
+
+} // namespace
+
 WarpInterpreter::WarpInterpreter(LaunchState &launch, Driver &driver)
     : launch_(launch), driver_(driver)
 {
-}
-
-std::int64_t
-WarpInterpreter::src2(const WarpState &warp, unsigned lane,
-                      const Instr &in) const
-{
-    return in.rb != kNoReg ? warp.reg(lane, in.rb) : in.imm;
-}
-
-std::int64_t
-WarpInterpreter::special(const WarpState &warp, unsigned lane,
-                         SpecialReg s) const
-{
-    const std::int64_t tid = warp.tid(lane);
-    const std::int64_t ctaid = warp.wg_index();
-    const std::int64_t ntid = launch_.ntid;
-    const std::int64_t nctaid = launch_.nctaid;
-    switch (s) {
-      case SpecialReg::TidX: return tid;
-      case SpecialReg::CtaIdX: return ctaid;
-      case SpecialReg::NTidX: return ntid;
-      case SpecialReg::NCtaIdX: return nctaid;
-      case SpecialReg::GlobalId: return ctaid * ntid + tid;
-      case SpecialReg::NThreads: return ntid * nctaid;
-      case SpecialReg::LaneId: return lane;
-    }
-    return 0;
 }
 
 StepResult
@@ -52,139 +80,137 @@ WarpInterpreter::step(WarpState &warp, std::vector<std::uint8_t> &shared_mem)
     const Instr &in = prog.code[warp.pc];
     const int next_pc = warp.pc + 1;
     const LaneMask active = warp.active;
-
-    auto for_lanes = [&](auto &&fn) {
-        for (unsigned lane = 0; lane < kWarpSize; ++lane)
-            if ((active >> lane) & 1)
-                fn(lane);
-    };
+    // Two-operand ALU ops pick their lane function here, once.
+    const auto alu = [&](auto f) { binary_lanes(warp, in, active, f); };
 
     switch (in.op) {
       case Op::Nop:
-        warp.pc = next_pc;
         break;
       case Op::Mov:
-        for_lanes([&](unsigned lane) {
-            warp.set_reg(lane, in.rd,
-                         in.ra != kNoReg ? warp.reg(lane, in.ra) : in.imm);
-        });
-        warp.pc = next_pc;
+        if (in.ra != kNoReg)
+            alu([](std::int64_t a, std::int64_t) { return a; });
+        else
+            fill_lanes(warp, in.rd, active, in.imm);
         break;
-      case Op::Add:
-      case Op::Sub:
-      case Op::Mul:
+      case Op::Add: alu(std::plus<>{}); break;
+      case Op::Sub: alu(std::minus<>{}); break;
+      case Op::Mul: alu(std::multiplies<>{}); break;
+      case Op::And: alu(std::bit_and<>{}); break;
+      case Op::Or: alu(std::bit_or<>{}); break;
+      case Op::Xor: alu(std::bit_xor<>{}); break;
       case Op::Min:
+        alu([](std::int64_t a, std::int64_t b) { return std::min(a, b); });
+        break;
       case Op::Max:
-      case Op::And:
-      case Op::Or:
-      case Op::Xor:
+        alu([](std::int64_t a, std::int64_t b) { return std::max(a, b); });
+        break;
       case Op::Shl:
-      case Op::Shr:
-        for_lanes([&](unsigned lane) {
-            const std::int64_t a = warp.reg(lane, in.ra);
-            const std::int64_t b = src2(warp, lane, in);
-            std::int64_t r = 0;
-            switch (in.op) {
-              case Op::Add: r = a + b; break;
-              case Op::Sub: r = a - b; break;
-              case Op::Mul: r = a * b; break;
-              case Op::Min: r = std::min(a, b); break;
-              case Op::Max: r = std::max(a, b); break;
-              case Op::And: r = a & b; break;
-              case Op::Or: r = a | b; break;
-              case Op::Xor: r = a ^ b; break;
-              case Op::Shl: r = b >= 64 ? 0 : a << (b & 63); break;
-              case Op::Shr: r = b >= 64 ? 0 : a >> (b & 63); break;
-              default: break;
-            }
-            warp.set_reg(lane, in.rd, r);
+        alu([](std::int64_t a, std::int64_t b) -> std::int64_t {
+            return b >= 64 ? 0 : a << (b & 63);
         });
-        warp.pc = next_pc;
+        break;
+      case Op::Shr:
+        alu([](std::int64_t a, std::int64_t b) -> std::int64_t {
+            return b >= 64 ? 0 : a >> (b & 63);
+        });
         break;
       case Op::Divi:
-      case Op::Rem:
-        for_lanes([&](unsigned lane) {
-            const std::int64_t a = warp.reg(lane, in.ra);
-            const std::int64_t b = src2(warp, lane, in);
-            const std::int64_t safe_b = b == 0 ? 1 : b;
-            warp.set_reg(lane, in.rd,
-                         in.op == Op::Divi ? a / safe_b : a % safe_b);
+        alu([](std::int64_t a, std::int64_t b) {
+            return a / (b == 0 ? 1 : b);
         });
-        warp.pc = next_pc;
         result.kind = StepKind::Sfu;
         break;
-      case Op::Mad:
-        for_lanes([&](unsigned lane) {
-            warp.set_reg(lane, in.rd,
-                         warp.reg(lane, in.ra) * warp.reg(lane, in.rb) +
-                             warp.reg(lane, in.rc));
+      case Op::Rem:
+        alu([](std::int64_t a, std::int64_t b) {
+            return a % (b == 0 ? 1 : b);
         });
-        warp.pc = next_pc;
+        result.kind = StepKind::Sfu;
         break;
-      case Op::Setp:
-        for_lanes([&](unsigned lane) {
-            const std::int64_t a = warp.reg(lane, in.ra);
-            const std::int64_t b = src2(warp, lane, in);
-            bool v = false;
-            switch (in.cmp) {
-              case Cmp::Eq: v = a == b; break;
-              case Cmp::Ne: v = a != b; break;
-              case Cmp::Lt: v = a < b; break;
-              case Cmp::Le: v = a <= b; break;
-              case Cmp::Gt: v = a > b; break;
-              case Cmp::Ge: v = a >= b; break;
-            }
-            warp.set_pred(lane, in.rd, v);
+      case Op::Mad: {
+        std::int64_t *rd = warp.reg_row(in.rd);
+        const std::int64_t *ra = warp.reg_row(in.ra);
+        const std::int64_t *rb = warp.reg_row(in.rb);
+        const std::int64_t *rc = warp.reg_row(in.rc);
+        for_each_lane(active, [&](unsigned lane) {
+            rd[lane] = ra[lane] * rb[lane] + rc[lane];
         });
-        warp.pc = next_pc;
-        break;
-      case Op::Sreg:
-        for_lanes([&](unsigned lane) {
-            warp.set_reg(lane, in.rd, special(warp, lane, in.sreg));
-        });
-        warp.pc = next_pc;
-        break;
-      case Op::Ldarg:
-        for_lanes([&](unsigned lane) {
-            warp.set_reg(lane, in.rd,
-                         static_cast<std::int64_t>(
-                             launch_.arg_values[in.arg_index]));
-        });
-        warp.pc = next_pc;
-        break;
-      case Op::Ldloc:
-        for_lanes([&](unsigned lane) {
-            warp.set_reg(lane, in.rd,
-                         static_cast<std::int64_t>(
-                             launch_.local_bases[in.arg_index]));
-        });
-        warp.pc = next_pc;
-        break;
-      case Op::Malloc: {
-        std::uint32_t count = 0;
-        for_lanes([&](unsigned lane) {
-            const auto bytes =
-                static_cast<std::uint64_t>(warp.reg(lane, in.ra));
-            warp.set_reg(lane, in.rd,
-                         static_cast<std::int64_t>(
-                             driver_.device_malloc(launch_, bytes)));
-            ++count;
-        });
-        warp.pc = next_pc;
-        result.kind = StepKind::Malloc;
-        result.malloc_count = count;
         break;
       }
-      case Op::Gep:
-        for_lanes([&](unsigned lane) {
-            warp.set_reg(lane, in.rd,
-                         warp.reg(lane, in.ra) +
-                             warp.reg(lane, in.rb) *
-                                 static_cast<std::int64_t>(in.scale) +
-                             in.disp);
-        });
-        warp.pc = next_pc;
+      case Op::Setp: {
+        const auto cmp = [&](auto f) {
+            return compare_lanes(warp, in, active, f);
+        };
+        LaneMask v = 0;
+        switch (in.cmp) {
+          case Cmp::Eq: v = cmp(std::equal_to<>{}); break;
+          case Cmp::Ne: v = cmp(std::not_equal_to<>{}); break;
+          case Cmp::Lt: v = cmp(std::less<>{}); break;
+          case Cmp::Le: v = cmp(std::less_equal<>{}); break;
+          case Cmp::Gt: v = cmp(std::greater<>{}); break;
+          case Cmp::Ge: v = cmp(std::greater_equal<>{}); break;
+        }
+        warp.write_pred(in.rd, v, active);
         break;
+      }
+      case Op::Sreg: {
+        // Every special register is base + step * lane.
+        const std::int64_t tid0 = warp.tid(0);
+        const std::int64_t ctaid = warp.wg_index();
+        const std::int64_t ntid = launch_.ntid;
+        const std::int64_t nctaid = launch_.nctaid;
+        std::int64_t base = 0;
+        std::int64_t step = 0;
+        switch (in.sreg) {
+          case SpecialReg::TidX: base = tid0; step = 1; break;
+          case SpecialReg::CtaIdX: base = ctaid; break;
+          case SpecialReg::NTidX: base = ntid; break;
+          case SpecialReg::NCtaIdX: base = nctaid; break;
+          case SpecialReg::GlobalId:
+            base = ctaid * ntid + tid0;
+            step = 1;
+            break;
+          case SpecialReg::NThreads: base = ntid * nctaid; break;
+          case SpecialReg::LaneId: step = 1; break;
+        }
+        std::int64_t *rd = warp.reg_row(in.rd);
+        for_each_lane(active, [&](unsigned lane) {
+            rd[lane] = base + step * static_cast<std::int64_t>(lane);
+        });
+        break;
+      }
+      case Op::Ldarg:
+        fill_lanes(warp, in.rd, active,
+                   static_cast<std::int64_t>(
+                       launch_.arg_values[in.arg_index]));
+        break;
+      case Op::Ldloc:
+        fill_lanes(warp, in.rd, active,
+                   static_cast<std::int64_t>(
+                       launch_.local_bases[in.arg_index]));
+        break;
+      case Op::Malloc: {
+        std::int64_t *rd = warp.reg_row(in.rd);
+        const std::int64_t *ra = warp.reg_row(in.ra);
+        for_each_lane(active, [&](unsigned lane) {
+            const auto bytes = static_cast<std::uint64_t>(ra[lane]);
+            rd[lane] = static_cast<std::int64_t>(
+                driver_.device_malloc(launch_, bytes));
+        });
+        result.kind = StepKind::Malloc;
+        result.malloc_count =
+            static_cast<std::uint32_t>(std::popcount(active));
+        break;
+      }
+      case Op::Gep: {
+        std::int64_t *rd = warp.reg_row(in.rd);
+        const std::int64_t *ra = warp.reg_row(in.ra);
+        const std::int64_t *rb = warp.reg_row(in.rb);
+        const auto scale = static_cast<std::int64_t>(in.scale);
+        for_each_lane(active, [&](unsigned lane) {
+            rd[lane] = ra[lane] + rb[lane] * scale + in.disp;
+        });
+        break;
+      }
       case Op::Ld:
       case Op::St: {
         MemOp &op = result.mem;
@@ -195,6 +221,10 @@ WarpInterpreter::step(WarpState &warp, std::vector<std::uint8_t> &shared_mem)
         op.dest_reg = in.rd;
         op.size = in.size;
 
+        // The BCU observes the tag of the first active lane (uniform
+        // across lanes because all derive from the same base pointer).
+        const auto first_lane =
+            static_cast<unsigned>(std::countr_zero(active));
         bool first = true;
         if (in.base_offset) {
             op.has_base_offset = true;
@@ -211,22 +241,20 @@ WarpInterpreter::step(WarpState &warp, std::vector<std::uint8_t> &shared_mem)
                 base = op.bt_bounds.base_addr;
             } else {
                 // Method C: one warp-uniform base register.
-                unsigned first_lane = 0;
-                while (((active >> first_lane) & 1) == 0)
-                    ++first_lane;
                 op.pointer = static_cast<std::uint64_t>(
                     warp.reg(first_lane, in.ra));
                 base = ptr_addr(op.pointer);
             }
-            for_lanes([&](unsigned lane) {
-                const std::int64_t off =
-                    warp.reg(lane, in.rb) *
-                        static_cast<std::int64_t>(in.scale) +
-                    in.disp;
+            const std::int64_t *index = warp.reg_row(in.rb);
+            const std::int64_t *src =
+                op.is_store ? warp.reg_row(in.rc) : nullptr;
+            const auto scale = static_cast<std::int64_t>(in.scale);
+            for_each_lane(active, [&](unsigned lane) {
+                const std::int64_t off = index[lane] * scale + in.disp;
                 const VAddr addr = base + static_cast<VAddr>(off);
                 op.lane_addr[lane] = addr & kVAddrMask;
-                if (op.is_store)
-                    op.store_val[lane] = warp.reg(lane, in.rc);
+                if (src != nullptr)
+                    op.store_val[lane] = src[lane];
                 if (first || off < op.min_offset)
                     op.min_offset = off;
                 const std::int64_t end = off + in.size;
@@ -235,25 +263,22 @@ WarpInterpreter::step(WarpState &warp, std::vector<std::uint8_t> &shared_mem)
                 first = false;
             });
         } else {
-            // Method B: full virtual address in the register. The BCU
-            // observes the tag of the first active lane (uniform across
-            // lanes because all derive from the same base pointer).
-            unsigned first_lane = 0;
-            while (((active >> first_lane) & 1) == 0)
-                ++first_lane;
+            // Method B: full virtual address in the register.
             op.pointer =
                 static_cast<std::uint64_t>(warp.reg(first_lane, in.ra));
-            for_lanes([&](unsigned lane) {
+            const std::int64_t *addr = warp.reg_row(in.ra);
+            const std::int64_t *src =
+                op.is_store ? warp.reg_row(in.rb) : nullptr;
+            for_each_lane(active, [&](unsigned lane) {
                 op.lane_addr[lane] =
-                    static_cast<std::uint64_t>(warp.reg(lane, in.ra)) &
-                    kVAddrMask;
-                if (op.is_store)
-                    op.store_val[lane] = warp.reg(lane, in.rb);
+                    static_cast<std::uint64_t>(addr[lane]) & kVAddrMask;
+                if (src != nullptr)
+                    op.store_val[lane] = src[lane];
             });
         }
         // Warp-level min/max range (the address-gather stage).
         first = true;
-        for_lanes([&](unsigned lane) {
+        for_each_lane(active, [&](unsigned lane) {
             const VAddr a = op.lane_addr[lane];
             if (first || a < op.min_addr)
                 op.min_addr = a;
@@ -261,13 +286,12 @@ WarpInterpreter::step(WarpState &warp, std::vector<std::uint8_t> &shared_mem)
                 op.max_end = a + in.size;
             first = false;
         });
-        warp.pc = next_pc;
         result.kind = StepKind::GlobalMem;
         break;
       }
       case Op::Lds:
       case Op::Sts:
-        for_lanes([&](unsigned lane) {
+        for_each_lane(active, [&](unsigned lane) {
             const auto addr =
                 static_cast<std::uint64_t>(warp.reg(lane, in.ra));
             if (shared_mem.empty())
@@ -288,7 +312,6 @@ WarpInterpreter::step(WarpState &warp, std::vector<std::uint8_t> &shared_mem)
                             shared_mem.data() + at);
             }
         });
-        warp.pc = next_pc;
         result.kind = StepKind::SharedMem;
         break;
       case Op::Ssy: {
@@ -296,7 +319,6 @@ WarpInterpreter::step(WarpState &warp, std::vector<std::uint8_t> &shared_mem)
         entry.reconv_pc = in.target;
         entry.restore_mask = active;
         warp.simt_stack.push_back(entry);
-        warp.pc = next_pc;
         break;
       }
       case Op::Bra: {
@@ -306,17 +328,17 @@ WarpInterpreter::step(WarpState &warp, std::vector<std::uint8_t> &shared_mem)
             taken = active & (in.neg_pred ? ~p : p);
         }
         warp.branch(in.target, taken, next_pc);
-        break;
+        return result;
       }
       case Op::Bar:
-        warp.pc = next_pc;
         result.kind = StepKind::Barrier;
         break;
       case Op::Exit:
         warp.status = WarpStatus::Finished;
         result.kind = StepKind::Exited;
-        break;
+        return result;
     }
+    warp.pc = next_pc;
     return result;
 }
 
@@ -325,24 +347,77 @@ WarpInterpreter::apply_mem(WarpState &warp, const MemOp &op,
                            LaneMask suppress_mask)
 {
     GpuDevice &dev = driver_.device();
-    for (unsigned lane = 0; lane < kWarpSize; ++lane) {
-        if (((op.mask >> lane) & 1) == 0)
-            continue;
-        const bool suppress = (suppress_mask >> lane) & 1;
-        const VAddr vaddr = op.lane_addr[lane];
-        const Translation t =
-            dev.page_table().translate(vaddr, op.is_store);
-        if (op.is_store) {
-            if (suppress || !t.ok)
-                continue; // dropped silently (§5.5.2)
-            dev.mem().write(t.paddr, &op.store_val[lane], op.size);
-        } else {
-            std::int64_t v = 0;
-            if (!suppress && t.ok)
-                dev.mem().read(t.paddr, &v, op.size);
-            warp.set_reg(lane, op.dest_reg, v);
+    const PageTable &pt = dev.page_table();
+    PhysicalMemory &mem = dev.mem();
+    constexpr std::uint64_t kFrame = PhysicalMemory::kFrameSize;
+    constexpr PAddr kNoFrame = 1; // never a frame base
+
+    // The lanes of one instruction mostly share a page and a frame:
+    // translate once per page and look a frame up once per frame. A
+    // lane's whole access follows the translation of its first byte.
+    const VAddr page_mask = ~(pt.page_size() - 1);
+    VAddr page = 0;
+    Translation page_xlat;
+    bool have_page = false;
+    const auto translate = [&](VAddr vaddr) {
+        const VAddr base = vaddr & page_mask;
+        if (!have_page || base != page) {
+            page_xlat = pt.translate(base, op.is_store);
+            page = base;
+            have_page = true;
         }
+        Translation t = page_xlat;
+        t.paddr += vaddr - base;
+        return t;
+    };
+    PAddr frame = kNoFrame;
+
+    if (op.is_store) {
+        std::uint8_t *bytes = nullptr;
+        // Squashed lanes and failed translations are dropped silently
+        // (§5.5.2).
+        for_each_lane(op.mask & ~suppress_mask, [&](unsigned lane) {
+            const Translation t = translate(op.lane_addr[lane]);
+            if (!t.ok)
+                return;
+            const PAddr off = t.paddr % kFrame;
+            if (off + op.size > kFrame) { // straddles two frames
+                mem.write(t.paddr, &op.store_val[lane], op.size);
+                return;
+            }
+            if (t.paddr - off != frame) {
+                frame = t.paddr - off;
+                bytes = mem.frame_bytes(frame);
+            }
+            std::memcpy(bytes + off, &op.store_val[lane], op.size);
+        });
+        return;
     }
+
+    // Loads: squashed lanes and failed translations read zero.
+    const PhysicalMemory &cmem = mem;
+    const std::uint8_t *bytes = nullptr;
+    std::int64_t *dest = warp.reg_row(op.dest_reg);
+    for_each_lane(op.mask, [&](unsigned lane) {
+        std::int64_t v = 0;
+        const Translation t = (suppress_mask >> lane) & 1
+                                  ? Translation{}
+                                  : translate(op.lane_addr[lane]);
+        if (t.ok) {
+            const PAddr off = t.paddr % kFrame;
+            if (off + op.size > kFrame) { // straddles two frames
+                cmem.read(t.paddr, &v, op.size);
+            } else {
+                if (t.paddr - off != frame) {
+                    frame = t.paddr - off;
+                    bytes = cmem.frame_bytes(frame);
+                }
+                if (bytes != nullptr) // unbacked frames read zero
+                    std::memcpy(&v, bytes + off, op.size);
+            }
+        }
+        dest[lane] = v;
+    });
 }
 
 } // namespace gpushield

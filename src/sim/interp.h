@@ -45,10 +45,12 @@ struct MemOp
      *  (Method B) or the base register (Method C). */
     std::uint64_t pointer = 0;
 
-    /** Canonical per-lane byte addresses (valid where mask is set). */
-    std::array<VAddr, kWarpSize> lane_addr{};
-    /** Store payloads per lane. */
-    std::array<std::int64_t, kWarpSize> store_val{};
+    /** Canonical per-lane byte addresses, valid only where mask is
+     *  set: the arrays are left uninitialized so a step does not zero
+     *  512 bytes, and every reader goes through the mask. */
+    std::array<VAddr, kWarpSize> lane_addr;
+    /** Store payloads per lane (valid where mask is set). */
+    std::array<std::int64_t, kWarpSize> store_val;
     int dest_reg = kNoReg;
     std::uint8_t size = 4;
 
@@ -101,11 +103,6 @@ class WarpInterpreter
     const KernelProgram &program() const { return launch_.program; }
 
   private:
-    std::int64_t src2(const WarpState &warp, unsigned lane,
-                      const Instr &in) const;
-    std::int64_t special(const WarpState &warp, unsigned lane,
-                         SpecialReg s) const;
-
     LaunchState &launch_;
     Driver &driver_;
 };

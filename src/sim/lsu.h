@@ -19,14 +19,16 @@
 namespace gpushield {
 
 /**
- * Writes the sorted unique line addresses touched by @p op into
- * @p lines (replacing its contents). The caller keeps a reusable
- * scratch vector, so the per-instruction coalesce costs no allocation
- * once the scratch has grown to steady state.
+ * Writes the sorted unique line addresses that the @p mask lanes of
+ * @p op touch into @p lines (replacing its contents). The caller keeps
+ * a reusable scratch vector, so the per-instruction coalesce costs no
+ * allocation once the scratch has grown to steady state.
  *
+ * @param mask      lanes to coalesce (op.mask, or the lanes that
+ *                  survive a partial squash)
  * @param line_size transaction granularity (128B by default)
  */
-void coalesce_into(const MemOp &op, std::uint64_t line_size,
+void coalesce_into(const MemOp &op, LaneMask mask, std::uint64_t line_size,
                    std::vector<VAddr> &lines);
 
 } // namespace gpushield

@@ -10,7 +10,7 @@ WarpState::WarpState(WarpId warp_id, std::uint32_t wg_index,
                      std::uint32_t warp_in_wg, std::uint32_t ntid,
                      int num_regs, int num_preds)
     : id(warp_id), wg_index_(wg_index), warp_in_wg_(warp_in_wg),
-      ntid_(ntid), num_regs_(num_regs),
+      ntid_(ntid),
       regs_(static_cast<std::size_t>(kWarpSize) * num_regs, 0),
       preds_(static_cast<std::size_t>(num_preds), 0)
 {

@@ -15,6 +15,7 @@
 #ifndef GPUSHIELD_SIM_WARP_H
 #define GPUSHIELD_SIM_WARP_H
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -28,6 +29,24 @@ using LaneMask = std::uint32_t;
 
 /** All lanes active. */
 inline constexpr LaneMask kFullMask = 0xFFFFFFFFu;
+
+/**
+ * Calls @p fn(lane) for every lane set in @p mask, in ascending lane
+ * order (device mallocs and shared-memory stores depend on it). A full
+ * mask runs a straight loop the compiler can vectorize.
+ */
+template <typename Fn>
+inline void
+for_each_lane(LaneMask mask, Fn &&fn)
+{
+    if (mask == kFullMask) {
+        for (unsigned lane = 0; lane < kWarpSize; ++lane)
+            fn(lane);
+        return;
+    }
+    for (; mask != 0; mask &= mask - 1)
+        fn(static_cast<unsigned>(std::countr_zero(mask)));
+}
 
 /** One SIMT stack entry. */
 struct SimtEntry
@@ -64,16 +83,29 @@ class WarpState
               int num_preds);
 
     /// @name Register file access
+    /// Registers are stored register-major: the 32 lanes of one
+    /// register are contiguous, so a warp-wide operation walks rows.
     /// @{
     std::int64_t
     reg(unsigned lane, int r) const
     {
-        return regs_[lane * num_regs_ + r];
+        return regs_[static_cast<std::size_t>(r) * kWarpSize + lane];
     }
     void
     set_reg(unsigned lane, int r, std::int64_t v)
     {
-        regs_[lane * num_regs_ + r] = v;
+        regs_[static_cast<std::size_t>(r) * kWarpSize + lane] = v;
+    }
+    /** The kWarpSize lane values of register @p r. */
+    std::int64_t *
+    reg_row(int r)
+    {
+        return regs_.data() + static_cast<std::size_t>(r) * kWarpSize;
+    }
+    const std::int64_t *
+    reg_row(int r) const
+    {
+        return regs_.data() + static_cast<std::size_t>(r) * kWarpSize;
     }
     bool
     pred(unsigned lane, int p) const
@@ -90,6 +122,13 @@ class WarpState
     }
     /** Full predicate mask for register @p p. */
     LaneMask pred_mask(int p) const { return preds_[p]; }
+    /** Sets the @p lanes bits of predicate @p p to those of @p v;
+     *  other lanes keep their bits. */
+    void
+    write_pred(int p, LaneMask v, LaneMask lanes)
+    {
+        preds_[p] = (preds_[p] & ~lanes) | (v & lanes);
+    }
     /// @}
 
     /// @name Thread identity
@@ -131,7 +170,6 @@ class WarpState
     WarpId id;
     WarpStatus status = WarpStatus::Ready;
     Cycle ready_cycle = 0;
-    Cycle last_issue = 0; //!< for greedy-then-oldest ordering
 
     /** Profiler scratch (written only while a profiler is attached):
      *  issued this cycle / blocked on an access that needed an RBT
@@ -150,8 +188,7 @@ class WarpState
     std::uint32_t wg_index_;
     std::uint32_t warp_in_wg_;
     std::uint32_t ntid_;
-    int num_regs_;
-    std::vector<std::int64_t> regs_;
+    std::vector<std::int64_t> regs_; //!< [register][lane]
     std::vector<LaneMask> preds_;
 };
 

@@ -16,6 +16,9 @@
  *     cycles but matches the per-cycle engine (profiler-attached
  *     A/B) on every simulated stat
  *   - host-side engine profiler observes without changing results
+ *   - the exact issue sequence (core, kernel, warp, workgroup, pc) of
+ *     the smoke cells, a barrier kernel and the abort paths, which the
+ *     goldens' aggregate counters cannot see
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +30,7 @@
 
 #include "harness/executor.h"
 #include "harness/suites.h"
+#include "harness/sweep.h"
 #include "isa/builder.h"
 #include "obs/engine_profile.h"
 #include "obs/profiler.h"
@@ -91,30 +95,80 @@ expect_pinned(const KernelResult &got, const Pinned &want)
     EXPECT_EQ(got.stats.counters(), want.stats);
 }
 
+/** Every thread device-mallocs 32 B, writes its gid through the heap
+ *  pointer, and reads it back (footnote 2's contention). */
+workloads::WorkloadInstance
+heap_instance(Driver &driver)
+{
+    workloads::PatternParams p;
+    p.name = "heap";
+    workloads::WorkloadInstance w;
+    w.program = workloads::make_heap(p);
+    w.ntid = 64;
+    w.nctaid = 2;
+    w.buffers.push_back(driver.create_buffer(128 * 4));
+    w.scalars.assign(w.program.args.size(), 0);
+    w.scalar_static.assign(w.program.args.size(), false);
+    w.scalars.back() = 32;
+    w.heap_bytes = 1 << 20;
+    return w;
+}
+
+/** Fig. 4 case 3 in every thread of four workgroups: A[0x80000] lies
+ *  2 MB past A, in an unmapped page, so an unshielded store faults
+ *  and the kernel aborts. */
+workloads::WorkloadInstance
+crossing_instance(Driver &driver)
+{
+    KernelBuilder b("crossing");
+    const int a = b.arg_ptr("A");
+    const int addr = b.gep(b.ldarg(a), b.mov_imm(0x80000), 4);
+    b.st(addr, b.mov_imm(0xBAD), 4);
+    b.exit();
+    workloads::WorkloadInstance w;
+    w.program = b.finish();
+    w.ntid = 64;
+    w.nctaid = 4;
+    w.buffers.push_back(driver.create_buffer(64));
+    w.buffers.push_back(driver.create_buffer(64));
+    return w;
+}
+
+/** Out-of-bounds stores; under precise exceptions (§5.5.2) the first
+ *  violating store kills the kernel. */
+workloads::WorkloadInstance
+overflow_instance(Driver &driver)
+{
+    workloads::PatternParams p;
+    p.name = "oob";
+    workloads::WorkloadInstance w;
+    w.program = workloads::make_overflowing(p, 64);
+    w.ntid = 128;
+    w.nctaid = 2;
+    w.buffers.push_back(driver.create_buffer(256 * 4));
+    w.buffers.push_back(driver.create_buffer(256 * 4));
+    return w;
+}
+
+GpuConfig
+precise_config()
+{
+    GpuConfig cfg = nvidia_config();
+    cfg.precise_exceptions = true;
+    return cfg;
+}
+
 TEST(Engine, MemoryEffectsOutsideGoldenArePinned)
 {
     // Device mallocs, translation faults and precise exceptions apply
     // their effects inside the issuing core's tick; no smoke/fig cell
     // reaches them, so these values are the record of that path.
-    using workloads::WorkloadInstance;
     const GpuConfig cfg = nvidia_config();
 
     {
-        // Every thread device-mallocs 32 B, writes its gid through the
-        // heap pointer, and reads it back (footnote 2's contention).
         GpuDevice dev(cfg.mem.page_size);
         Driver driver(dev);
-        workloads::PatternParams p;
-        p.name = "heap";
-        WorkloadInstance w;
-        w.program = workloads::make_heap(p);
-        w.ntid = 64;
-        w.nctaid = 2;
-        w.buffers.push_back(driver.create_buffer(128 * 4));
-        w.scalars.assign(w.program.args.size(), 0);
-        w.scalar_static.assign(w.program.args.size(), false);
-        w.scalars.back() = 32;
-        w.heap_bytes = 1 << 20;
+        const workloads::WorkloadInstance w = heap_instance(driver);
         expect_pinned(
             workloads::run_workload(cfg, driver, w, true, false).result,
             {789, false, 0,
@@ -127,22 +181,9 @@ TEST(Engine, MemoryEffectsOutsideGoldenArePinned)
               {"transactions", 68}}});
     }
     {
-        // Fig. 4 case 3 in every thread of four workgroups: A[0x80000]
-        // lies 2 MB past A, in an unmapped page, so the unshielded
-        // store faults and the kernel aborts.
         GpuDevice dev(cfg.mem.page_size);
         Driver driver(dev);
-        KernelBuilder b("crossing");
-        const int a = b.arg_ptr("A");
-        const int addr = b.gep(b.ldarg(a), b.mov_imm(0x80000), 4);
-        b.st(addr, b.mov_imm(0xBAD), 4);
-        b.exit();
-        WorkloadInstance w;
-        w.program = b.finish();
-        w.ntid = 64;
-        w.nctaid = 4;
-        w.buffers.push_back(driver.create_buffer(64));
-        w.buffers.push_back(driver.create_buffer(64));
+        const workloads::WorkloadInstance w = crossing_instance(driver);
         expect_pinned(
             workloads::run_workload(cfg, driver, w, false, false).result,
             {4, true, 0,
@@ -152,20 +193,10 @@ TEST(Engine, MemoryEffectsOutsideGoldenArePinned)
               {"translation_faults", 4}}});
     }
     {
-        // Out-of-bounds stores with precise exceptions (§5.5.2): the
-        // first violating store kills the kernel.
-        GpuConfig precise = cfg;
-        precise.precise_exceptions = true;
+        const GpuConfig precise = precise_config();
         GpuDevice dev(precise.mem.page_size);
         Driver driver(dev);
-        workloads::PatternParams p;
-        p.name = "oob";
-        WorkloadInstance w;
-        w.program = workloads::make_overflowing(p, 64);
-        w.ntid = 128;
-        w.nctaid = 2;
-        w.buffers.push_back(driver.create_buffer(256 * 4));
-        w.buffers.push_back(driver.create_buffer(256 * 4));
+        const workloads::WorkloadInstance w = overflow_instance(driver);
         expect_pinned(
             workloads::run_workload(precise, driver, w, true, false).result,
             {208, true, 1,
@@ -254,6 +285,163 @@ TEST(Engine, HostProfilerObservesWithoutChangingResults)
     EXPECT_GT(prof.ns(obs::HostEngineProfiler::Phase::Issue) +
                   prof.ns(obs::HostEngineProfiler::Phase::Events),
               0u);
+}
+
+/** Folds (core, kernel id, warp id, workgroup index, pc) of every
+ *  issued instruction into an FNV-1a hash: the exact issue sequence. */
+class IssueOrder : public LaneObserver
+{
+  public:
+    void
+    on_step(CoreId core, KernelId kernel, const WarpState &warp,
+            const Instr &) override
+    {
+        for (const auto v : {static_cast<std::uint64_t>(core),
+                             static_cast<std::uint64_t>(kernel),
+                             static_cast<std::uint64_t>(warp.id),
+                             static_cast<std::uint64_t>(warp.wg_index()),
+                             static_cast<std::uint64_t>(warp.pc)}) {
+            for (unsigned byte = 0; byte < 8; ++byte) {
+                hash ^= (v >> (8 * byte)) & 0xFF;
+                hash *= 0x100000001B3ull;
+            }
+        }
+        ++steps;
+    }
+
+    std::uint64_t steps = 0;
+    std::uint64_t hash = 0xCBF29CE484222325ull;
+};
+
+/** The issue order of smoke cell @p cell, launched the way the sweep
+ *  executor launches it. */
+IssueOrder
+smoke_cell_order(const harness::SweepSpec &spec,
+                 const harness::CellSpec &cell)
+{
+    const GpuConfig &cfg = spec.config(cell.config);
+    GpuDevice dev(cfg.mem.page_size);
+    Driver driver(dev, {}, harness::cell_seed(spec, cell));
+    driver.set_shield_backend(cfg.shield.backend);
+    IssueOrder order;
+    Gpu gpu(cfg, driver);
+    gpu.set_lane_observer(&order);
+    const auto config = [&](const workloads::WorkloadInstance &w) {
+        return w.make_config(cell.shield, cell.use_static);
+    };
+    const workloads::WorkloadInstance a =
+        workloads::find_benchmark(cell.workload, cell.set)->make(driver);
+    if (!cell.workload_b.empty()) {
+        const workloads::WorkloadInstance b =
+            workloads::find_benchmark(cell.workload_b, cell.set)
+                ->make(driver);
+        const std::uint64_t all = (std::uint64_t{1} << cfg.num_cores) - 1;
+        const std::uint64_t lower =
+            (std::uint64_t{1} << (cfg.num_cores / 2)) - 1;
+        const bool split = cell.placement == harness::Placement::kSplit;
+        gpu.launch(driver.launch(config(a)), split ? lower : all);
+        gpu.launch(driver.launch(config(b)), split ? all & ~lower : all);
+        gpu.run();
+        return order;
+    }
+    for (unsigned n = 0; n < cell.launches; ++n) {
+        const std::size_t idx = gpu.launch(driver.launch(config(a)));
+        gpu.run();
+        driver.finish(gpu.launch_state(idx));
+    }
+    return order;
+}
+
+/** The issue order of the instance @p make builds, run alone on @p cfg. */
+IssueOrder
+kernel_order(const GpuConfig &cfg,
+             workloads::WorkloadInstance (*make)(Driver &), bool shield)
+{
+    GpuDevice dev(cfg.mem.page_size);
+    Driver driver(dev);
+    const workloads::WorkloadInstance w = make(driver);
+    IssueOrder order;
+    workloads::run_workload(cfg, driver, w, shield, false, 0, 0, nullptr,
+                            &order);
+    return order;
+}
+
+/** Three warps per workgroup load, diverge (odd threads loop), meet
+ *  at a barrier and exchange values through shared memory. */
+workloads::WorkloadInstance
+barrier_instance(Driver &driver)
+{
+    KernelBuilder b("barrier");
+    const int in = b.arg_ptr("in");
+    const int out = b.arg_ptr("out");
+    b.shared_mem(96 * 4);
+    const int tid = b.sreg(SpecialReg::TidX);
+    const int gid = b.sreg(SpecialReg::GlobalId);
+    const int v = b.ld(b.gep(b.ldarg(in), gid, 4), 4);
+    const int odd = b.setpi(Cmp::Ne, b.alui(Op::And, tid, 1), 0);
+    b.if_then(odd, false, [&] {
+        b.loop_n(3, [&](int i) { b.mov(v, b.alu(Op::Add, v, i)); });
+    });
+    b.sts(b.alui(Op::Mul, tid, 4), v, 4);
+    b.bar();
+    const int peer = b.alui(Op::Rem, b.alui(Op::Add, tid, 33), 96);
+    const int got = b.lds(b.alui(Op::Mul, peer, 4), 4);
+    b.st(b.gep(b.ldarg(out), gid, 4), got, 4);
+    b.exit();
+    workloads::WorkloadInstance w;
+    w.program = b.finish();
+    w.ntid = 96;
+    w.nctaid = 6;
+    w.buffers.push_back(driver.create_buffer(96 * 6 * 4));
+    w.buffers.push_back(driver.create_buffer(96 * 6 * 4));
+    return w;
+}
+
+void
+expect_order(const IssueOrder &got, std::uint64_t steps,
+             std::uint64_t hash)
+{
+    EXPECT_EQ(got.steps, steps);
+    EXPECT_EQ(got.hash, hash) << "got 0x" << std::hex << got.hash;
+}
+
+TEST(Engine, SmokeIssueOrderIsPinned)
+{
+    // (steps, hash) per smoke cell, in cell order, captured before the
+    // scheduler kept per-slot ready masks. The warp scan must issue in
+    // exactly this order: greedy warp, then slot, then warp.
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>> want = {
+        {7680, 0xd02a30a0753e5b65ull},  // vectoradd/base
+        {7680, 0x5b0b40dcb2bdb665ull},  // vectoradd/shield
+        {22528, 0xb7b70f4bd618b0c5ull}, // ConvSep/base
+        {22528, 0x6c35403dd999a805ull}, // ConvSep/shield
+        {7680, 0xd02a30a0753e5b65ull},  // vectoradd/shield+static
+        {23040, 0x9e3a6af8947d6b05ull}, // vectoradd/shield/x3
+        {30208, 0x9d7c6ea94ffd4f85ull}, // vectoradd+ConvSep@split
+        {30208, 0x122845e1d0d70325ull}, // vectoradd+ConvSep@shared
+    };
+    const harness::SweepSpec spec = harness::smoke_suite();
+    ASSERT_EQ(spec.cells.size(), want.size());
+    for (std::size_t i = 0; i < spec.cells.size(); ++i) {
+        SCOPED_TRACE(harness::cell_key(spec, spec.cells[i]));
+        expect_order(smoke_cell_order(spec, spec.cells[i]), want[i].first,
+                     want[i].second);
+    }
+}
+
+TEST(Engine, BarrierAndAbortIssueOrderIsPinned)
+{
+    GpuConfig two_cores = nvidia_config();
+    two_cores.num_cores = 2;
+    // Captured like the smoke pins above.
+    expect_order(kernel_order(two_cores, &barrier_instance, true), 756,
+                 0xbf27e7b30b8edea5ull);
+    expect_order(kernel_order(nvidia_config(), &heap_instance, true), 44,
+                 0x2d75873b09747325ull);
+    expect_order(kernel_order(nvidia_config(), &crossing_instance, false),
+                 40, 0xf65dbd0a87fce4a5ull);
+    expect_order(kernel_order(precise_config(), &overflow_instance, true),
+                 51, 0xe452ade0f59beb20ull);
 }
 
 } // namespace

@@ -258,7 +258,7 @@ TEST_P(CoalescerSeed, LinesCoverEveryAccessedByte)
     // coalesce_into replaces the scratch vector's contents: stale lines
     // from an earlier instruction must not survive.
     std::vector<VAddr> lines = {0x0, 0xFFFF'0000};
-    coalesce_into(op, kLineSize, lines);
+    coalesce_into(op, op.mask, kLineSize, lines);
 
     // Sorted, unique, aligned.
     for (std::size_t i = 0; i < lines.size(); ++i) {

@@ -462,6 +462,24 @@ TEST(SimEndToEnd, CycleBudgetExhaustionIsFatal)
                  SimulationError);
 }
 
+TEST(SimEndToEnd, WorkgroupWiderThanSchedulerMaskIsAnError)
+{
+    // Each workgroup slot tracks its ready warps in a 32-bit mask. A
+    // config that lets a 33-warp workgroup dispatch gets a recoverable
+    // error, not a silently truncated schedule.
+    GpuDevice dev(kPageSize2M);
+    Driver driver(dev);
+    WorkloadInstance w = vecadd_instance(driver, 33 * 32, 1);
+    GpuConfig cfg = test_config();
+    cfg.max_warps_per_core = 64;
+    EXPECT_THROW(run_workload(cfg, driver, w, false, false),
+                 SimulationError);
+    // 32 warps still fit.
+    WorkloadInstance fits = vecadd_instance(driver, 32 * 32, 1);
+    EXPECT_FALSE(run_workload(cfg, driver, fits, false, false)
+                     .result.aborted);
+}
+
 TEST(SimEndToEnd, MultiLaunchAccumulatesAndRecycles)
 {
     GpuDevice dev(kPageSize2M);
