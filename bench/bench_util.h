@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/decimal.h"
 #include "driver/driver.h"
 #include "harness/metrics.h"
 #include "harness/suites.h"
@@ -30,13 +31,20 @@ using harness::geomean;
 using harness::with_l1_entries;
 using harness::with_rcache_latency;
 
-/** Worker count for sweep-backed benches: $GPUSHIELD_JOBS or all cores. */
+/** Worker count for sweep-backed benches: $GPUSHIELD_JOBS or all
+ *  cores. A value outside [1, ThreadPool::kMaxJobs] is a usage error:
+ *  prints the range and exits 2 before any worker starts. */
 inline unsigned
 default_jobs()
 {
-    if (const char *env = std::getenv("GPUSHIELD_JOBS"))
-        return static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-    return harness::ThreadPool::hardware_jobs();
+    const char *env = std::getenv("GPUSHIELD_JOBS");
+    if (env == nullptr)
+        return harness::ThreadPool::hardware_jobs();
+    std::uint64_t jobs = 0;
+    if (!parse_flag("bench", "GPUSHIELD_JOBS", env, 1,
+                    harness::ThreadPool::kMaxJobs, jobs))
+        std::exit(2);
+    return static_cast<unsigned>(jobs);
 }
 
 /**

@@ -18,8 +18,8 @@ cmake --build build -j"$JOBS"
 # fatal() ratchet: fatal() exits the process, so a call site that input
 # can reach lets one tenant end the service for all. ROADMAP item 3
 # turns such sites into typed errors and lowers this number; no change
-# may raise it. Today: driver 16, mem 8, sim/gpu 2, shield 2.
-FATAL_SITES_MAX=28
+# may raise it. Today: driver 16, mem 8, shield 2.
+FATAL_SITES_MAX=26
 fatal_sites="$( (grep -rE --include='*.cc' '\bfatal\(([^)]|$)' src || true) \
     | wc -l)"
 if (( fatal_sites > FATAL_SITES_MAX )); then
@@ -67,14 +67,16 @@ sed -E 's/,"obs":\{[^}]*\}//' build/smoke-profiled.jsonl \
 
 # Backend gate: the pluggable shield seam. Region routed explicitly
 # through --backend must still match the committed golden
-# byte-for-byte; the Armor backend must run the smoke grid end-to-end
-# and hold the corpus with zero hard false negatives (tag collisions
+# byte-for-byte, and the Armor backend's smoke grid must match its own
+# committed record (tests/golden/smoke_armor.jsonl); the conformance
+# gates below hold Armor to zero hard false negatives (tag collisions
 # and granule slop are counted separately by the oracle).
 ./build/src/gpushield-sweep --suite smoke --jobs 1 --quiet \
     --backend region --jsonl build/smoke-region.jsonl > /dev/null
 cmp build/smoke-region.jsonl tests/golden/smoke.jsonl
 ./build/src/gpushield-sweep --suite smoke --jobs 1 --quiet \
     --backend armor --jsonl build/smoke-armor.jsonl > /dev/null
+cmp build/smoke-armor.jsonl tests/golden/smoke_armor.jsonl
 
 # CLI gate: a malformed or out-of-range number is a usage error (exit
 # 2), never an abort, a silent default or a doomed run.
@@ -98,6 +100,11 @@ expect_usage_error ./build/src/gpushield-conformance --fuzz-one 3 \
     --ntid 4096
 expect_usage_error ./build/src/gpushield-conformance --fuzz-one 3 \
     --nctaid 0
+# The sweep-backed benches read their worker count from GPUSHIELD_JOBS
+# and reject a bad one before any worker starts.
+expect_usage_error env GPUSHIELD_JOBS=abc ./build/bench/bench_fig18_multikernel
+expect_usage_error env GPUSHIELD_JOBS=0 ./build/bench/bench_fig18_multikernel
+expect_usage_error env GPUSHIELD_JOBS=257 ./build/bench/bench_fig18_multikernel
 
 # Conformance smoke: every corpus workload differentially checked
 # against the functional oracle and the per-lane bounds oracle (zero

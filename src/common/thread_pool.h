@@ -56,6 +56,10 @@ class ThreadPool
     /** Sensible default worker count for this machine. */
     static unsigned hardware_jobs();
 
+    /** Largest worker count a user may ask for: the pool starts every
+     *  worker up front. */
+    static constexpr unsigned kMaxJobs = 256;
+
   private:
     void worker_loop(std::size_t self);
     /** Pops local-back then steals sibling-front; requires mu_ held. */

@@ -6,11 +6,13 @@
 #include <utility>
 #include <vector>
 
+#include "compiler/static_analysis.h"
+
 namespace gpushield {
 
 namespace {
 
-/** One backward-branch region with its varies-in-loop register set. */
+/** One loop region with its varies-in-loop register set. */
 struct Loop
 {
     int head = 0;
@@ -19,49 +21,28 @@ struct Loop
 };
 
 /**
- * Discovers loop regions and, per region, the registers whose value
- * can differ between iterations. Seeds: loop-carried registers (read
- * before written inside the region — the induction variable is one)
- * and destinations of loads (runtime data); closed over the body's
- * dataflow to a fixpoint.
+ * The registers whose value can differ between iterations, per loop
+ * region (static_analysis.h's find_loops). Seeds: the loop-carried
+ * registers (the induction variable is one) and destinations of loads
+ * (runtime data); closed over the body's dataflow to a fixpoint.
  */
 std::vector<Loop>
-find_loops(const KernelProgram &prog)
+varying_registers(const KernelProgram &prog)
 {
     std::vector<Loop> loops;
-    const auto nregs = static_cast<std::size_t>(prog.num_regs);
     std::vector<int> srcs;
-    for (std::size_t pc = 0; pc < prog.code.size(); ++pc) {
-        const Instr &bra = prog.code[pc];
-        if (bra.op != Op::Bra || bra.target > static_cast<int>(pc))
-            continue;
+    for (const LoopRegion &region : find_loops(prog)) {
         Loop loop;
-        loop.head = bra.target;
-        loop.end = static_cast<int>(pc);
-        loop.varies.assign(nregs, false);
-
-        std::vector<bool> written_in(nregs, false);
-        for (int q = loop.head; q <= loop.end; ++q) {
-            const int rd = dest_reg(prog.code[q]);
-            if (rd != kNoReg)
-                written_in[static_cast<std::size_t>(rd)] = true;
-        }
-        std::vector<bool> written_so_far(nregs, false);
+        loop.head = region.head;
+        loop.end = region.end;
+        loop.varies.assign(static_cast<std::size_t>(prog.num_regs), false);
+        for (const int r : region.carried)
+            loop.varies[static_cast<std::size_t>(r)] = true;
         for (int q = loop.head; q <= loop.end; ++q) {
             const Instr &in = prog.code[q];
-            srcs.clear();
-            source_regs(in, srcs);
-            for (const int s : srcs) {
-                if (written_in[static_cast<std::size_t>(s)] &&
-                    !written_so_far[static_cast<std::size_t>(s)])
-                    loop.varies[static_cast<std::size_t>(s)] = true;
-            }
             const int rd = dest_reg(in);
-            if (rd != kNoReg) {
-                written_so_far[static_cast<std::size_t>(rd)] = true;
-                if (in.op == Op::Ld || in.op == Op::Lds)
-                    loop.varies[static_cast<std::size_t>(rd)] = true;
-            }
+            if (rd != kNoReg && (in.op == Op::Ld || in.op == Op::Lds))
+                loop.varies[static_cast<std::size_t>(rd)] = true;
         }
         bool changed = true;
         while (changed) {
@@ -167,7 +148,7 @@ optimize_checks(BoundsAnalysisTable &bat, const KernelProgram &prog)
 {
     CheckOptStats stats;
     stats.rows = static_cast<std::uint32_t>(bat.entries.size());
-    const std::vector<Loop> loops = find_loops(prog);
+    const std::vector<Loop> loops = varying_registers(prog);
     const std::vector<int> blocks = block_ids(prog);
 
     // Phase 1: hoist/widen rows inside their innermost loop. The row's

@@ -1,6 +1,6 @@
 /**
  * @file
- * Loop-aware check optimization over the BAT (ROADMAP item 3).
+ * Loop-aware check optimization over the BAT.
  *
  * The static pass (static_analysis.h) classifies each memory
  * instruction but leaves every Unknown row to be checked on *every
@@ -8,7 +8,11 @@
  * per instruction. This pass consumes the finished BAT plus the IR and
  * rewrites eligible rows into one of three cheaper shapes, the
  * compiler-side leverage GPUArmor-style schemes use to make hardware
- * checking cheap:
+ * checking cheap. It takes its loop regions from the static pass's
+ * find_loops() and adds only what decides Hoisted against Widened: per
+ * loop, the registers that can differ between iterations, seeded by
+ * the loop-carried registers and load destinations and closed over
+ * the body's dataflow.
  *
  *  - **Hoisted** — the address is invariant in its enclosing counted
  *    loop: one runtime check of the (unchanged) offset hull replaces

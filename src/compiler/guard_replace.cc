@@ -1,92 +1,11 @@
 #include "compiler/guard_replace.h"
 
-#include <optional>
 #include <set>
 #include <vector>
 
 namespace gpushield {
 
 namespace {
-
-/**
- * Straight-line constant evaluator for guard bounds: resolves Mov-imm
- * chains, statically-known scalar arguments, and constant special
- * registers. Returns nullopt for anything runtime-dependent.
- */
-class ConstEval
-{
-  public:
-    ConstEval(const KernelProgram &prog, const StaticLaunchInfo &info)
-        : prog_(prog), info_(info),
-          values_(prog.num_regs, std::nullopt)
-    {
-        for (const Instr &in : prog.code)
-            eval(in);
-    }
-
-    std::optional<std::int64_t>
-    reg(int r) const
-    {
-        return r >= 0 && static_cast<std::size_t>(r) < values_.size()
-                   ? values_[r]
-                   : std::nullopt;
-    }
-
-  private:
-    void
-    eval(const Instr &in)
-    {
-        // Setp writes a predicate register — a separate namespace.
-        if (in.rd == kNoReg || in.op == Op::Setp)
-            return;
-        auto &slot = values_[in.rd];
-        slot = std::nullopt;
-        const auto src2 = [&]() -> std::optional<std::int64_t> {
-            return in.rb != kNoReg ? reg(in.rb) : in.imm;
-        };
-        switch (in.op) {
-          case Op::Mov:
-            slot = in.ra != kNoReg ? reg(in.ra) : in.imm;
-            break;
-          case Op::Ldarg: {
-            const KernelArgSpec &spec = prog_.args[in.arg_index];
-            if (!spec.is_pointer &&
-                static_cast<std::size_t>(in.arg_index) <
-                    info_.scalar_values.size())
-                slot = info_.scalar_values[in.arg_index];
-            break;
-          }
-          case Op::Sreg:
-            if (in.sreg == SpecialReg::NTidX && info_.ntid > 0)
-                slot = info_.ntid;
-            else if (in.sreg == SpecialReg::NCtaIdX && info_.nctaid > 0)
-                slot = info_.nctaid;
-            else if (in.sreg == SpecialReg::NThreads && info_.ntid > 0 &&
-                     info_.nctaid > 0)
-                slot = static_cast<std::int64_t>(info_.ntid) *
-                       info_.nctaid;
-            break;
-          case Op::Add:
-            if (reg(in.ra) && src2())
-                slot = *reg(in.ra) + *src2();
-            break;
-          case Op::Sub:
-            if (reg(in.ra) && src2())
-                slot = *reg(in.ra) - *src2();
-            break;
-          case Op::Mul:
-            if (reg(in.ra) && src2())
-                slot = *reg(in.ra) * *src2();
-            break;
-          default:
-            break;
-        }
-    }
-
-    const KernelProgram &prog_;
-    const StaticLaunchInfo &info_;
-    std::vector<std::optional<std::int64_t>> values_;
-};
 
 /** Ops permitted inside a replaceable region (straight-line only). */
 bool
@@ -167,8 +86,6 @@ replace_sw_guards(const KernelProgram &prog, const StaticLaunchInfo &info)
     result.program = prog;
     KernelProgram &out = result.program;
 
-    const ConstEval consts(prog, info);
-
     // Whole-program pointer-base map: reg -> pointer-arg index when the
     // register has exactly one definition and it is Ldarg of a pointer
     // (builder output is SSA-like; multiply-defined registers are
@@ -188,32 +105,17 @@ replace_sw_guards(const KernelProgram &prog, const StaticLaunchInfo &info)
         return reg != kNoReg && def_count[reg] == 1 ? ldarg_arg[reg] : -1;
     };
 
-    for (std::size_t s = 0; s + 1 < prog.code.size(); ++s) {
-        const Instr &ssy = prog.code[s];
-        const Instr &bra = prog.code[s + 1];
-        if (ssy.op != Op::Ssy || bra.op != Op::Bra ||
-            bra.pred == kNoReg || !bra.neg_pred ||
-            bra.target != ssy.target ||
-            bra.target <= static_cast<int>(s))
+    for (const Guard &g : find_guards(prog, info, find_loops(prog))) {
+        // x < B with a constant B > 0, in the builder's if_then shape:
+        // ssy END immediately before the bra.not.
+        if (g.cmp != Cmp::Lt || g.bound.lo != g.bound.hi || g.bound.lo <= 0)
             continue;
-        const std::size_t end = static_cast<std::size_t>(bra.target);
-
-        // Locate the defining setp.lt x, B.
-        int guard_reg = kNoReg;
-        std::optional<std::int64_t> bound;
-        for (std::size_t q = s + 1; q-- > 0;) {
-            const Instr &setp = prog.code[q];
-            if (setp.op != Op::Setp || setp.rd != bra.pred)
-                continue;
-            if (setp.cmp == Cmp::Lt) {
-                guard_reg = setp.ra;
-                bound = setp.rb != kNoReg ? consts.reg(setp.rb)
-                                          : std::optional(setp.imm);
-            }
-            break;
-        }
-        if (guard_reg == kNoReg || !bound || *bound <= 0)
+        const std::size_t s = static_cast<std::size_t>(g.bra_pc) - 1;
+        if (prog.code[s].op != Op::Ssy || prog.code[s].target != g.end_pc)
             continue;
+        const std::size_t end = static_cast<std::size_t>(g.end_pc);
+        const int guard_reg = g.reg;
+        const std::int64_t bound = g.bound.lo;
 
         // Region scan: straight-line ops only; every access must be
         // buf[x] with size*B covering the whole buffer.
@@ -262,7 +164,7 @@ replace_sw_guards(const KernelProgram &prog, const StaticLaunchInfo &info)
                     arg_buffer_size(info, base_arg);
                 if (base_arg < 0 || index_reg != guard_reg ||
                     scale != in.size || disp != 0 || buf_size == 0 ||
-                    buf_size > static_cast<std::uint64_t>(*bound) * scale) {
+                    buf_size > static_cast<std::uint64_t>(bound) * scale) {
                     eligible = false;
                     break;
                 }

@@ -7,14 +7,18 @@
  * the check in hardware instead. This pass removes such guards when —
  * and only when — the hardware check is provably equivalent:
  *
- *  1. the guard has the builder's canonical shape
+ *  1. the guard is one the static pass's find_guards() reports
+ *     (static_analysis.h), in the builder's canonical shape
  *     (ssy E; bra.not p, E with p = setp.lt x, B);
- *  2. B is a compile-time constant (static scalar / immediate /
- *     grid-derived), and every guarded access is `buf[x]` with
- *     element size == access size and buffer_size <= B * size — so a
- *     lane failing the guard is exactly a lane whose access the BCU
- *     squashes;
- *  3. the region is straight-line (no control flow / barriers /
+ *  2. B, as read at the setp, is a compile-time constant > 0 (static
+ *     scalar / immediate / grid-derived): a bound register rewritten
+ *     after the compare, even after the region, does not count;
+ *  3. x is not reassigned between the setp and E: the compare says
+ *     nothing about a new x;
+ *  4. every guarded access is `buf[x]` with element size == access
+ *     size and buffer_size <= B * size — so a lane failing the guard
+ *     is exactly a lane whose access the BCU squashes;
+ *  5. the region is straight-line (no control flow / barriers /
  *     shared memory) and defines no register or predicate that is
  *     read after the region (the squashed lanes' zero-loads must be
  *     dead).

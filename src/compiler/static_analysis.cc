@@ -137,94 +137,11 @@ abs_minmax(const AbsVal &a, const AbsVal &b, bool take_min)
     return AbsVal::range(std::max(a.lo, b.lo), std::max(a.hi, b.hi));
 }
 
-/** Range refinement applied inside an if/loop guarded region.
- *
- *  All four signed comparison shapes refine; the ISA has no unsigned
- *  compares (Cmp is Eq/Ne/Lt/Le/Gt/Ge over int64 lanes), so there is
- *  no `x <u bound` guard to mishandle — if unsigned compares are ever
- *  added, they must NOT reuse these kinds: `x <u n` says nothing
- *  about a negative x under this signed lattice. */
-struct Refinement
-{
-    enum class Kind : std::uint8_t {
-        UpperExclusive, //!< x < bound holds in the region
-        UpperInclusive, //!< x <= bound
-        LowerInclusive, //!< x >= bound
-        LowerExclusive, //!< x > bound
-    };
-    int reg = kNoReg;
-    Kind kind = Kind::UpperExclusive;
-    std::int64_t bound = 0;
-    int start_pc = 0; //!< the guarding branch: valid for pc > start_pc
-    int end_pc = 0;   //!< refinement valid for pc in (start_pc, end_pc)
-};
-
-/** One backward-branch region [head, end] (end = the backedge pc). */
-struct LoopRegion
-{
-    int head = 0;
-    int end = 0;
-    /** Registers read before written inside the region (loop-carried):
-     *  their value on iterations >= 2 is not the straight-line one, so
-     *  every linear walk poisons them to Top at the head. */
-    std::vector<int> carried;
-    /** Canonical counted-loop shape (setp.lt i, bound ; bra head). */
-    int ivar = kNoReg;
-    int setp_pc = -1;
-    int bound_reg = kNoReg;
-    std::int64_t bound_imm = 0;
-    bool resolved = false;
-    std::int64_t trip_hi = 0; //!< i in [0, trip_hi - 1] inside the loop
-};
-
-/** The full analysis state. */
-class Analyzer
-{
-  public:
-    Analyzer(const KernelProgram &prog, const StaticLaunchInfo &info)
-        : prog_(prog), info_(info), regs_(prog.num_regs)
-    {
-    }
-
-    BoundsAnalysisTable run();
-
-  private:
-    /** Loop-scoped induction range: the trip range holds only for pcs
-     *  inside [head, end]; after the loop the register equals the exit
-     *  value (bound, or 0 when the loop never entered). */
-    struct InductionScope
-    {
-        AbsVal in_loop;
-        AbsVal after;
-        int head = 0;
-        int end = 0;
-    };
-
-    AbsVal eval_src(const Instr &in, int pc) const; //!< rb-or-imm operand
-    AbsVal read_reg(int r, int pc) const;
-    AbsVal sreg_value(SpecialReg s) const;
-    void eval_pre(std::vector<AbsVal> &pre, const Instr &in) const;
-    void find_loops();
-    void find_guards();
-    void poison_carried(std::vector<AbsVal> &vals, int pc) const;
-    void record_access(int pc, const Instr &in);
-    void assign_pointer_types(BoundsAnalysisTable &bat) const;
-    std::uint64_t buffer_size_of(const BaseRef &ref) const;
-
-    const KernelProgram &prog_;
-    const StaticLaunchInfo &info_;
-    std::vector<AbsVal> regs_;
-    std::vector<LoopRegion> loops_;
-    std::map<int, InductionScope> induction_; //!< reg -> scoped range
-    std::vector<Refinement> guards_;
-    BoundsAnalysisTable bat_;
-};
-
 AbsVal
-Analyzer::sreg_value(SpecialReg s) const
+sreg_value(SpecialReg s, const StaticLaunchInfo &info)
 {
-    const std::int64_t ntid = info_.ntid;
-    const std::int64_t nctaid = info_.nctaid;
+    const std::int64_t ntid = info.ntid;
+    const std::int64_t nctaid = info.nctaid;
     switch (s) {
       case SpecialReg::TidX:
         return ntid > 0 ? AbsVal::range(0, ntid - 1) : AbsVal::top();
@@ -247,67 +164,9 @@ Analyzer::sreg_value(SpecialReg s) const
     return AbsVal::top();
 }
 
-AbsVal
-Analyzer::read_reg(int r, int pc) const
-{
-    if (r == kNoReg)
-        return AbsVal::top();
-    AbsVal v = regs_[r];
-    const auto it = induction_.find(r);
-    if (it != induction_.end() && pc >= it->second.head &&
-        pc <= it->second.end)
-        v = it->second.in_loop;
-    // Guard refinement: inside `if (r cmp bound)` regions, clamp the
-    // range (§6.4 patterns: both upper and lower guards). The
-    // refinement only holds strictly between the guarding branch and
-    // the reconvergence point.
-    for (const Refinement &g : guards_) {
-        if (g.reg != r || pc <= g.start_pc || pc >= g.end_pc ||
-            v.kind != AbsVal::Kind::Range)
-            continue;
-        switch (g.kind) {
-          case Refinement::Kind::UpperExclusive:
-            v.hi = std::min(v.hi, g.bound - 1);
-            break;
-          case Refinement::Kind::UpperInclusive:
-            v.hi = std::min(v.hi, g.bound);
-            break;
-          case Refinement::Kind::LowerInclusive:
-            v.lo = std::max(v.lo, g.bound);
-            break;
-          case Refinement::Kind::LowerExclusive:
-            v.lo = std::max(v.lo, g.bound + 1);
-            break;
-        }
-    }
-    return v;
-}
-
-AbsVal
-Analyzer::eval_src(const Instr &in, int pc) const
-{
-    // Second operand of two-source ALU ops: register or immediate.
-    // Goes through read_reg so induction scoping and guard refinements
-    // apply to the rb operand too.
-    return in.rb != kNoReg ? read_reg(in.rb, pc) : AbsVal::constant(in.imm);
-}
-
-/**
- * Evaluates a simple bound expression for loop/guard analysis: an
- * immediate, or a register whose current abstract value is known.
- */
-namespace {
-std::optional<std::int64_t>
-upper_of(const AbsVal &v)
-{
-    if (v.kind == AbsVal::Kind::Range)
-        return v.hi;
-    return std::nullopt;
-}
-} // namespace
-
 void
-Analyzer::eval_pre(std::vector<AbsVal> &pre, const Instr &in) const
+eval_pre(const KernelProgram &prog, const StaticLaunchInfo &info,
+         std::vector<AbsVal> &pre, const Instr &in)
 {
     // Straight-line abstract evaluation used to resolve loop/guard
     // bounds held in registers (constants, known scalars, special
@@ -324,16 +183,16 @@ Analyzer::eval_pre(std::vector<AbsVal> &pre, const Instr &in) const
         pre[in.rd] = in.ra != kNoReg ? pre[in.ra] : AbsVal::constant(in.imm);
         break;
       case Op::Sreg:
-        pre[in.rd] = sreg_value(in.sreg);
+        pre[in.rd] = sreg_value(in.sreg, info);
         break;
       case Op::Ldarg: {
-        const auto &spec = prog_.args[in.arg_index];
+        const auto &spec = prog.args[in.arg_index];
         if (!spec.is_pointer &&
             static_cast<std::size_t>(in.arg_index) <
-                info_.scalar_values.size() &&
-            info_.scalar_values[in.arg_index]) {
+                info.scalar_values.size() &&
+            info.scalar_values[in.arg_index]) {
             pre[in.rd] =
-                AbsVal::constant(*info_.scalar_values[in.arg_index]);
+                AbsVal::constant(*info.scalar_values[in.arg_index]);
         } else {
             pre[in.rd] = AbsVal::top();
         }
@@ -371,198 +230,160 @@ Analyzer::eval_pre(std::vector<AbsVal> &pre, const Instr &in) const
 }
 
 void
-Analyzer::poison_carried(std::vector<AbsVal> &vals, int pc) const
+poison_carried(const std::vector<LoopRegion> &loops,
+               std::vector<AbsVal> &vals, int pc)
 {
     // At a loop head the straight-line value of a loop-carried register
     // only describes the first iteration; later iterations may hold
     // anything, so every linear walk forgets them here.
-    for (const LoopRegion &loop : loops_)
+    for (const LoopRegion &loop : loops)
         if (loop.head == pc)
             for (const int r : loop.carried)
                 vals[r] = AbsVal::top();
 }
 
+/**
+ * The straight-line evaluator: calls @p visit(pc, vals) for every pc in
+ * order, with vals the registers' values before the instruction at pc
+ * (eval_pre's domain, loop-carried registers forgotten at each head).
+ */
+template <class Visit>
 void
-Analyzer::find_loops()
+walk_values(const KernelProgram &prog, const StaticLaunchInfo &info,
+            const std::vector<LoopRegion> &loops, Visit &&visit)
 {
-    // Pass 1 (syntactic): every backward branch closes a region; the
-    // canonical counted shape additionally names an induction variable
-    // (setp.lt p, i, bound ; bra p, head).
-    for (std::size_t pc = 0; pc < prog_.code.size(); ++pc) {
-        const Instr &bra = prog_.code[pc];
-        if (bra.op != Op::Bra || bra.target > static_cast<int>(pc))
-            continue;
-        LoopRegion loop;
-        loop.head = bra.target;
-        loop.end = static_cast<int>(pc);
-        if (bra.pred != kNoReg) {
-            for (std::size_t q = pc; q-- > 0;) {
-                const Instr &setp = prog_.code[q];
-                if (setp.op != Op::Setp || setp.rd != bra.pred)
-                    continue;
-                if (setp.cmp == Cmp::Lt && !bra.neg_pred) {
-                    loop.ivar = setp.ra;
-                    loop.setp_pc = static_cast<int>(q);
-                    loop.bound_reg = setp.rb;
-                    loop.bound_imm = setp.imm;
-                }
-                break;
-            }
-        }
-        // Loop-carried registers: read before written inside the region.
-        std::vector<bool> written_in(static_cast<std::size_t>(prog_.num_regs),
-                                     false);
-        for (int q = loop.head; q <= loop.end; ++q) {
-            const int rd = dest_reg(prog_.code[q]);
-            if (rd != kNoReg)
-                written_in[static_cast<std::size_t>(rd)] = true;
-        }
-        std::vector<bool> written_so_far(
-            static_cast<std::size_t>(prog_.num_regs), false);
-        std::vector<int> srcs;
-        for (int q = loop.head; q <= loop.end; ++q) {
-            srcs.clear();
-            source_regs(prog_.code[q], srcs);
-            for (const int s : srcs) {
-                if (written_in[static_cast<std::size_t>(s)] &&
-                    !written_so_far[static_cast<std::size_t>(s)] &&
-                    std::find(loop.carried.begin(), loop.carried.end(), s) ==
-                        loop.carried.end())
-                    loop.carried.push_back(s);
-            }
-            const int rd = dest_reg(prog_.code[q]);
-            if (rd != kNoReg)
-                written_so_far[static_cast<std::size_t>(rd)] = true;
-        }
-        loops_.push_back(std::move(loop));
-    }
-
-    // Pass 2: resolve counted-loop trip bounds with a straight-line
-    // walk that snapshots the bound *at the defining setp* (a bound
-    // register rewritten later must not leak its new value into the
-    // loop) and forgets loop-carried registers at every head.
-    std::vector<AbsVal> pre(prog_.num_regs);
-    for (std::size_t pc = 0; pc < prog_.code.size(); ++pc) {
-        poison_carried(pre, static_cast<int>(pc));
-        for (LoopRegion &loop : loops_) {
-            if (loop.setp_pc != static_cast<int>(pc) || loop.resolved)
-                continue;
-            const AbsVal bound = loop.bound_reg != kNoReg
-                                     ? pre[loop.bound_reg]
-                                     : AbsVal::constant(loop.bound_imm);
-            if (const auto hi = upper_of(bound)) {
-                if (*hi >= 1) {
-                    loop.resolved = true;
-                    loop.trip_hi = *hi;
-                }
-            }
-        }
-        eval_pre(pre, prog_.code[pc]);
-    }
-
-    for (const LoopRegion &loop : loops_) {
-        if (!loop.resolved || loop.ivar == kNoReg)
-            continue;
-        InductionScope scope;
-        scope.in_loop = AbsVal::range(0, loop.trip_hi - 1);
-        // Exit value: the bound when the loop ran, 0 when it never
-        // entered — either way within [0, trip_hi].
-        scope.after = AbsVal::range(0, loop.trip_hi);
-        scope.head = loop.head;
-        scope.end = loop.end;
-        induction_[loop.ivar] = scope;
+    std::vector<AbsVal> vals(prog.num_regs);
+    for (std::size_t pc = 0; pc < prog.code.size(); ++pc) {
+        const int ipc = static_cast<int>(pc);
+        poison_carried(loops, vals, ipc);
+        visit(ipc, static_cast<const std::vector<AbsVal> &>(vals));
+        eval_pre(prog, info, vals, prog.code[pc]);
     }
 }
 
-void
-Analyzer::find_guards()
+/** The full analysis state. */
+class Analyzer
 {
-    // Builder's if_then shape: ssy END ; bra.not p, END with
-    // p = setp.cmp x, bound — inside (bra, END) the predicate holds.
-    //
-    // The bound is snapshotted *at the setp*: a bound register
-    // rewritten between the compare and a guarded access must not
-    // retroactively change what the guard proved. A refinement is
-    // dropped entirely when the guarded register is reassigned inside
-    // the region (the compare said nothing about the new value), or
-    // when a backedge re-enters the region without re-evaluating the
-    // guard.
-    struct SetpSnap
+  public:
+    Analyzer(const KernelProgram &prog, const StaticLaunchInfo &info)
+        : prog_(prog), info_(info), regs_(prog.num_regs),
+          loops_(find_loops(prog)), guards_(find_guards(prog, info, loops_))
     {
-        int reg = kNoReg;
-        Cmp cmp = Cmp::Eq;
-        AbsVal bound;
-        int pc = -1;
+    }
+
+    BoundsAnalysisTable run();
+
+  private:
+    /** Loop-scoped induction range: the trip range holds only for pcs
+     *  inside [head, end]; after the loop the register equals the exit
+     *  value (bound, or 0 when the loop never entered). */
+    struct InductionScope
+    {
+        AbsVal in_loop;
+        AbsVal after;
+        int head = 0;
+        int end = 0;
     };
-    std::vector<SetpSnap> setps(
-        static_cast<std::size_t>(std::max(prog_.num_preds, 1)));
 
-    std::vector<AbsVal> pre(prog_.num_regs);
-    for (std::size_t pc = 0; pc < prog_.code.size(); ++pc) {
-        poison_carried(pre, static_cast<int>(pc));
-        const Instr &in = prog_.code[pc];
-        if (in.op == Op::Setp && in.rd >= 0 &&
-            static_cast<std::size_t>(in.rd) < setps.size()) {
-            SetpSnap &snap = setps[static_cast<std::size_t>(in.rd)];
-            snap.reg = in.ra;
-            snap.cmp = in.cmp;
-            snap.bound = in.rb != kNoReg ? pre[in.rb]
-                                         : AbsVal::constant(in.imm);
-            snap.pc = static_cast<int>(pc);
-        }
-        eval_pre(pre, in);
-        if (in.op != Op::Bra || in.pred == kNoReg || !in.neg_pred ||
-            in.target <= static_cast<int>(pc))
-            continue;
-        if (in.pred < 0 || static_cast<std::size_t>(in.pred) >= setps.size())
-            continue;
-        const SetpSnap &snap = setps[static_cast<std::size_t>(in.pred)];
-        if (snap.pc < 0 || snap.reg == kNoReg)
-            continue;
+    AbsVal eval_src(const Instr &in, int pc) const; //!< rb-or-imm operand
+    AbsVal read_reg(int r, int pc) const;
+    void resolve_inductions();
+    void record_access(int pc, const Instr &in);
+    void assign_pointer_types(BoundsAnalysisTable &bat) const;
+    std::uint64_t buffer_size_of(const BaseRef &ref) const;
 
-        Refinement g;
-        g.reg = snap.reg;
-        g.start_pc = static_cast<int>(pc);
-        g.end_pc = in.target;
-        bool usable = snap.bound.kind == AbsVal::Kind::Range;
-        switch (snap.cmp) {
+    const KernelProgram &prog_;
+    const StaticLaunchInfo &info_;
+    std::vector<AbsVal> regs_;
+    std::vector<LoopRegion> loops_;
+    std::vector<Guard> guards_;
+    std::map<int, InductionScope> induction_; //!< reg -> scoped range
+    BoundsAnalysisTable bat_;
+};
+
+AbsVal
+Analyzer::read_reg(int r, int pc) const
+{
+    if (r == kNoReg)
+        return AbsVal::top();
+    AbsVal v = regs_[r];
+    const auto it = induction_.find(r);
+    if (it != induction_.end() && pc >= it->second.head &&
+        pc <= it->second.end)
+        v = it->second.in_loop;
+    // Guard refinement: inside `if (r cmp bound)` regions, clamp the
+    // range (§6.4 patterns: both upper and lower guards). Upper bounds
+    // take the bound's max, lower bounds its min. All four signed
+    // comparison shapes refine; the ISA has no unsigned compares (Cmp
+    // is Eq/Ne/Lt/Le/Gt/Ge over int64 lanes), so there is no
+    // `x <u bound` guard to mishandle — if unsigned compares are ever
+    // added, they must NOT refine like these: `x <u n` says nothing
+    // about a negative x under this signed lattice.
+    for (const Guard &g : guards_) {
+        if (g.reg != r || pc <= g.bra_pc || pc >= g.end_pc ||
+            v.kind != AbsVal::Kind::Range)
+            continue;
+        switch (g.cmp) {
           case Cmp::Lt:
-            // Upper bounds need the bound's max; lower bounds its min.
-            g.kind = Refinement::Kind::UpperExclusive;
-            g.bound = snap.bound.hi;
+            v.hi = std::min(v.hi, g.bound.hi - 1);
             break;
           case Cmp::Le:
-            g.kind = Refinement::Kind::UpperInclusive;
-            g.bound = snap.bound.hi;
+            v.hi = std::min(v.hi, g.bound.hi);
             break;
           case Cmp::Ge:
-            g.kind = Refinement::Kind::LowerInclusive;
-            g.bound = snap.bound.lo;
+            v.lo = std::max(v.lo, g.bound.lo);
             break;
           case Cmp::Gt:
-            g.kind = Refinement::Kind::LowerExclusive;
-            g.bound = snap.bound.lo;
+            v.lo = std::max(v.lo, g.bound.lo + 1);
             break;
           default:
-            usable = false;
             break;
         }
-        // Invalidation 1: the guarded register is reassigned after the
-        // compare but before the region ends.
-        for (int q = snap.pc + 1; usable && q < g.end_pc; ++q) {
-            if (q < static_cast<int>(prog_.code.size()) &&
-                dest_reg(prog_.code[q]) == g.reg)
-                usable = false;
+    }
+    return v;
+}
+
+AbsVal
+Analyzer::eval_src(const Instr &in, int pc) const
+{
+    // Second operand of two-source ALU ops: register or immediate.
+    // Goes through read_reg so induction scoping and guard refinements
+    // apply to the rb operand too.
+    return in.rb != kNoReg ? read_reg(in.rb, pc) : AbsVal::constant(in.imm);
+}
+
+void
+Analyzer::resolve_inductions()
+{
+    // Counted-loop trip bounds, snapshotted *at the defining setp* (a
+    // bound register rewritten later must not leak its new value into
+    // the loop).
+    std::vector<std::optional<std::int64_t>> trip_hi(loops_.size());
+    const auto visit = [&](int pc, const std::vector<AbsVal> &vals) {
+        for (std::size_t l = 0; l < loops_.size(); ++l) {
+            const LoopRegion &loop = loops_[l];
+            if (loop.setp_pc != pc)
+                continue;
+            const AbsVal bound = loop.bound_reg != kNoReg
+                                     ? vals[loop.bound_reg]
+                                     : AbsVal::constant(loop.bound_imm);
+            if (bound.kind == AbsVal::Kind::Range && bound.hi >= 1)
+                trip_hi[l] = bound.hi;
         }
-        // Invalidation 2: a loop head strictly inside the region lets
-        // execution re-enter past the guard without re-evaluating it.
-        for (const LoopRegion &loop : loops_) {
-            if (loop.head > snap.pc && loop.head < g.end_pc &&
-                (loop.end > g.end_pc || loop.end <= snap.pc))
-                usable = false;
-        }
-        if (usable)
-            guards_.push_back(g);
+    };
+    walk_values(prog_, info_, loops_, visit);
+
+    for (std::size_t l = 0; l < loops_.size(); ++l) {
+        if (!trip_hi[l] || loops_[l].ivar == kNoReg)
+            continue;
+        InductionScope scope;
+        scope.in_loop = AbsVal::range(0, *trip_hi[l] - 1);
+        // Exit value: the bound when the loop ran, 0 when it never
+        // entered — either way within [0, trip_hi].
+        scope.after = AbsVal::range(0, *trip_hi[l]);
+        scope.head = loops_[l].head;
+        scope.end = loops_[l].end;
+        induction_[loops_[l].ivar] = scope;
     }
 }
 
@@ -718,13 +539,12 @@ Analyzer::assign_pointer_types(BoundsAnalysisTable &bat) const
 BoundsAnalysisTable
 Analyzer::run()
 {
-    find_loops();
-    find_guards();
+    resolve_inductions();
 
     for (std::size_t pc = 0; pc < prog_.code.size(); ++pc) {
         const Instr &in = prog_.code[pc];
         const int ipc = static_cast<int>(pc);
-        poison_carried(regs_, ipc);
+        poison_carried(loops_, regs_, ipc);
         switch (in.op) {
           case Op::Mov:
             regs_[in.rd] = in.ra != kNoReg ? read_reg(in.ra, ipc)
@@ -753,7 +573,7 @@ Analyzer::run()
                         read_reg(in.rc, ipc));
             break;
           case Op::Sreg:
-            regs_[in.rd] = sreg_value(in.sreg);
+            regs_[in.rd] = sreg_value(in.sreg, info_);
             break;
           case Op::Ldarg: {
             const KernelArgSpec &spec = prog_.args[in.arg_index];
@@ -831,6 +651,123 @@ Analyzer::run()
 }
 
 } // namespace
+
+std::vector<LoopRegion>
+find_loops(const KernelProgram &prog)
+{
+    // Every backward branch closes a region; the canonical counted
+    // shape additionally names an induction variable.
+    std::vector<LoopRegion> loops;
+    const auto nregs = static_cast<std::size_t>(prog.num_regs);
+    std::vector<int> srcs;
+    for (std::size_t pc = 0; pc < prog.code.size(); ++pc) {
+        const Instr &bra = prog.code[pc];
+        if (bra.op != Op::Bra || bra.target > static_cast<int>(pc))
+            continue;
+        LoopRegion loop;
+        loop.head = bra.target;
+        loop.end = static_cast<int>(pc);
+        if (bra.pred != kNoReg) {
+            for (std::size_t q = pc; q-- > 0;) {
+                const Instr &setp = prog.code[q];
+                if (setp.op != Op::Setp || setp.rd != bra.pred)
+                    continue;
+                if (setp.cmp == Cmp::Lt && !bra.neg_pred) {
+                    loop.ivar = setp.ra;
+                    loop.setp_pc = static_cast<int>(q);
+                    loop.bound_reg = setp.rb;
+                    loop.bound_imm = setp.imm;
+                }
+                break;
+            }
+        }
+        // Loop-carried registers: read before written inside the region.
+        std::vector<bool> written_in(nregs, false);
+        for (int q = loop.head; q <= loop.end; ++q) {
+            const int rd = dest_reg(prog.code[q]);
+            if (rd != kNoReg)
+                written_in[static_cast<std::size_t>(rd)] = true;
+        }
+        std::vector<bool> written_so_far(nregs, false);
+        for (int q = loop.head; q <= loop.end; ++q) {
+            srcs.clear();
+            source_regs(prog.code[q], srcs);
+            for (const int s : srcs) {
+                if (written_in[static_cast<std::size_t>(s)] &&
+                    !written_so_far[static_cast<std::size_t>(s)] &&
+                    std::find(loop.carried.begin(), loop.carried.end(), s) ==
+                        loop.carried.end())
+                    loop.carried.push_back(s);
+            }
+            const int rd = dest_reg(prog.code[q]);
+            if (rd != kNoReg)
+                written_so_far[static_cast<std::size_t>(rd)] = true;
+        }
+        loops.push_back(std::move(loop));
+    }
+    return loops;
+}
+
+std::vector<Guard>
+find_guards(const KernelProgram &prog, const StaticLaunchInfo &info,
+            const std::vector<LoopRegion> &loops)
+{
+    // The last setp of each predicate, with its bound as read there.
+    struct SetpSnap
+    {
+        int reg = kNoReg;
+        Cmp cmp = Cmp::Eq;
+        AbsVal bound;
+        int pc = -1;
+    };
+    std::vector<SetpSnap> setps(
+        static_cast<std::size_t>(std::max(prog.num_preds, 1)));
+    std::vector<Guard> guards;
+
+    const auto visit = [&](int pc, const std::vector<AbsVal> &vals) {
+        const Instr &in = prog.code[static_cast<std::size_t>(pc)];
+        if (in.op == Op::Setp && in.rd >= 0 &&
+            static_cast<std::size_t>(in.rd) < setps.size()) {
+            SetpSnap &snap = setps[static_cast<std::size_t>(in.rd)];
+            snap.reg = in.ra;
+            snap.cmp = in.cmp;
+            snap.bound = in.rb != kNoReg ? vals[in.rb]
+                                         : AbsVal::constant(in.imm);
+            snap.pc = pc;
+            return;
+        }
+        if (in.op != Op::Bra || in.pred == kNoReg || !in.neg_pred ||
+            in.target <= pc || in.pred < 0 ||
+            static_cast<std::size_t>(in.pred) >= setps.size())
+            return;
+        const SetpSnap &snap = setps[static_cast<std::size_t>(in.pred)];
+        if (snap.pc < 0 || snap.reg == kNoReg ||
+            snap.bound.kind != AbsVal::Kind::Range)
+            return;
+        // x reassigned after the compare but before the region ends.
+        for (int q = snap.pc + 1; q < in.target; ++q) {
+            if (q < static_cast<int>(prog.code.size()) &&
+                dest_reg(prog.code[static_cast<std::size_t>(q)]) == snap.reg)
+                return;
+        }
+        // A loop head strictly inside the region lets execution
+        // re-enter past the guard without re-evaluating it.
+        for (const LoopRegion &loop : loops) {
+            if (loop.head > snap.pc && loop.head < in.target &&
+                (loop.end > in.target || loop.end <= snap.pc))
+                return;
+        }
+        Guard g;
+        g.bra_pc = pc;
+        g.end_pc = in.target;
+        g.cmp = snap.cmp;
+        g.reg = snap.reg;
+        g.bound = Interval{snap.bound.lo, snap.bound.hi};
+        guards.push_back(g);
+    };
+    walk_values(prog, info, loops, visit);
+    return guards;
+}
 
 BoundsAnalysisTable
 analyze_kernel(const KernelProgram &prog, const StaticLaunchInfo &info)

@@ -17,7 +17,9 @@
  * Loop induction variables are recognized from the canonical counted-
  * loop shape the builder emits, and `if (x < bound)` guards refine x's
  * range inside the guarded region — this is what lets GPUShield replace
- * the software bounds checks of §6.4.
+ * the software bounds checks of §6.4. The loop and guard finders are
+ * exported, so the check optimizer (check_opt.h) and guard replacement
+ * (guard_replace.h) work on the same loops and guards as this pass.
  */
 
 #ifndef GPUSHIELD_COMPILER_STATIC_ANALYSIS_H
@@ -54,6 +56,59 @@ struct StaticLaunchInfo
 /** Runs the static pass and produces the kernel's BAT. */
 BoundsAnalysisTable analyze_kernel(const KernelProgram &prog,
                                    const StaticLaunchInfo &info);
+
+/** One backward-branch region [head, end] (end = the backedge pc). */
+struct LoopRegion
+{
+    int head = 0;
+    int end = 0;
+    /** Registers read before written inside the region (loop-carried):
+     *  their value on iterations >= 2 is not the straight-line one. */
+    std::vector<int> carried;
+    /** Canonical counted-loop shape (setp.lt p, i, bound ; bra p,
+     *  head): the induction register and the compare's pc and bound
+     *  operand. ivar is kNoReg for any other shape. */
+    int ivar = kNoReg;
+    int setp_pc = -1;
+    int bound_reg = kNoReg;
+    std::int64_t bound_imm = 0;
+};
+
+/** The region of every backward branch, in backedge order. Needs no
+ *  launch facts: it reads the code only. */
+std::vector<LoopRegion> find_loops(const KernelProgram &prog);
+
+/** Closed range [lo, hi] of a value. */
+struct Interval
+{
+    std::int64_t lo = 0;
+    std::int64_t hi = 0;
+};
+
+/** One `if (x cmp B)` guard: `bra.not p, END` with p = setp.cmp x, B.
+ *  The compare holds strictly between the branch and END. */
+struct Guard
+{
+    int bra_pc = -1;
+    int end_pc = -1; //!< END, the branch target
+    Cmp cmp = Cmp::Eq;
+    int reg = kNoReg; //!< x, the guarded register
+    Interval bound;   //!< B as read at the setp
+};
+
+/**
+ * The guards that still describe x inside their region, in branch
+ * order. B is read at the setp by a straight-line walk that forgets
+ * loop-carried registers at each loop head, so a bound register
+ * rewritten after the compare does not change what the guard proved.
+ * A guard is dropped when B has no known range, when x is reassigned
+ * between the setp and END (the compare says nothing about the new
+ * value), or when a loop head inside the region lets execution
+ * re-enter it past the branch. @p loops is find_loops(@p prog).
+ */
+std::vector<Guard> find_guards(const KernelProgram &prog,
+                               const StaticLaunchInfo &info,
+                               const std::vector<LoopRegion> &loops);
 
 } // namespace gpushield
 

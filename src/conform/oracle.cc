@@ -514,9 +514,11 @@ ShieldBackend &
 LaneOracle::classifier(ShieldBackendKind kind)
 {
     auto &slot = classifiers_[static_cast<std::size_t>(kind)];
-    if (slot == nullptr)
-        slot = make_shield_backend(kind, ShieldConfig{},
-                                   /*pipeline_slack=*/0);
+    if (slot == nullptr) {
+        ShieldConfig cfg;
+        cfg.backend = kind;
+        slot = make_shield_backend(cfg, /*pipeline_slack=*/0);
+    }
     return *slot;
 }
 

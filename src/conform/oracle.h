@@ -169,7 +169,7 @@ class LaneOracle final : public LaneObserver
     ShieldBackend &classifier(ShieldBackendKind kind);
 
     Driver &driver_;
-    std::array<std::unique_ptr<ShieldBackend>, 2> classifiers_;
+    std::array<std::unique_ptr<ShieldBackend>, kShieldBackendKinds> classifiers_;
     std::unordered_map<KernelId, KernelInfo> kernels_;
     std::unordered_map<std::uint64_t, Shadow> shadows_;
 

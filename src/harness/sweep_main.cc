@@ -24,9 +24,6 @@ namespace {
 
 using namespace gpushield::harness;
 
-/** The pool starts every worker up front, so --jobs is capped. */
-constexpr unsigned kMaxJobs = 256;
-
 int
 usage(const char *argv0)
 {
@@ -48,7 +45,7 @@ usage(const char *argv0)
                  "                 to shield cells (adds \"conform\")\n"
                  "  --list         list available suites\n"
                  "  --quiet        suppress per-cell progress\n",
-                 argv0, kMaxJobs, ThreadPool::hardware_jobs());
+                 argv0, ThreadPool::kMaxJobs, ThreadPool::hardware_jobs());
     return 2;
 }
 
@@ -103,7 +100,7 @@ main(int argc, char **argv)
         if (arg == "--suite")
             suite_name = value();
         else if (arg == "--jobs")
-            jobs = static_cast<unsigned>(number(1, kMaxJobs));
+            jobs = static_cast<unsigned>(number(1, ThreadPool::kMaxJobs));
         else if (arg == "--backend") {
             const char *name = value();
             if (!gpushield::parse_shield_backend(name, backend)) {

@@ -18,11 +18,10 @@
  *    same-kernel region that happens to share the tag
  *    (`weakness_label` → "tag_collision").
  *
- * Timing model mirrors the region backend's exposed-stall rule: a
- * metadata-cache hit costs `cache_hit_latency`, a miss walks the
- * in-memory table (`table_latency`) and issues refill traffic to the
- * entry's physical slot; the LSU pipeline shadows `pipeline_slack`
- * cycles plus one per extra coalesced transaction.
+ * Timing model: a metadata-cache hit costs `cache_hit_latency`, a miss
+ * walks the in-memory table (`table_latency`) and issues refill traffic
+ * to the entry's physical slot; ShieldBackend's shared exposed-stall
+ * rule decides how much of that the LSU pipeline hides.
  */
 
 #ifndef GPUSHIELD_SHIELD_ARMOR_BACKEND_H
@@ -53,15 +52,6 @@ class ArmorShieldBackend : public ShieldBackend
 
     void register_kernel(const ShieldKernelDesc &desc) override;
     void deregister_kernel(KernelId kernel) override;
-    BcuResponse check(const BcuRequest &req) override;
-
-    const std::vector<Violation> &violations() const override
-    {
-        return violations_;
-    }
-    void clear_violations() override { violations_.clear(); }
-
-    const StatSet &stats() const override { return stats_; }
     StatSet metadata_stats() const override { return meta_stats_; }
 
     const char *
@@ -75,6 +65,11 @@ class ArmorShieldBackend : public ShieldBackend
         VAddr base = 0;
         VAddr end = 0; //!< granule-rounded one-past-end
         bool read_only = false;
+
+        bool contains(VAddr lo, VAddr hi) const
+        {
+            return lo >= base && hi <= end;
+        }
     };
 
     struct KernelState
@@ -83,13 +78,17 @@ class ArmorShieldBackend : public ShieldBackend
         std::vector<Entry> entries;
     };
 
-    void log(const BcuRequest &req, ViolationKind kind);
-    Cycle exposed_stall(const BcuRequest &req, Cycle check_latency) const;
+    /** The tag match over the issuing kernel's metadata entries. */
+    Cycle check_pointer(const BcuRequest &req, BcuResponse &resp) override;
+    /** @p r as this backend sees it: tag masked to tag_bits, extent
+     *  rounded up to kArmorGranule. */
+    Entry entry_of(const ShieldRegionDesc &r) const;
+    std::uint16_t tag_of(std::uint64_t pointer) const;
     /** FIFO metadata-entry cache probe; fills on miss. */
     bool cache_lookup(KernelId kernel, BufferId id);
 
     ArmorShieldConfig cfg_;
-    Cycle pipeline_slack_;
+    std::uint16_t tag_mask_;
     std::unordered_map<KernelId, KernelState> kernels_;
 
     /** Single-level FIFO cache of recently used metadata entries. */
@@ -102,12 +101,8 @@ class ArmorShieldBackend : public ShieldBackend
     std::vector<CacheLine> cache_;
     std::size_t cache_fifo_ = 0;
 
-    std::vector<Violation> violations_;
-    StatSet stats_;
     StatSet meta_stats_;
-    StatSet::Counter c_checks_, c_bt_checks_, c_tag_checks_,
-        c_skipped_unprotected_, c_guard_suppressed_, c_violations_,
-        c_stall_cycles_;
+    StatSet::Counter c_tag_checks_;
     StatSet::Counter c_lookups_, c_l1_hits_, c_l1_misses_, c_refills_;
 };
 

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/stats.h"
@@ -176,11 +177,21 @@ struct ShieldMissContext
     const std::vector<ShieldRegionDesc> *regions = nullptr;
 };
 
-/** Per-core pluggable bounds-checking hardware. */
+/**
+ * Per-core pluggable bounds-checking hardware. The check front end is
+ * shared and non-virtual: the Method A binding-table check, the skip of
+ * unprotected (Type 1) pointers, violation logging with its silent and
+ * cover-probe suppression, and the exposed-stall rule (Fig. 12). A
+ * backend implements only its pointer scheme (check_pointer), its
+ * kernel metadata and its miss classification.
+ */
 class ShieldBackend
 {
   public:
     virtual ~ShieldBackend() = default;
+    // Counter handles point into stats(): a copy would bump the original.
+    ShieldBackend(const ShieldBackend &) = delete;
+    ShieldBackend &operator=(const ShieldBackend &) = delete;
 
     virtual ShieldBackendKind kind() const = 0;
     virtual const char *name() const = 0;
@@ -193,16 +204,16 @@ class ShieldBackend
     virtual void deregister_kernel(KernelId kernel) = 0;
 
     /** Performs the bounds check for one memory instruction. */
-    virtual BcuResponse check(const BcuRequest &req) = 0;
+    BcuResponse check(const BcuRequest &req);
 
     /** Violations logged so far (error-logging mode). */
-    virtual const std::vector<Violation> &violations() const = 0;
+    const std::vector<Violation> &violations() const { return violations_; }
 
     /** Clears the violation log (read out by the host at kernel end). */
-    virtual void clear_violations() = 0;
+    void clear_violations() { violations_.clear(); }
 
     /** Check/violation/stall counters. */
-    virtual const StatSet &stats() const = 0;
+    const StatSet &stats() const { return stats_; }
 
     /** Metadata-lookup counters (RCache levels for Region, entry cache
      *  for Armor). Both backends use the "lookups"/"l1_hits"/"refills"
@@ -218,17 +229,43 @@ class ShieldBackend
      */
     virtual const char *
     weakness_label(const ShieldMissContext &ctx) const = 0;
+
+  protected:
+    /** @param pipeline_slack LSU cycles that shadow the check on a
+     *  D-cache hit (2 reproduces Fig. 12). */
+    explicit ShieldBackend(Cycle pipeline_slack);
+
+    /**
+     * The pointer scheme, for a protected pointer without a binding
+     * table entry: sets @p resp's verdict (violation, kind, region) and
+     * any metadata refill. @return the check latency the LSU pipeline
+     * may shadow; 0 for a check that completes in address gather.
+     */
+    virtual Cycle check_pointer(const BcuRequest &req,
+                                BcuResponse &resp) = 0;
+
+    /** Interns a scheme-specific counter in stats(). */
+    StatSet::Counter counter(const std::string &name)
+    {
+        return stats_.counter(name);
+    }
+
+  private:
+    void log(const BcuRequest &req, ViolationKind kind);
+    Cycle exposed_stall(const BcuRequest &req, Cycle check_latency) const;
+
+    Cycle pipeline_slack_;
+    std::vector<Violation> violations_;
+    StatSet stats_;
+    // Interned per-check counters (resolved once; bumped per event).
+    StatSet::Counter c_checks_, c_bt_checks_, c_skipped_unprotected_,
+        c_guard_suppressed_, c_violations_, c_stall_cycles_;
 };
 
 /** Creates the backend @p cfg.backend selects. @p pipeline_slack is the
  *  LSU shadow for the exposed-stall model (GpuConfig::lsu_pipeline_slack). */
 std::unique_ptr<ShieldBackend>
 make_shield_backend(const ShieldConfig &cfg, Cycle pipeline_slack);
-
-/** Same, with the kind overridden (per-kernel backend routing). */
-std::unique_ptr<ShieldBackend>
-make_shield_backend(ShieldBackendKind kind, const ShieldConfig &cfg,
-                    Cycle pipeline_slack);
 
 } // namespace gpushield
 

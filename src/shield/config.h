@@ -13,6 +13,7 @@
 #ifndef GPUSHIELD_SHIELD_CONFIG_H
 #define GPUSHIELD_SHIELD_CONFIG_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -25,6 +26,9 @@ enum class ShieldBackendKind : std::uint8_t {
     Region, //!< the paper's BCU + RBT + RCache pipeline (default)
     Armor,  //!< GPUArmor-style plaintext tag match, no per-kernel cipher
 };
+
+/** Number of ShieldBackendKind values: per-kind arrays index by kind. */
+inline constexpr std::size_t kShieldBackendKinds = 2;
 
 inline const char *
 to_string(ShieldBackendKind kind)

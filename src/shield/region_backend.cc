@@ -1,7 +1,5 @@
 #include "shield/region_backend.h"
 
-#include <algorithm>
-
 #include "common/bitutil.h"
 #include "common/log.h"
 #include "shield/pointer.h"
@@ -22,15 +20,9 @@ to_rcache_config(const RegionShieldConfig &cfg)
 
 RegionShieldBackend::RegionShieldBackend(const RCacheConfig &cfg,
                                          Cycle pipeline_slack)
-    : rcache_(cfg), pipeline_slack_(pipeline_slack),
-      c_checks_(stats_.counter("checks")),
-      c_bt_checks_(stats_.counter("bt_checks")),
-      c_type2_checks_(stats_.counter("type2_checks")),
-      c_type3_checks_(stats_.counter("type3_checks")),
-      c_skipped_unprotected_(stats_.counter("skipped_unprotected")),
-      c_guard_suppressed_(stats_.counter("guard_suppressed")),
-      c_violations_(stats_.counter("violations")),
-      c_stall_cycles_(stats_.counter("stall_cycles"))
+    : ShieldBackend(pipeline_slack), rcache_(cfg),
+      c_type2_checks_(counter("type2_checks")),
+      c_type3_checks_(counter("type3_checks"))
 {
 }
 
@@ -53,85 +45,10 @@ RegionShieldBackend::deregister_kernel(KernelId kernel)
     rcache_.invalidate_kernel(kernel);
 }
 
-void
-RegionShieldBackend::log(const BcuRequest &req, ViolationKind kind)
-{
-    if (req.cover_probe)
-        return; // a failed cover probe is a fallback, not a violation
-    if (req.silent) {
-        // §6.4 guard replacement: the squash is expected behaviour of
-        // the removed software guard, not an error.
-        ++c_guard_suppressed_;
-        return;
-    }
-    Violation v;
-    v.kernel = req.kernel;
-    v.tenant = req.tenant;
-    v.core = req.core;
-    v.pc = req.pc;
-    v.warp = req.warp;
-    v.is_store = req.is_store;
-    v.min_addr = req.min_addr;
-    v.max_end = req.max_end;
-    v.kind = kind;
-    violations_.push_back(v);
-    ++c_violations_;
-}
-
 Cycle
-RegionShieldBackend::exposed_stall(const BcuRequest &req,
-                                   Cycle check_latency) const
+RegionShieldBackend::check_pointer(const BcuRequest &req, BcuResponse &resp)
 {
-    // The LSU pipeline shadows the check: a D-cache hit exposes only
-    // what exceeds the remaining pipeline depth; each extra coalesced
-    // transaction occupies the LSU one more cycle; a D-cache miss hides
-    // everything (Fig. 12).
-    if (!req.dcache_hit)
-        return 0;
-    const Cycle shadow =
-        pipeline_slack_ + (req.num_transactions > 0
-                               ? req.num_transactions - 1
-                               : 0);
-    return check_latency > shadow ? check_latency - shadow : 0;
-}
-
-BcuResponse
-RegionShieldBackend::check(const BcuRequest &req)
-{
-    BcuResponse resp;
-
-    if (req.has_bt_bounds) {
-        // Method A: compare against the binding-table entry directly.
-        resp.checked = true;
-        ++c_checks_;
-        ++c_bt_checks_;
-        const Bounds &b = req.bt_bounds;
-        if (req.is_store && b.read_only) {
-            resp.violation = true;
-            resp.kind = ViolationKind::ReadOnlyWrite;
-            log(req, resp.kind);
-        } else if (!b.contains(req.min_addr, req.max_end - req.min_addr)) {
-            resp.violation = true;
-            resp.kind = ViolationKind::OutOfBounds;
-            resp.region_known = true;
-            resp.region_base = b.base_addr;
-            resp.region_end = b.base_addr + b.size;
-            log(req, resp.kind);
-        }
-        return resp;
-    }
-
-    const PtrClass cls = ptr_class(req.pointer);
-
-    if (cls == PtrClass::Unprotected) {
-        ++c_skipped_unprotected_;
-        return resp;
-    }
-
-    resp.checked = true;
-    ++c_checks_;
-
-    if (cls == PtrClass::SizedWindow) {
+    if (ptr_class(req.pointer) == PtrClass::SizedWindow) {
         // Type 3: compare offsets against the embedded power-of-two
         // window; no RCache access (§5.3.3).
         ++c_type3_checks_;
@@ -154,11 +71,10 @@ RegionShieldBackend::check(const BcuRequest &req)
                 resp.region_base = ptr_addr(req.pointer);
                 resp.region_end = resp.region_base + window;
             }
-            log(req, resp.kind);
         }
         // Offset comparison completes in the address-gather stage; no
         // exposed stall.
-        return resp;
+        return 0;
     }
 
     // Type 2: decrypt the ID and consult the RCache hierarchy.
@@ -197,15 +113,12 @@ RegionShieldBackend::check(const BcuRequest &req)
     if (!bounds.valid) {
         resp.violation = true;
         resp.kind = ViolationKind::InvalidEntry;
-        log(req, resp.kind);
     } else if (bounds.kernel != req.kernel) {
         resp.violation = true;
         resp.kind = ViolationKind::KernelMismatch;
-        log(req, resp.kind);
     } else if (req.is_store && bounds.read_only) {
         resp.violation = true;
         resp.kind = ViolationKind::ReadOnlyWrite;
-        log(req, resp.kind);
     } else if (req.min_addr < bounds.base_addr ||
                req.max_end > bounds.base_addr + bounds.size) {
         resp.violation = true;
@@ -213,13 +126,8 @@ RegionShieldBackend::check(const BcuRequest &req)
         resp.region_known = true;
         resp.region_base = bounds.base_addr;
         resp.region_end = bounds.base_addr + bounds.size;
-        log(req, resp.kind);
     }
-
-    resp.stall_cycles = exposed_stall(req, check_latency);
-    if (resp.stall_cycles > 0)
-        c_stall_cycles_ += resp.stall_cycles;
-    return resp;
+    return check_latency;
 }
 
 const char *

@@ -15,11 +15,13 @@
  * operands with no RCache access. Type 1 pointers skip checking.
  *
  * Timing model: the check completes `rcache_latency` cycles after AGEN.
- * The LSU pipeline shadows `pipeline_slack` cycles for a D-cache hit
- * plus one cycle per additional coalesced transaction; anything beyond
- * that is an exposed stall. With the default 1-cycle L1 RCache this
- * reproduces the paper's "one bubble only on single-transaction D-cache
- * hit with L1 RCache miss" behaviour.
+ * ShieldBackend's shared exposed-stall rule applies: the LSU pipeline
+ * shadows `pipeline_slack` cycles for a D-cache hit plus one cycle per
+ * additional coalesced transaction; anything beyond that is an exposed
+ * stall. With the default 1-cycle L1 RCache this reproduces the paper's
+ * "one bubble only on single-transaction D-cache hit with L1 RCache
+ * miss" behaviour. Method A and Type 1 requests never reach this
+ * backend's code: the shared front end handles them.
  */
 
 #ifndef GPUSHIELD_SHIELD_REGION_BACKEND_H
@@ -27,9 +29,7 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
-#include "common/stats.h"
 #include "common/types.h"
 #include "shield/backend.h"
 #include "shield/cipher.h"
@@ -70,21 +70,8 @@ class RegionShieldBackend : public ShieldBackend
      *  termination; co-resident kernels keep theirs, §6.2). */
     void deregister_kernel(KernelId kernel) override;
 
-    /** Performs the bounds check for one memory instruction. */
-    BcuResponse check(const BcuRequest &req) override;
-
-    /** Violations logged so far (error-logging mode). */
-    const std::vector<Violation> &violations() const override
-    {
-        return violations_;
-    }
-
-    /** Clears the violation log (read out by the host at kernel end). */
-    void clear_violations() override { violations_.clear(); }
-
     RCache &rcache() { return rcache_; }
     const RCache &rcache() const { return rcache_; }
-    const StatSet &stats() const override { return stats_; }
     StatSet metadata_stats() const override { return rcache_.stats(); }
 
     const char *
@@ -97,18 +84,13 @@ class RegionShieldBackend : public ShieldBackend
         const RegionBoundsTable *rbt = nullptr;
     };
 
-    void log(const BcuRequest &req, ViolationKind kind);
-    Cycle exposed_stall(const BcuRequest &req, Cycle check_latency) const;
+    /** Type 3: the offsets against the embedded power-of-two window;
+     *  Type 2: the decrypted ID through the RCache hierarchy. */
+    Cycle check_pointer(const BcuRequest &req, BcuResponse &resp) override;
 
     RCache rcache_;
-    Cycle pipeline_slack_;
     std::unordered_map<KernelId, KernelState> kernels_;
-    std::vector<Violation> violations_;
-    StatSet stats_;
-    // Interned per-check counters (resolved once; bumped per event).
-    StatSet::Counter c_checks_, c_bt_checks_, c_type2_checks_,
-        c_type3_checks_, c_skipped_unprotected_, c_guard_suppressed_,
-        c_violations_, c_stall_cycles_;
+    StatSet::Counter c_type2_checks_, c_type3_checks_;
 };
 
 /** RegionShieldConfig (sim-facing knobs) → RCacheConfig (hardware). */

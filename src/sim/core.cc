@@ -14,26 +14,29 @@ namespace gpushield {
 Core::Core(CoreId id, const GpuConfig &cfg, EventQueue &eq,
            MemoryHierarchy &hier)
     : id_(id), cfg_(cfg), eq_(eq), hier_(hier),
-      shield_(make_shield_backend(cfg.shield, cfg.lsu_pipeline_slack)),
       slots_(cfg.max_workgroups_per_core),
       c_issued_(stats_.counter("issued")),
       c_workgroups_started_(stats_.counter("workgroups_started")),
       c_workgroups_finished_(stats_.counter("workgroups_finished"))
 {
+    backend_for(cfg.shield.backend);
 }
 
 ShieldBackend &
 Core::backend_for(ShieldBackendKind kind)
 {
-    if (kind == shield_->kind())
-        return *shield_;
-    // A resident kernel was signed for the other backend (mixed-backend
-    // co-scheduling): instantiate it on first use so single-backend
-    // runs never create — or aggregate stats from — a second unit.
-    if (alt_shield_ == nullptr)
-        alt_shield_ =
-            make_shield_backend(kind, cfg_.shield, cfg_.lsu_pipeline_slack);
-    return *alt_shield_;
+    // The configured kind is created with the core. The other exists
+    // only once a resident kernel was signed for it (mixed-backend
+    // co-scheduling), so single-backend runs never create — or
+    // aggregate stats from — a second unit.
+    std::unique_ptr<ShieldBackend> &slot =
+        shields_[static_cast<std::size_t>(kind)];
+    if (slot == nullptr) {
+        ShieldConfig shield = cfg_.shield;
+        shield.backend = kind;
+        slot = make_shield_backend(shield, cfg_.lsu_pipeline_slack);
+    }
+    return *slot;
 }
 
 void
@@ -107,6 +110,19 @@ Core::recompute_ready_hint(Cycle now)
 }
 
 bool
+Core::dispatchable(const KernelExec &kernel) const
+{
+    if (kernel.done || kernel.aborted ||
+        kernel.next_wg >= kernel.total_wgs())
+        return false;
+    if (((kernel.core_mask >> id_) & 1) == 0)
+        return false;
+    const unsigned warps_needed =
+        (kernel.launch->ntid + kWarpSize - 1) / kWarpSize;
+    return warps_in_use_ + warps_needed <= cfg_.max_warps_per_core;
+}
+
+bool
 Core::try_dispatch()
 {
     if (!dispatch_possible_ || resident_.empty())
@@ -114,14 +130,7 @@ Core::try_dispatch()
     for (std::size_t n = 0; n < resident_.size(); ++n) {
         KernelExec *kernel =
             resident_[(dispatch_rr_ + n) % resident_.size()];
-        if (kernel->done || kernel->aborted ||
-            kernel->next_wg >= kernel->total_wgs())
-            continue;
-        if (((kernel->core_mask >> id_) & 1) == 0)
-            continue;
-        const unsigned warps_needed =
-            (kernel->launch->ntid + kWarpSize - 1) / kWarpSize;
-        if (warps_in_use_ + warps_needed > cfg_.max_warps_per_core)
+        if (!dispatchable(*kernel))
             continue;
         auto slot = std::find_if(slots_.begin(), slots_.end(),
                                  [](const WorkgroupCtx &wg) {
@@ -142,33 +151,17 @@ Core::try_dispatch()
 bool
 Core::can_dispatch() const
 {
-    if (!dispatch_possible_)
+    // try_dispatch without the mutation: a dispatch happens iff a slot
+    // is free and some kernel is dispatchable (the round-robin cursor
+    // picks which kernel, not whether).
+    if (!dispatch_possible_ ||
+        std::none_of(slots_.begin(), slots_.end(),
+                     [](const WorkgroupCtx &wg) { return !wg.live; }))
         return false;
-    // Mirror of try_dispatch without the mutation: a dispatch happens
-    // iff some kernel passes the eligibility checks and a slot is free
-    // (the round-robin cursor picks which kernel, not whether).
-    bool have_slot = false;
-    for (const WorkgroupCtx &wg : slots_) {
-        if (!wg.live) {
-            have_slot = true;
-            break;
-        }
-    }
-    if (!have_slot)
-        return false;
-    for (const KernelExec *kernel : resident_) {
-        if (kernel->done || kernel->aborted ||
-            kernel->next_wg >= kernel->total_wgs())
-            continue;
-        if (((kernel->core_mask >> id_) & 1) == 0)
-            continue;
-        const unsigned warps_needed =
-            (kernel->launch->ntid + kWarpSize - 1) / kWarpSize;
-        if (warps_in_use_ + warps_needed > cfg_.max_warps_per_core)
-            continue;
-        return true;
-    }
-    return false;
+    return std::any_of(resident_.begin(), resident_.end(),
+                       [this](const KernelExec *kernel) {
+                           return dispatchable(*kernel);
+                       });
 }
 
 Cycle

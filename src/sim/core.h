@@ -20,6 +20,7 @@
 #ifndef GPUSHIELD_SIM_CORE_H
 #define GPUSHIELD_SIM_CORE_H
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -140,14 +141,15 @@ class Core
     /** True when no workgroups are resident. */
     bool idle() const { return live_workgroups_ == 0; }
 
-    /** The core's primary shield backend (the configured kind). */
-    ShieldBackend &shield() { return *shield_; }
-    const ShieldBackend &shield() const { return *shield_; }
-
-    /** Secondary backend, created lazily when a resident kernel was
-     *  signed for the other kind (mixed-backend co-scheduling); null
-     *  until then — single-backend runs never pay for it. */
-    const ShieldBackend *alt_shield() const { return alt_shield_.get(); }
+    /** The core's shield backends, indexed by ShieldBackendKind. The
+     *  configured kind exists from construction; the other is created
+     *  when a resident kernel was signed for it (mixed-backend
+     *  co-scheduling) and is null until then. */
+    const std::array<std::unique_ptr<ShieldBackend>, kShieldBackendKinds> &
+    shields() const
+    {
+        return shields_;
+    }
 
     const StatSet &stats() const { return stats_; }
     CoreId id() const { return id_; }
@@ -200,9 +202,12 @@ class Core
         std::uint32_t warp = 0;
     };
 
+    /** True when @p kernel may start a workgroup on this core now:
+     *  workgroups left, this core in its mask, and warps to spare. */
+    bool dispatchable(const KernelExec &kernel) const;
     bool try_dispatch();
-    /** Backend that checks @p kind kernels on this core; creates the
-     *  secondary backend on first use. */
+    /** Backend that checks @p kind kernels on this core; creates it
+     *  on first use. */
     ShieldBackend &backend_for(ShieldBackendKind kind);
     /** Lowers the ready hint: some warp may issue at cycle @p c. */
     void note_ready(Cycle c);
@@ -228,8 +233,7 @@ class Core
     const GpuConfig &cfg_;
     EventQueue &eq_;
     MemoryHierarchy &hier_;
-    std::unique_ptr<ShieldBackend> shield_;
-    std::unique_ptr<ShieldBackend> alt_shield_;
+    std::array<std::unique_ptr<ShieldBackend>, kShieldBackendKinds> shields_;
 
     std::vector<KernelExec *> resident_;
     std::size_t dispatch_rr_ = 0; //!< round-robin among resident kernels

@@ -1,6 +1,7 @@
 #include "sim/gpu.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/log.h"
 #include "obs/engine_profile.h"
@@ -181,7 +182,7 @@ KernelResult
 Gpu::result(std::size_t index) const
 {
     if (index >= launched_.size())
-        fatal("Gpu::result: bad launch index");
+        throw std::out_of_range("Gpu::result: bad launch index");
     const Launched &l = launched_[index];
 
     KernelResult r;
@@ -192,15 +193,14 @@ Gpu::result(std::size_t index) const
     r.end_cycle = l.exec->end_cycle;
     r.aborted = l.exec->aborted;
     r.stats = l.exec->stats;
-    for (const auto &core : cores_) {
-        for (const Violation &v : core->shield().violations())
-            if (v.kernel == l.state->kernel_id)
-                r.violations.push_back(v);
-        if (const ShieldBackend *alt = core->alt_shield())
-            for (const Violation &v : alt->violations())
-                if (v.kernel == l.state->kernel_id)
-                    r.violations.push_back(v);
-    }
+    // A kernel registers with one backend kind, so its violations come
+    // from one backend per core, in that backend's order.
+    for (const auto &core : cores_)
+        for (const auto &shield : core->shields())
+            if (shield != nullptr)
+                for (const Violation &v : shield->violations())
+                    if (v.kernel == l.state->kernel_id)
+                        r.violations.push_back(v);
     return r;
 }
 
@@ -208,7 +208,7 @@ LaunchState &
 Gpu::launch_state(std::size_t index)
 {
     if (index >= launched_.size())
-        fatal("Gpu::launch_state: bad launch index");
+        throw std::out_of_range("Gpu::launch_state: bad launch index");
     return *launched_[index].state;
 }
 
@@ -216,11 +216,10 @@ StatSet
 Gpu::rcache_stats() const
 {
     StatSet agg;
-    for (const auto &core : cores_) {
-        agg.merge(core->shield().metadata_stats());
-        if (const ShieldBackend *alt = core->alt_shield())
-            agg.merge(alt->metadata_stats());
-    }
+    for (const auto &core : cores_)
+        for (const auto &shield : core->shields())
+            if (shield != nullptr)
+                agg.merge(shield->metadata_stats());
     return agg;
 }
 
@@ -228,11 +227,10 @@ StatSet
 Gpu::bcu_stats() const
 {
     StatSet agg;
-    for (const auto &core : cores_) {
-        agg.merge(core->shield().stats());
-        if (const ShieldBackend *alt = core->alt_shield())
-            agg.merge(alt->stats());
-    }
+    for (const auto &core : cores_)
+        for (const auto &shield : core->shields())
+            if (shield != nullptr)
+                agg.merge(shield->stats());
     return agg;
 }
 

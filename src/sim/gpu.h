@@ -76,10 +76,12 @@ class Gpu
      *  (cumulative across run() calls). */
     std::uint64_t cycles_skipped() const { return cycles_skipped_; }
 
-    /** Result of launch @p index (valid after run()). */
+    /** Result of launch @p index (valid after run()).
+     *  @throws std::out_of_range if launch() never returned @p index */
     KernelResult result(std::size_t index) const;
 
-    /** Host-visible launch state (for driver finish / downloads). */
+    /** Host-visible launch state (for driver finish / downloads).
+     *  @throws std::out_of_range if launch() never returned @p index */
     LaunchState &launch_state(std::size_t index);
 
     /** Aggregated RCache statistics across all cores. */

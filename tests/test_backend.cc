@@ -62,11 +62,6 @@ TEST(BackendFactory, SelectsConfiguredKind)
     const auto armor = make_shield_backend(cfg, 2);
     EXPECT_EQ(armor->kind(), ShieldBackendKind::Armor);
     EXPECT_STREQ(armor->name(), "armor");
-
-    // Kind override wins over the config's selection.
-    const auto forced =
-        make_shield_backend(ShieldBackendKind::Armor, ShieldConfig{}, 2);
-    EXPECT_EQ(forced->kind(), ShieldBackendKind::Armor);
 }
 
 TEST(BackendFactory, ParseRoundTrip)
@@ -391,8 +386,9 @@ TEST_F(BackendTest, StaleCapabilityRejectedOnBothBackends)
 {
     for (const ShieldBackendKind kind :
          {ShieldBackendKind::Region, ShieldBackendKind::Armor}) {
-        const auto backend =
-            make_shield_backend(kind, ShieldConfig{}, 2);
+        ShieldConfig cfg;
+        cfg.backend = kind;
+        const auto backend = make_shield_backend(cfg, 2);
         backend->register_kernel(desc());
 
         // Kernel A hands out a capability and primes the metadata cache.

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "compiler/guard_replace.h"
@@ -213,6 +214,103 @@ TEST(GuardReplace, EndToEndEquivalence)
     // Fewer issued instructions without the guard.
     EXPECT_LT(replaced_res.stats.get("instructions"),
               guarded_res.stats.get("instructions"));
+}
+
+/** What one launch over a zeroed 1024-element buffer `A` did. */
+struct StoreCount
+{
+    unsigned guards_removed = 0;
+    std::size_t written = 0; //!< elements of A the kernel set to 7
+    std::size_t violations = 0;
+};
+
+StoreCount
+run_on_a(const KernelProgram &prog, std::uint32_t nthreads, bool replace)
+{
+    constexpr std::uint64_t kElems = 1024;
+    GpuDevice dev(kPageSize2M);
+    Driver driver(dev);
+    const BufferHandle a = driver.create_buffer(kElems * 4);
+    std::vector<std::int32_t> data(kElems, 0);
+    driver.upload(a, data.data(), kElems * 4);
+
+    LaunchConfig cfg;
+    cfg.program = &prog;
+    cfg.ntid = 256;
+    cfg.nctaid = nthreads / 256;
+    cfg.buffers = {a};
+    cfg.replace_sw_checks = replace;
+
+    LaunchState state = driver.launch(cfg);
+    StoreCount out;
+    out.guards_removed = state.guards_removed;
+    Gpu gpu(small_config(), driver);
+    const auto idx = gpu.launch(std::move(state));
+    gpu.run();
+    out.violations = gpu.result(idx).violations.size();
+    driver.download(a, data.data(), kElems * 4);
+    out.written = static_cast<std::size_t>(
+        std::count(data.begin(), data.end(), 7));
+    return out;
+}
+
+/** Checks that the pass keeps the guard of @p prog and that the launch
+ *  with replacement on writes what the guarded launch writes. */
+void
+expect_guard_kept(const KernelProgram &prog, std::uint32_t nthreads,
+                  std::size_t guarded_writes)
+{
+    const auto info = info_for(prog, nthreads, 1024 * 4, std::nullopt);
+    EXPECT_EQ(replace_sw_guards(prog, info).guards_removed, 0u);
+
+    const StoreCount guarded = run_on_a(prog, nthreads, false);
+    EXPECT_EQ(guarded.written, guarded_writes);
+    EXPECT_EQ(guarded.violations, 0u);
+
+    const StoreCount replaced = run_on_a(prog, nthreads, true);
+    EXPECT_EQ(replaced.guards_removed, 0u);
+    EXPECT_EQ(replaced.written, guarded.written);
+    EXPECT_EQ(replaced.violations, 0u);
+}
+
+TEST(GuardReplace, KeepsGuardWhenBoundRewrittenAfterRegion)
+{
+    // r = 100; p = gid < r; if (p) A[gid] = 7; r = 4096. The guard
+    // compared against 100. Reading r's last value (4096) instead
+    // would cover the 1024-element buffer, drop the guard, and let all
+    // 1024 threads write.
+    KernelBuilder b("bound_rewritten");
+    const int arg = b.arg_ptr("A");
+    const int gid = b.sreg(SpecialReg::GlobalId);
+    const int r = b.mov_imm(100);
+    const int p = b.setp(Cmp::Lt, gid, r);
+    b.if_then(p, false, [&] {
+        const int base = b.ldarg(arg);
+        b.st(b.gep(base, gid, 4), b.mov_imm(7), 4);
+    });
+    b.mov(r, b.mov_imm(4096));
+    b.exit();
+    expect_guard_kept(b.finish(), 1024, 100);
+}
+
+TEST(GuardReplace, KeepsGuardWhenGuardedRegisterReassigned)
+{
+    // p = x < 1024; if (p) { x = gid >> 3; A[x] = 7 }. The guard said
+    // nothing about the new x: guarded, threads 0-1023 write 128
+    // elements; without it all 2048 threads write 256.
+    KernelBuilder b("guarded_reassigned");
+    const int arg = b.arg_ptr("A");
+    const int gid = b.sreg(SpecialReg::GlobalId);
+    const int x = b.reg();
+    b.mov(x, gid);
+    const int p = b.setpi(Cmp::Lt, x, 1024);
+    b.if_then(p, false, [&] {
+        b.mov(x, b.alui(Op::Shr, gid, 3));
+        const int base = b.ldarg(arg);
+        b.st(b.gep(base, x, 4), b.mov_imm(7), 4);
+    });
+    b.exit();
+    expect_guard_kept(b.finish(), 2048, 128);
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "driver/driver.h"
@@ -478,6 +479,32 @@ TEST(SimEndToEnd, WorkgroupWiderThanSchedulerMaskIsAnError)
     WorkloadInstance fits = vecadd_instance(driver, 32 * 32, 1);
     EXPECT_FALSE(run_workload(cfg, driver, fits, false, false)
                      .result.aborted);
+}
+
+TEST(SimEndToEnd, ResultOfBadLaunchIndexThrows)
+{
+    GpuDevice dev(kPageSize2M);
+    Driver driver(dev);
+    const WorkloadInstance w = vecadd_instance(driver, 64, 2);
+    Gpu gpu(test_config(), driver);
+    const std::size_t idx =
+        gpu.launch(driver.launch(w.make_config(true, false)));
+    gpu.run();
+    EXPECT_NO_THROW(gpu.result(idx));
+    EXPECT_THROW(gpu.result(idx + 1), std::out_of_range);
+}
+
+TEST(SimEndToEnd, LaunchStateOfBadLaunchIndexThrows)
+{
+    GpuDevice dev(kPageSize2M);
+    Driver driver(dev);
+    Gpu gpu(test_config(), driver);
+    EXPECT_THROW(gpu.launch_state(0), std::out_of_range);
+    const WorkloadInstance w = vecadd_instance(driver, 64, 2);
+    const std::size_t idx =
+        gpu.launch(driver.launch(w.make_config(true, false)));
+    EXPECT_NO_THROW(gpu.launch_state(idx));
+    EXPECT_THROW(gpu.launch_state(idx + 1), std::out_of_range);
 }
 
 TEST(SimEndToEnd, MultiLaunchAccumulatesAndRecycles)
