@@ -5,8 +5,9 @@
 # `--asan` rebuilds the conformance, service, shield-backend, harness,
 # observability and trace tests (hostile JSON input, the instruction
 # observer), the interpreter, warp, simulator, engine and memory tests
-# (lane-mask iteration, register rows, cached frame pointers) and two
-# CLIs under AddressSanitizer.
+# (lane-mask iteration, register rows, cached frame pointers), the
+# common tests (the event queue's node pool moves callbacks by index)
+# and two CLIs under AddressSanitizer.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -171,7 +172,7 @@ if [[ "${1:-}" == "--asan" ]]; then
     cmake --build build-asan -j"$JOBS" \
         --target test_conform test_service test_backend test_harness \
         test_obs test_trace test_interp test_warp test_sim test_engine \
-        test_mem gpushield-conformance gpushield-service
+        test_mem test_common gpushield-conformance gpushield-service
     ./build-asan/tests/test_conform
     ./build-asan/tests/test_service
     ./build-asan/tests/test_backend
@@ -183,6 +184,7 @@ if [[ "${1:-}" == "--asan" ]]; then
     ./build-asan/tests/test_sim
     ./build-asan/tests/test_engine
     ./build-asan/tests/test_mem
+    ./build-asan/tests/test_common
     ./build-asan/src/gpushield-conformance --seeds 10 --quiet
     ./build-asan/src/gpushield-conformance --seeds 10 --backend armor \
         --quiet

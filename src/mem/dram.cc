@@ -14,9 +14,9 @@ Dram::Dram(EventQueue &eq, const DramConfig &cfg)
       c_row_hits_(stats_.counter("row_hits")),
       c_row_misses_(stats_.counter("row_misses"))
 {
-    // MemoryHierarchy retries refused requests in one batch a cycle
-    // ahead; that keeps the event order exact only while no completion
-    // can land on the next cycle.
+    // MemoryHierarchy retries refused requests a cycle ahead, in runs
+    // that test has_room() per channel; that keeps the event order
+    // exact only while no completion can land on the next cycle.
     const Cycle min_service =
         std::min(cfg_.row_hit_latency, cfg_.row_miss_latency) +
         cfg_.burst_cycles;
@@ -25,13 +25,6 @@ Dram::Dram(EventQueue &eq, const DramConfig &cfg)
               " is below 2 cycles");
     for (Channel &ch : channels_)
         ch.open_row.assign(cfg_.banks_per_channel, ~std::uint64_t{0});
-}
-
-unsigned
-Dram::channel_of(PAddr paddr) const
-{
-    // Interleave channels at line granularity for bandwidth spreading.
-    return static_cast<unsigned>((paddr / kLineSize) % cfg_.channels);
 }
 
 unsigned
@@ -51,15 +44,13 @@ bool
 Dram::enqueue(PAddr paddr, bool is_write, Callback &&done)
 {
     const unsigned ch_idx = channel_of(paddr);
-    Channel &ch = channels_[ch_idx];
-    // The request being serviced still occupies its queue slot until the
-    // data burst completes, so it counts against the capacity.
-    if (ch.queue.size() + (ch.busy ? 1u : 0u) >= cfg_.queue_capacity) {
+    if (!has_room(ch_idx)) {
         // Back-pressure: reject without consuming the callback; the
         // caller retries on a later cycle.
         ++c_queue_full_;
         return false;
     }
+    Channel &ch = channels_[ch_idx];
     ++c_requests_;
     ch.queue.push_back(Request{paddr, is_write, std::move(done)});
     if (!ch.busy)

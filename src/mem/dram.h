@@ -5,7 +5,11 @@
  * Matches the paper's memory configuration (Table 5): 2KB row buffer,
  * FR-FCFS policy, 16 channels. Each channel services one request at a
  * time; a request's latency depends on whether it hits the open row of
- * its bank.
+ * its bank. A full channel queue refuses a request (back-pressure);
+ * MemoryHierarchy keeps refused requests in per-channel FIFOs and
+ * retries them against has_room(), the test enqueue() applies. Their
+ * retry order stays exact only while no slot frees between two retry
+ * events of one cycle, so a service takes at least 2 cycles.
  */
 
 #ifndef GPUSHIELD_MEM_DRAM_H
@@ -58,6 +62,27 @@ class Dram
      */
     [[nodiscard]] bool enqueue(PAddr paddr, bool is_write, Callback &&done);
 
+    /** Channel that services the line at @p paddr. */
+    unsigned
+    channel_of(PAddr paddr) const
+    {
+        // Interleave channels at line granularity for bandwidth spreading.
+        return static_cast<unsigned>((paddr / kLineSize) % cfg_.channels);
+    }
+
+    /** True when channel @p ch would accept a request: the request in
+     *  service still holds its queue slot until its burst completes. */
+    bool
+    has_room(unsigned ch) const
+    {
+        const Channel &c = channels_[ch];
+        return c.queue.size() + (c.busy ? 1u : 0u) < cfg_.queue_capacity;
+    }
+
+    /** Counts @p n refusals that were decided by has_room() instead of
+     *  enqueue(), so that `queue_full` still counts every refusal. */
+    void note_refusals(std::uint64_t n) { c_queue_full_ += n; }
+
     /** True when all channels are idle with empty queues. */
     bool idle() const;
 
@@ -83,7 +108,6 @@ class Dram
         bool busy = false;
     };
 
-    unsigned channel_of(PAddr paddr) const;
     unsigned bank_of(PAddr paddr) const;
     std::uint64_t row_of(PAddr paddr) const;
 

@@ -1,10 +1,23 @@
 #include "mem/hierarchy.h"
 
-#include <iterator>
+#include <cstddef>
+#include <string>
 
 #include "common/bitutil.h"
 
 namespace gpushield {
+
+namespace {
+
+/** RetryKey::batch of the refusals made at @p cycle before any retry
+ *  event of that cycle: later cycles sort first, all before 0. */
+std::int64_t
+front_batch(Cycle cycle)
+{
+    return -static_cast<std::int64_t>(cycle) - 1;
+}
+
+} // namespace
 
 MemoryHierarchy::MemoryHierarchy(EventQueue &eq, PageTable &pt,
                                  const MemHierConfig &cfg, unsigned num_cores)
@@ -18,6 +31,13 @@ MemoryHierarchy::MemoryHierarchy(EventQueue &eq, PageTable &pt,
       c_physical_accesses_(stats_.counter("physical_accesses")),
       c_dram_retries_(stats_.counter("dram_retries"))
 {
+    // The retry order sorts refusals by whether they come before or
+    // after a cycle's retry events (scheduled one cycle ahead); a DRAM
+    // arrival scheduled one cycle ahead could land between two of them.
+    if (cfg_.l2_latency < 2)
+        panic("hierarchy: l2_latency " + std::to_string(cfg_.l2_latency) +
+              " is below 2 cycles");
+    waiting_.resize(cfg_.dram.channels);
     l1_.reserve(num_cores);
     l1_tlb_.reserve(num_cores);
     for (unsigned c = 0; c < num_cores; ++c) {
@@ -94,8 +114,19 @@ MemoryHierarchy::enqueue_dram(PAddr paddr, bool is_write, Callback done)
     // callback; retry next cycle until a slot frees up.
     ++c_dram_retries_;
     ++pending_dram_retries_;
-    joinable_retry_run().push_back(
-        DramWaiter{paddr, is_write, std::move(done)});
+    // A refusal before this cycle's retry events goes ahead of every
+    // waiter, from the next cycle on; one after them goes behind.
+    const Cycle now = eq_.now();
+    const bool front = last_retry_cycle_ != now;
+    const RetryKey key{front ? front_batch(now) : 0, refusals_++};
+    DramWaiter w{paddr, is_write, std::move(done), key};
+    if (front)
+        held_.push_back(std::move(w));
+    else
+        waiting_[dram_.channel_of(paddr)].push_back(std::move(w));
+    RetryRun &run = joinable_retry_run();
+    run.last = key;
+    ++run.count;
 }
 
 MemoryHierarchy::RetryRun &
@@ -114,34 +145,67 @@ MemoryHierarchy::joinable_retry_run()
 }
 
 void
+MemoryHierarchy::queue_held_refusals()
+{
+    // The current cycle's front batch stays held; an older batch (at
+    // most the previous cycle's) goes ahead of every waiter.
+    const std::int64_t current = front_batch(eq_.now());
+    std::size_t n = 0;
+    while (n < held_.size() && held_[n].key.batch != current)
+        ++n;
+    for (std::size_t i = n; i-- > 0;)
+        waiting_[dram_.channel_of(held_[i].paddr)].push_front(
+            std::move(held_[i]));
+    held_.erase(held_.begin(),
+                held_.begin() + static_cast<std::ptrdiff_t>(n));
+}
+
+void
 MemoryHierarchy::retry_front_run()
 {
-    RetryRun run = std::move(retry_runs_.front());
+    const RetryRun run = retry_runs_.front();
     retry_runs_.pop_front();
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < run.size(); ++i) {
-        DramWaiter &w = run[i];
-        if (dram_.enqueue(w.paddr, w.is_write, std::move(w.done))) {
-            --pending_dram_retries_;
-            continue;
-        }
-        ++c_dram_retries_;
-        if (kept != i)
-            run[kept] = std::move(w);
-        ++kept;
+    if (last_retry_cycle_ != eq_.now()) {
+        last_retry_cycle_ = eq_.now();
+        queue_held_refusals();
     }
-    run.resize(kept);
-    if (run.empty())
+    // Admit the run's channel heads in key order while their channels
+    // have room. Nothing frees a slot between two retry events of one
+    // cycle, so a head from an earlier run of this cycle sits in a full
+    // channel and is never admitted here.
+    std::uint64_t admitted = 0;
+    for (;;) {
+        std::deque<DramWaiter> *next = nullptr;
+        for (unsigned ch = 0; ch < waiting_.size(); ++ch) {
+            std::deque<DramWaiter> &fifo = waiting_[ch];
+            if (fifo.empty() || run.last < fifo.front().key ||
+                !dram_.has_room(ch))
+                continue;
+            if (next == nullptr || fifo.front().key < next->front().key)
+                next = &fifo;
+        }
+        if (next == nullptr)
+            break;
+        DramWaiter &w = next->front();
+        if (!dram_.enqueue(w.paddr, w.is_write, std::move(w.done)))
+            panic("hierarchy: a DRAM channel with room refused a retry");
+        next->pop_front();
+        ++admitted;
+    }
+    if (admitted > run.count)
+        panic("hierarchy: a retry run admitted waiters outside its range");
+    pending_dram_retries_ -= static_cast<unsigned>(admitted);
+    const std::uint64_t refused = run.count - admitted;
+    if (refused == 0)
         return;
-    // An accepted waiter schedules only its completion, at least two
+    c_dram_retries_ += refused;
+    dram_.note_refusals(refused);
+    // An admitted waiter schedules only its completion, at least two
     // cycles ahead (Dram's latency invariant), so nothing has landed on
-    // the next cycle between the survivors: they re-join as one block.
-    RetryRun &next = joinable_retry_run();
-    if (next.empty())
-        next = std::move(run);
-    else
-        next.insert(next.end(), std::make_move_iterator(run.begin()),
-                    std::make_move_iterator(run.end()));
+    // the next cycle between the survivors: they stay one range.
+    RetryRun &next_run = joinable_retry_run();
+    next_run.last = run.last;
+    next_run.count += refused;
 }
 
 void

@@ -7,11 +7,22 @@
  * issues coalesced line-sized transactions; the hierarchy reports the L1
  * outcome immediately (the BCU needs it to decide whether a bounds-check
  * bubble is exposed) and invokes a completion callback when data returns.
+ *
+ * A request a full DRAM channel refuses waits in that channel's FIFO.
+ * The waiters of all channels follow one total retry order, and one
+ * event per retry run per cycle admits channel heads in that order
+ * while their channels have room, so a retry costs O(channels +
+ * admitted), not O(waiters). The outcome equals one retry event per
+ * waiter per cycle because nothing frees a DRAM slot or brings a DRAM
+ * arrival between two retry events of one cycle: a DRAM service takes
+ * at least 2 cycles (Dram panics otherwise), and so does the L2 latency
+ * (the hierarchy panics otherwise). See docs/INTERNALS.md §5.
  */
 
 #ifndef GPUSHIELD_MEM_HIERARCHY_H
 #define GPUSHIELD_MEM_HIERARCHY_H
 
+#include <compare>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -39,7 +50,7 @@ struct MemHierConfig
     std::uint64_t page_size = kPageSize2M;
 
     Cycle l1_latency = 4;           //!< LSU-visible L1 hit latency
-    Cycle l2_latency = 90;          //!< additional cycles to L2
+    Cycle l2_latency = 90;          //!< additional cycles to L2 (>= 2)
     Cycle l2_tlb_latency = 20;      //!< L1 TLB miss, L2 TLB hit
     Cycle page_walk_latency = 200;  //!< both TLBs miss
 
@@ -81,17 +92,16 @@ class MemoryHierarchy
 
     /**
      * Hands a request to the DRAM controller, honouring back-pressure.
-     * A request the channel queue refuses waits in a retry run and is
-     * retried every cycle until accepted. One event per run per cycle
-     * retries the run's waiters in order, in the same (cycle, seq)
-     * order one retry event per waiter would have had (INTERNALS §5).
-     * `dram_retries` counts every refusal, the first one included.
+     * A request the channel queue refuses waits in its channel's FIFO
+     * and is retried every cycle until accepted, in the same (cycle,
+     * seq) order one retry event per waiter would have had (INTERNALS
+     * §5). `dram_retries` counts every refusal, the first one included.
      */
     void enqueue_dram(PAddr paddr, bool is_write, Callback done);
 
-    /** True while at least one refused DRAM request waits in a retry
-     *  run — the signal the profiler uses to attribute blocked warps
-     *  to DRAM back-pressure rather than plain memory latency. */
+    /** True while at least one refused DRAM request waits for a retry
+     *  — the signal the profiler uses to attribute blocked warps to
+     *  DRAM back-pressure rather than plain memory latency. */
     bool dram_backpressure() const { return pending_dram_retries_ > 0; }
 
     const MemHierConfig &config() const { return cfg_; }
@@ -103,14 +113,39 @@ class MemoryHierarchy
     const StatSet &stats() const { return stats_; }
 
   private:
+    /**
+     * Place of a refused request in the one total retry order. A
+     * refusal made before any retry event of its cycle fired joins
+     * that cycle's front batch, which sorts ahead of every waiter still
+     * waiting (later cycles' batches first); a refusal made after them
+     * sorts behind every waiter. Within a batch, refusal order rules.
+     */
+    struct RetryKey
+    {
+        std::int64_t batch = 0; //!< -(cycle + 1) for a front batch, else 0
+        std::uint64_t pos = 0;  //!< refusal number
+        auto operator<=>(const RetryKey &) const = default;
+    };
+
     /** A refused DRAM request waiting to re-enqueue. */
     struct DramWaiter
     {
         PAddr paddr = 0;
         bool is_write = false;
         Callback done;
+        RetryKey key;
     };
-    using RetryRun = std::vector<DramWaiter>;
+
+    /**
+     * One retry event's waiters: every waiting key after the previous
+     * run's range, up to and including @p last. The waiters stay in
+     * their channel FIFOs; a run only counts them.
+     */
+    struct RetryRun
+    {
+        RetryKey last;
+        std::uint64_t count = 0;
+    };
 
     /**
      * The run a waiter refused at now() joins: the tail run when its
@@ -119,9 +154,14 @@ class MemoryHierarchy
      */
     RetryRun &joinable_retry_run();
 
-    /** Event body: retries the front run's waiters in order; the
-     *  survivors join a run for the next cycle. */
+    /** Event body: admits the front run's channel heads in key order
+     *  while their channels have room; the rest join a run for the next
+     *  cycle. */
     void retry_front_run();
+
+    /** Moves the front batches refused before now() from held_ to the
+     *  heads of their channel FIFOs. */
+    void queue_held_refusals();
 
     EventQueue &eq_;
     PageTable &pt_;
@@ -131,12 +171,19 @@ class MemoryHierarchy
     Cache l2_cache_;
     Tlb l2_tlb_;
     Dram dram_;
+    /** Per DRAM channel, its waiters in key order. */
+    std::vector<std::deque<DramWaiter>> waiting_;
+    /** Front refusals, in refusal order, that no retry event has seen
+     *  yet: they are never tried in the cycle that refused them. */
+    std::vector<DramWaiter> held_;
     /** Pending retry runs. Each run's event fires the cycle after the
      *  run is made, so runs fire in the order they were made and the
      *  front run's event is always the next to fire. */
     std::deque<RetryRun> retry_runs_;
     Cycle tail_run_when_ = 0;          //!< cycle of the back run's event
     std::uint64_t tail_run_seq_ = 0;   //!< seq of the back run's event
+    Cycle last_retry_cycle_ = kCycleMax; //!< cycle of the last retry event
+    std::uint64_t refusals_ = 0;       //!< next RetryKey::pos
     unsigned pending_dram_retries_ = 0;
     StatSet stats_;
     // Interned per-access counters (resolved once; bumped per event).

@@ -124,6 +124,7 @@ ArmorShieldBackend::check_pointer(const BcuRequest &req, BcuResponse &resp)
         } else {
             // Metadata walk: refill traffic to the entry's physical
             // slot, exactly like an RBT refill.
+            ++c_refills_;
             resp.refill = true;
             resp.refill_paddr =
                 ks.rbt != nullptr ? ks.rbt->entry_paddr(timed.id) : 0;

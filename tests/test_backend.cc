@@ -100,6 +100,35 @@ TEST(Backend, GoldenSmokeByteIdenticalThroughInterface)
         << "smoke records diverged from golden through the interface";
 }
 
+// Each backend counts an entry-cache refill wherever the core counts a
+// kernel's RBT refill: every check that asks for refill traffic is one
+// refill (RCache fill on Region, metadata walk on Armor).
+TEST(Backend, EntryCacheRefillsMatchKernelRefillsOnBothBackends)
+{
+    for (const ShieldBackendKind kind :
+         {ShieldBackendKind::Region, ShieldBackendKind::Armor}) {
+        harness::SweepSpec spec = harness::smoke_suite();
+        for (auto &[cfg_name, cfg] : spec.configs)
+            cfg.shield.backend = kind;
+        harness::SweepOptions opts;
+        opts.jobs = 1;
+        const harness::SweepResult result = harness::run_sweep(spec, opts);
+        ASSERT_TRUE(result.all_ok()) << to_string(kind);
+
+        unsigned cells_with_refills = 0;
+        for (const harness::RunRecord &r : result.metrics.records()) {
+            // Multi-launch cells keep no per-kernel counters.
+            if (!r.shield || r.launches != 1)
+                continue;
+            const std::uint64_t refills = r.kernel.get("rbt_refills");
+            EXPECT_EQ(r.rcache.get("refills"), refills)
+                << to_string(kind) << ": " << r.key;
+            cells_with_refills += refills > 0;
+        }
+        EXPECT_GT(cells_with_refills, 0u) << to_string(kind);
+    }
+}
+
 // --- Shared region fixture -------------------------------------------
 
 class BackendTest : public ::testing::Test

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -388,6 +390,133 @@ TEST(EventQueue, PastScheduleClampsToNow)
     eq.step();
     EXPECT_EQ(fired_at, 100);
     EXPECT_EQ(eq.now(), 101u);
+}
+
+TEST(EventQueue, FarAndNearEventsOfOneCycleKeepSeqOrder)
+{
+    // An event scheduled beyond the horizon waits in the far heap; one
+    // scheduled for the same cycle once it is within the horizon goes
+    // straight to its slot. The far one took the lower seq, so it must
+    // reach the slot first: both when the clock gets there at the end
+    // of run_until and when it gets there by dispatching an event.
+    constexpr Cycle kWhen = EventQueue::kHorizon + 10;
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(kWhen, [&] { order.push_back(1); });
+    eq.run_until(20);
+    eq.schedule(kWhen, [&] { order.push_back(2); });
+    eq.schedule(kWhen - 1, [&] { order.push_back(0); });
+    eq.run_until(kWhen);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+
+    EventQueue eq2;
+    order.clear();
+    eq2.schedule(kWhen, [&] { order.push_back(1); });
+    eq2.schedule(15, [&] {
+        eq2.schedule(kWhen, [&] { order.push_back(2); });
+    });
+    eq2.run_until(kWhen);
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_TRUE(eq2.empty());
+}
+
+TEST(EventQueue, ClockJumpLongerThanHorizon)
+{
+    // A jump over several horizons dispatches the events in between in
+    // order and leaves the later ones pending at their own cycles; a
+    // slot reused after the jump holds only its new cycle's events.
+    constexpr Cycle kH = EventQueue::kHorizon;
+    EventQueue eq;
+    std::vector<Cycle> fired;
+    const auto note = [&] { fired.push_back(eq.now()); };
+    for (const Cycle when : {3 * kH + 7, Cycle{5}, kH - 1, kH, 10 * kH})
+        eq.schedule(when, note);
+    EXPECT_EQ(eq.next_event_cycle(), 5u);
+    eq.run_until(3 * kH);
+    EXPECT_EQ(fired, (std::vector<Cycle>{5, kH - 1, kH}));
+    EXPECT_EQ(eq.now(), 3 * kH);
+    EXPECT_EQ(eq.next_event_cycle(), 3 * kH + 7);
+    eq.schedule_in(kH + 7, note); // same slot index as 3 * kH + 7
+    eq.schedule_in(7, note);
+    eq.run_until(4 * kH + 7);
+    EXPECT_EQ(fired, (std::vector<Cycle>{5, kH - 1, kH, 3 * kH + 7,
+                                         3 * kH + 7, 4 * kH + 7}));
+    EXPECT_EQ(eq.next_event_cycle(), 10 * kH);
+    eq.run_until(20 * kH);
+    EXPECT_EQ(fired.back(), 10 * kH);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.next_event_cycle(), kCycleMax);
+}
+
+TEST(EventQueue, ScheduleAtNowAfterFarEventsArrive)
+{
+    // Events that came from beyond the horizon dispatch in seq order,
+    // and one of them scheduling at now() appends behind them all.
+    constexpr Cycle kWhen = 3 * EventQueue::kHorizon;
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(kWhen, [&] {
+        order.push_back(1);
+        eq.schedule(eq.now(), [&] { order.push_back(3); });
+    });
+    eq.schedule(kWhen, [&] { order.push_back(2); });
+    eq.run_until(kWhen);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueue, RandomScheduleMatchesSortByCycleThenSeq)
+{
+    // Seeded traffic: schedules from outside and from inside callbacks,
+    // at now(), in the past (clamped), near, around the horizon and far
+    // beyond it, under single steps and long jumps. Every event must
+    // run at its cycle, in (cycle, seq) order.
+    constexpr Cycle kH = EventQueue::kHorizon;
+    Rng rng(20);
+    EventQueue eq;
+    std::vector<Cycle> when_of; // indexed by seq
+    std::vector<std::uint64_t> dispatched;
+    const auto delay = [&]() -> Cycle {
+        switch (rng.below(5)) {
+          case 0: return 0;
+          case 1: return rng.below(8);
+          case 2: return kH - 2 + rng.below(5);
+          case 3: return rng.below(4 * kH);
+          default: return rng.below(64);
+        }
+    };
+    std::function<void(Cycle)> add = [&](Cycle when) {
+        const std::uint64_t seq = eq.next_seq();
+        ASSERT_EQ(seq, when_of.size());
+        when_of.push_back(std::max(when, eq.now()));
+        const bool spawn = when_of.size() < 20'000 && rng.chance(0.6);
+        eq.schedule(when, [&, seq, spawn] {
+            EXPECT_EQ(eq.now(), when_of[seq]);
+            dispatched.push_back(seq);
+            if (spawn)
+                add(rng.chance(0.1) && eq.now() > 3 ? eq.now() - 3
+                                                   : eq.now() + delay());
+        });
+    };
+    while (when_of.size() < 20'000) {
+        for (std::uint64_t n = rng.below(4); n > 0; --n)
+            add(eq.now() + delay());
+        if (rng.chance(0.8))
+            eq.step();
+        else
+            eq.run_until(eq.now() + rng.below(3 * kH));
+    }
+    eq.run_until(eq.now() + 1'000 * kH);
+    ASSERT_TRUE(eq.empty());
+
+    std::vector<std::uint64_t> expected(when_of.size());
+    for (std::uint64_t i = 0; i < expected.size(); ++i)
+        expected[i] = i;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](std::uint64_t a, std::uint64_t b) {
+                         return when_of[a] < when_of[b];
+                     });
+    EXPECT_EQ(dispatched, expected);
 }
 
 } // namespace

@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/event_queue.h"
+#include "common/rng.h"
 #include "mem/cache.h"
 #include "mem/dram.h"
 #include "mem/hierarchy.h"
@@ -526,6 +529,159 @@ TEST(HierarchyBackPressure, RetriesKeepScheduleOrder)
     EXPECT_EQ(retries_at_probe, 5u);
     EXPECT_EQ(hier.stats().get("dram_retries"), 384u);
     EXPECT_EQ(hier.dram().stats().get("queue_full"), 384u);
+    EXPECT_FALSE(hier.dram_backpressure());
+}
+
+/** FNV-1a over the eight bytes of @p v, folded into @p h. */
+void
+fnv_mix(std::uint64_t &h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i, v >>= 8)
+        h = (h ^ (v & 0xFF)) * 0x100000001b3ull;
+}
+
+/** What one seeded random-traffic run of the hierarchy observed. */
+struct TrafficTrace
+{
+    std::uint64_t issued = 0;        //!< accesses with a completion
+    std::uint64_t completed = 0;
+    std::uint64_t completion_digest = 0xcbf29ce484222325ull; //!< (id, cycle)
+    std::uint64_t backpressure_digest = 0xcbf29ce484222325ull; //!< per cycle
+    std::uint64_t backpressure_cycles = 0;
+    std::uint64_t issue_phase_refusals = 0; //!< refused L2 writebacks
+    std::uint64_t writebacks = 0;
+    std::uint64_t dram_retries = 0;
+    std::uint64_t queue_full = 0;
+};
+
+/**
+ * Drives the hierarchy the way Gpu::run does: each cycle an issue
+ * phase makes random accesses (reads, writes that leave dirty L2 lines
+ * to write back, and physical accesses) in bursts, then the clock
+ * steps through the next cycle's events. Four DRAM channels of
+ * capacity @p capacity, and L2 and DRAM latencies down to the 2-cycle
+ * minimum, keep the queues full. Requests are therefore refused both
+ * by arrivals (before a cycle's retry events) and by issue-phase
+ * writebacks (after them). At capacity 1 every admitted waiter starts
+ * an idle channel.
+ */
+TrafficTrace
+run_random_traffic(std::uint64_t seed, unsigned capacity)
+{
+    EventQueue eq;
+    PageTable pt(kPageSize2M);
+    VaAllocator alloc(pt, 0x2000'0000, 0x1000'0000);
+    MemHierConfig cfg;
+    cfg.l1.size_bytes = 1024;
+    cfg.l1.assoc = 2;
+    cfg.l2.size_bytes = 4096;
+    cfg.l2.assoc = 2;
+    cfg.l1_latency = 1;
+    cfg.l2_latency = 2;
+    cfg.l2_tlb_latency = 3;
+    cfg.page_walk_latency = 5;
+    cfg.dram.channels = 4;
+    cfg.dram.banks_per_channel = 2;
+    cfg.dram.row_bytes = 512;
+    cfg.dram.row_hit_latency = 1;
+    cfg.dram.row_miss_latency = 5;
+    cfg.dram.burst_cycles = 1;
+    cfg.dram.queue_capacity = capacity;
+    MemoryHierarchy hier(eq, pt, cfg, 2);
+    const VaRegion region = alloc.alloc(64 * 1024);
+
+    Rng rng(seed);
+    TrafficTrace t;
+    const auto on_done = [&](std::uint64_t id) {
+        return [&t, &eq, id] {
+            ++t.completed;
+            fnv_mix(t.completion_digest, id);
+            fnv_mix(t.completion_digest, eq.now());
+        };
+    };
+    const auto end_cycle = [&] {
+        const bool bp = hier.dram_backpressure();
+        t.backpressure_cycles += bp;
+        fnv_mix(t.backpressure_digest, bp);
+        eq.step();
+    };
+    for (Cycle c = 0; c < 4096; ++c) {
+        // Bursts of up to two accesses a cycle overload the channels;
+        // the quiet stretches between them drain the backlog.
+        const std::uint64_t accesses =
+            c % 256 < 64 ? rng.below(3) : rng.chance(0.1);
+        const std::uint64_t retries = hier.stats().get("dram_retries");
+        for (std::uint64_t n = accesses; n > 0; --n) {
+            const std::uint64_t id = t.issued++;
+            if (rng.chance(0.25)) {
+                hier.access_physical(0x4000'0000 + rng.below(64) * 128,
+                                     on_done(id));
+                continue;
+            }
+            const AccessIssue issue = hier.access(
+                static_cast<CoreId>(rng.below(2)),
+                region.base + rng.below(512) * 128, rng.chance(0.5),
+                on_done(id));
+            EXPECT_FALSE(issue.translation_fault);
+        }
+        t.issue_phase_refusals +=
+            hier.stats().get("dram_retries") - retries;
+        end_cycle();
+    }
+    // Bounded, so that a request stuck in the retry path fails the
+    // completion count instead of hanging.
+    while (!eq.empty() && eq.now() < 100'000)
+        end_cycle();
+    t.writebacks = hier.l2().stats().get("writebacks");
+    t.dram_retries = hier.stats().get("dram_retries");
+    t.queue_full = hier.dram().stats().get("queue_full");
+    return t;
+}
+
+TEST(HierarchyBackPressure, RandomTrafficKeepsRetryOrder)
+{
+    // Every expected value was captured while each retry event still
+    // tried every waiter of its run in turn. The digests fold in every
+    // completion's (id, cycle) and the dram_backpressure() value of
+    // every cycle.
+    struct Case
+    {
+        std::uint64_t seed;
+        unsigned capacity;
+        std::uint64_t completion_digest, backpressure_digest;
+        std::uint64_t backpressure_cycles, dram_retries;
+    };
+    const Case cases[] = {
+        {1, 1, 0x8f9e4669df93d5ffull, 0xfc145870b8734525ull, 3000, 47193},
+        {2, 2, 0xf5eb9b275685ece5ull, 0x8cb42aa55aa05344ull, 2587, 42358},
+        {3, 1, 0xb000eac04f9a7697ull, 0xb317e2f5579f1f45ull, 2620, 40346},
+        {4, 2, 0x8a7815ffb3e5f119ull, 0x02dd0f58f6fff1c5ull, 2382, 30806},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE("seed " + std::to_string(c.seed));
+        const TrafficTrace t = run_random_traffic(c.seed, c.capacity);
+        EXPECT_EQ(t.completed, t.issued);
+        EXPECT_GT(t.writebacks, 0u);
+        EXPECT_GT(t.issue_phase_refusals, 0u);
+        EXPECT_EQ(t.completion_digest, c.completion_digest);
+        EXPECT_EQ(t.backpressure_digest, c.backpressure_digest);
+        EXPECT_EQ(t.backpressure_cycles, c.backpressure_cycles);
+        EXPECT_EQ(t.dram_retries, c.dram_retries);
+        EXPECT_EQ(t.queue_full, c.dram_retries);
+    }
+}
+
+TEST(HierarchyDeathTest, L2LatencyBelowTwoCyclesPanics)
+{
+    // An L2 miss reaches DRAM l2_latency cycles after it is issued; at
+    // 1 cycle it could land between two retry events of one cycle.
+    EventQueue eq;
+    PageTable pt(kPageSize2M);
+    MemHierConfig cfg;
+    cfg.l2_latency = 1;
+    EXPECT_DEATH({ MemoryHierarchy hier(eq, pt, cfg, 1); }, "l2_latency");
+    cfg.l2_latency = 2;
+    MemoryHierarchy hier(eq, pt, cfg, 1);
     EXPECT_FALSE(hier.dram_backpressure());
 }
 
