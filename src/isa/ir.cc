@@ -133,6 +133,15 @@ check_reg(const KernelProgram &prog, int reg, bool required,
         reject(prog, "register out of range", pc);
 }
 
+/** A lane's value moves through one 64-bit register, so an access is
+ *  1, 2, 4 or 8 bytes. */
+void
+check_access_size(const KernelProgram &prog, const Instr &in, std::size_t pc)
+{
+    if (in.size != 1 && in.size != 2 && in.size != 4 && in.size != 8)
+        reject(prog, "access size must be 1, 2, 4 or 8 bytes", pc);
+}
+
 } // namespace
 
 void
@@ -186,6 +195,7 @@ KernelProgram::validate() const
             check_reg(*this, in.ra, in.bt_index < 0, "address", pc);
             if (in.base_offset)
                 check_reg(*this, in.rb, true, "index", pc);
+            check_access_size(*this, in, pc);
             if (in.bt_index >= 256)
                 reject(*this, "binding-table index out of range", pc);
             break;
@@ -196,6 +206,7 @@ KernelProgram::validate() const
                       in.base_offset ? "index" : "source", pc);
             if (in.base_offset)
                 check_reg(*this, in.rc, true, "source", pc);
+            check_access_size(*this, in, pc);
             if (in.bt_index >= 256)
                 reject(*this, "binding-table index out of range", pc);
             break;

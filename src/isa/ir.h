@@ -174,9 +174,9 @@ struct KernelProgram
 
     /**
      * Validates structural invariants (targets in range, registers within
-     * bounds, Exit present). Throws std::invalid_argument on violation:
-     * a program can come from a tenant, so a bad one must not end the
-     * process.
+     * bounds, loads and stores of 1, 2, 4 or 8 bytes, Exit present).
+     * Throws std::invalid_argument on violation: a program can come from
+     * a tenant, so a bad one must not end the process.
      */
     void validate() const;
 

@@ -1,7 +1,9 @@
 #include "mem/cache.h"
 
+#include <bit>
+#include <stdexcept>
+
 #include "common/bitutil.h"
-#include "common/log.h"
 
 namespace gpushield {
 
@@ -13,29 +15,34 @@ Cache::Cache(const CacheConfig &cfg)
       c_misses_(stats_.counter("misses")),
       c_writebacks_(stats_.counter("writebacks"))
 {
+    const auto reject = [&](const std::string &why) {
+        throw std::invalid_argument("Cache " + cfg.name + ": " + why);
+    };
     if (!is_pow2(cfg.line_size))
-        fatal("Cache " + cfg.name + ": line size must be a power of two");
+        reject("line size must be a power of two");
     if (cfg.assoc == 0 || cfg.size_bytes == 0)
-        fatal("Cache " + cfg.name + ": empty geometry");
+        reject("empty geometry");
     const std::uint64_t lines = cfg.size_bytes / cfg.line_size;
     if (lines % cfg.assoc != 0)
-        fatal("Cache " + cfg.name + ": size not divisible by associativity");
-    num_sets_ = lines / cfg.assoc;
-    if (!is_pow2(num_sets_))
-        fatal("Cache " + cfg.name + ": number of sets must be a power of two");
-    lines_.resize(lines);
+        reject("size not divisible by associativity");
+    const std::uint64_t sets = lines / cfg.assoc;
+    if (!is_pow2(sets))
+        reject("number of sets must be a power of two");
+    line_shift_ = static_cast<unsigned>(std::countr_zero(cfg.line_size));
+    set_bits_ = static_cast<unsigned>(std::countr_zero(sets));
+    keys_.assign(lines, 0);
+    lru_.assign(lines, 0);
+    dirty_.assign(lines, 0);
 }
 
-std::uint64_t
-Cache::set_index(std::uint64_t addr) const
+unsigned
+Cache::find(std::uint64_t set, std::uint64_t key) const
 {
-    return (addr / cfg_.line_size) & (num_sets_ - 1);
-}
-
-std::uint64_t
-Cache::tag_of(std::uint64_t addr) const
-{
-    return addr / cfg_.line_size / num_sets_;
+    const std::uint64_t *keys = &keys_[set * cfg_.assoc];
+    for (unsigned way = 0; way < cfg_.assoc; ++way)
+        if (keys[way] == key)
+            return way;
+    return cfg_.assoc;
 }
 
 CacheAccessResult
@@ -46,50 +53,54 @@ Cache::access(std::uint64_t addr, bool is_write)
     if (is_write)
         ++c_writes_;
 
-    const std::uint64_t set = set_index(addr);
-    const std::uint64_t tag = tag_of(addr);
-    Line *base = &lines_[set * cfg_.assoc];
+    const std::uint64_t line = addr >> line_shift_;
+    const std::uint64_t set = line & ((std::uint64_t{1} << set_bits_) - 1);
+    const std::uint64_t key = (line >> set_bits_) + 1;
+    const std::uint64_t base = set * cfg_.assoc;
 
-    Line *victim = base;
-    for (unsigned way = 0; way < cfg_.assoc; ++way) {
-        Line &line = base[way];
-        if (line.valid && line.tag == tag) {
-            line.lru = ++stamp_;
-            line.dirty |= is_write;
-            ++c_hits_;
-            result.hit = true;
-            return result;
-        }
-        if (!line.valid)
-            victim = &line; // prefer an invalid way
-        else if (victim->valid && line.lru < victim->lru)
-            victim = &line;
+    unsigned way = find(set, key);
+    if (way < cfg_.assoc) {
+        lru_[base + way] = ++stamp_;
+        dirty_[base + way] |= static_cast<std::uint8_t>(is_write);
+        ++c_hits_;
+        result.hit = true;
+        return result;
+    }
+
+    // Victim: the last invalid way, else the first least recently used.
+    const std::uint64_t *keys = &keys_[base];
+    way = cfg_.assoc;
+    while (way > 0 && keys[way - 1] != 0)
+        --way;
+    if (way > 0) {
+        --way;
+    } else {
+        const std::uint64_t *lru = &lru_[base];
+        for (unsigned w = 1; w < cfg_.assoc; ++w)
+            if (lru[w] < lru[way])
+                way = w;
     }
 
     ++c_misses_;
-    if (victim->valid && victim->dirty) {
+    const std::uint64_t victim = base + way;
+    if (keys_[victim] != 0 && dirty_[victim] != 0) {
         ++c_writebacks_;
         result.evicted_dirty = true;
         result.evicted_tag_addr =
-            (victim->tag * num_sets_ + set) * cfg_.line_size;
+            (((keys_[victim] - 1) << set_bits_) | set) << line_shift_;
     }
-    victim->valid = true;
-    victim->dirty = is_write;
-    victim->tag = tag;
-    victim->lru = ++stamp_;
+    keys_[victim] = key;
+    dirty_[victim] = static_cast<std::uint8_t>(is_write);
+    lru_[victim] = ++stamp_;
     return result;
 }
 
 bool
 Cache::probe(std::uint64_t addr) const
 {
-    const std::uint64_t set = set_index(addr);
-    const std::uint64_t tag = tag_of(addr);
-    const Line *base = &lines_[set * cfg_.assoc];
-    for (unsigned way = 0; way < cfg_.assoc; ++way)
-        if (base[way].valid && base[way].tag == tag)
-            return true;
-    return false;
+    const std::uint64_t line = addr >> line_shift_;
+    const std::uint64_t set = line & ((std::uint64_t{1} << set_bits_) - 1);
+    return find(set, (line >> set_bits_) + 1) < cfg_.assoc;
 }
 
 } // namespace gpushield

@@ -5,6 +5,11 @@
  * Timing is owned by the memory hierarchy; this class answers hit/miss
  * questions and tracks replacement state. It is reused for the L1 data
  * cache, the shared L2, and (via Tlb) the translation caches.
+ *
+ * The ways are stored as arrays per field, so a probe reads only the
+ * tag keys of its set (a 64-way TLB set is 8 host cache lines, not 24).
+ * Set and tag come from shifts and masks: the geometry is checked to be
+ * powers of two at construction.
  */
 
 #ifndef GPUSHIELD_MEM_CACHE_H
@@ -41,6 +46,9 @@ struct CacheAccessResult
 class Cache
 {
   public:
+    /** @throws std::invalid_argument when the line size or the number
+     *  of sets is not a power of two, or the geometry is empty or not
+     *  divisible by the associativity. */
     explicit Cache(const CacheConfig &cfg);
 
     /**
@@ -67,20 +75,17 @@ class Cache
     }
 
   private:
-    struct Line
-    {
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t tag = 0;
-        std::uint64_t lru = 0; //!< last-touched stamp
-    };
-
-    std::uint64_t set_index(std::uint64_t addr) const;
-    std::uint64_t tag_of(std::uint64_t addr) const;
+    /** The way of set @p set holding @p key, or assoc when none does. */
+    unsigned find(std::uint64_t set, std::uint64_t key) const;
 
     CacheConfig cfg_;
-    std::uint64_t num_sets_;
-    std::vector<Line> lines_; //!< num_sets_ * assoc, set-major
+    unsigned line_shift_;  //!< log2(line size)
+    unsigned set_bits_;    //!< log2(number of sets)
+    // Per way, num_sets * assoc entries, set-major. A key is the tag
+    // plus one, and 0 marks an invalid way.
+    std::vector<std::uint64_t> keys_;
+    std::vector<std::uint64_t> lru_; //!< last-touched stamp
+    std::vector<std::uint8_t> dirty_;
     std::uint64_t stamp_ = 0;
     StatSet stats_;
     // Interned per-access counters (resolved once; bumped per event).

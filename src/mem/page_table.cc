@@ -1,14 +1,19 @@
 #include "mem/page_table.h"
 
+#include <bit>
+#include <stdexcept>
+
 #include "common/log.h"
 
 namespace gpushield {
 
 PageTable::PageTable(std::uint64_t page_size)
-    : page_size_(page_size)
+    : page_size_(page_size),
+      page_shift_(static_cast<unsigned>(std::countr_zero(page_size)))
 {
     if (!is_pow2(page_size))
-        fatal("PageTable: page size must be a power of two");
+        throw std::invalid_argument(
+            "PageTable: page size must be a power of two");
 }
 
 void
@@ -37,7 +42,7 @@ PageTable::translate(VAddr vaddr, bool is_write) const
         return t;
     }
     t.ok = true;
-    t.paddr = e.frame + (vaddr % page_size_);
+    t.paddr = e.frame + (vaddr & (page_size_ - 1));
     return t;
 }
 

@@ -61,6 +61,8 @@ struct VaRegion
 class PageTable
 {
   public:
+    /** @throws std::invalid_argument when @p page_size is not a power
+     *  of two. */
     explicit PageTable(std::uint64_t page_size = kPageSize2M);
 
     std::uint64_t page_size() const { return page_size_; }
@@ -84,9 +86,10 @@ class PageTable
         PageFlags flags;
     };
 
-    std::uint64_t page_key(VAddr vaddr) const { return vaddr / page_size_; }
+    std::uint64_t page_key(VAddr vaddr) const { return vaddr >> page_shift_; }
 
     std::uint64_t page_size_;
+    unsigned page_shift_; //!< log2(page_size_)
     std::unordered_map<std::uint64_t, Entry> entries_;
 };
 

@@ -15,6 +15,8 @@ Core::Core(CoreId id, const GpuConfig &cfg, EventQueue &eq,
            MemoryHierarchy &hier)
     : id_(id), cfg_(cfg), eq_(eq), hier_(hier),
       slots_(cfg.max_workgroups_per_core),
+      eligible_(cfg.max_workgroups_per_core, 0),
+      wheel_(kWheelSpan * cfg.max_workgroups_per_core, 0),
       c_issued_(stats_.counter("issued")),
       c_workgroups_started_(stats_.counter("workgroups_started")),
       c_workgroups_finished_(stats_.counter("workgroups_finished"))
@@ -71,6 +73,7 @@ Core::detach_kernel(KernelExec *kernel)
             wg.live = false;
             ++wg.generation; // invalidate in-flight load completions
             --live_workgroups_;
+            drop_slot(s);
             if (profiler_ != nullptr)
                 profiler_->on_workgroup_end(
                     id_, static_cast<unsigned>(s), eq_.now());
@@ -94,19 +97,112 @@ Core::note_ready(Cycle c)
 void
 Core::recompute_ready_hint(Cycle now)
 {
-    // Exact minimum over Ready warps; Blocked/AtBarrier warps lower the
-    // hint through note_ready() when they transition. A Ready warp that
-    // could not issue this cycle (busy LSU) must be retried next cycle.
-    Cycle next = ~Cycle{0};
-    for (const WorkgroupCtx &wg : slots_) {
-        if (!wg.live)
-            continue;
-        for (std::uint32_t m = wg.ready_mask; m != 0; m &= m - 1) {
-            const WarpState &warp = wg.warps[std::countr_zero(m)];
-            next = std::min(next, std::max(warp.ready_cycle, now + 1));
-        }
+    // The minimum over Ready warps of max(ready_cycle, now + 1): a warp
+    // still eligible (it could not issue this cycle) is retried next
+    // cycle, and every other Ready warp waits in a wheel bucket or the
+    // far list. Blocked/AtBarrier warps lower the hint through
+    // note_ready() when they turn Ready.
+    if (std::any_of(eligible_.begin(), eligible_.end(),
+                    [](std::uint32_t m) { return m != 0; })) {
+        ready_hint_ = now + 1;
+        return;
+    }
+    Cycle next = far_min_;
+    if (wheel_occupied_ != 0) {
+        // Rotate so that bit i stands for cycle now + 1 + i.
+        const auto first = static_cast<int>((now + 1) % kWheelSpan);
+        next = std::min<Cycle>(
+            next, now + 1 + std::countr_zero(std::rotr(wheel_occupied_,
+                                                       first)));
     }
     ready_hint_ = next;
+}
+
+void
+Core::schedule_warp(WorkgroupCtx &wg, WarpState &warp, Cycle due)
+{
+    warp.ready_cycle = due;
+    const auto slot = static_cast<std::uint32_t>(&wg - slots_.data());
+    const std::uint32_t bit = std::uint32_t{1} << warp.warp_in_wg();
+    if (due <= eq_.now()) {
+        eligible_[slot] |= bit;
+        return;
+    }
+    eligible_[slot] &= ~bit;
+    // Buckets hold the cycles (drained_, drained_ + kWheelSpan], one
+    // bucket per cycle modulo the span.
+    if (due - drained_ <= kWheelSpan) {
+        const Cycle bucket = due % kWheelSpan;
+        wheel_[bucket * slots_.size() + slot] |= bit;
+        wheel_occupied_ |= std::uint64_t{1} << bucket;
+    } else {
+        far_.push_back({due, slot, warp.warp_in_wg()});
+        far_min_ = std::min(far_min_, due);
+    }
+}
+
+void
+Core::unschedule_warp(const WorkgroupCtx &wg, const WarpState &warp)
+{
+    eligible_[static_cast<std::size_t>(&wg - slots_.data())] &=
+        ~(std::uint32_t{1} << warp.warp_in_wg());
+}
+
+void
+Core::drain_ready(Cycle now)
+{
+    if (now <= drained_)
+        return;
+    // The buckets of cycles drained_ + 1 .. now, all of them once the
+    // clock moved a whole span.
+    std::uint64_t due = ~std::uint64_t{0};
+    if (now - drained_ < kWheelSpan)
+        due = std::rotl((std::uint64_t{1} << (now - drained_)) - 1,
+                        static_cast<int>((drained_ + 1) % kWheelSpan));
+    const std::size_t n = slots_.size();
+    for (std::uint64_t m = wheel_occupied_ & due; m != 0; m &= m - 1) {
+        std::uint32_t *bucket =
+            &wheel_[static_cast<std::size_t>(std::countr_zero(m)) * n];
+        for (std::size_t s = 0; s < n; ++s) {
+            eligible_[s] |= bucket[s];
+            bucket[s] = 0;
+        }
+    }
+    wheel_occupied_ &= ~due;
+    if (far_min_ <= now) {
+        far_min_ = kCycleMax;
+        std::erase_if(far_, [&](const FarWarp &f) {
+            if (f.due > now) {
+                far_min_ = std::min(far_min_, f.due);
+                return false;
+            }
+            eligible_[f.slot] |= std::uint32_t{1} << f.warp;
+            return true;
+        });
+    }
+    drained_ = now;
+}
+
+void
+Core::drop_slot(std::size_t slot)
+{
+    eligible_[slot] = 0;
+    const std::size_t n = slots_.size();
+    for (std::uint64_t m = wheel_occupied_; m != 0; m &= m - 1) {
+        const int b = std::countr_zero(m);
+        std::uint32_t *bucket = &wheel_[static_cast<std::size_t>(b) * n];
+        bucket[slot] = 0;
+        if (std::all_of(bucket, bucket + n,
+                        [](std::uint32_t w) { return w == 0; }))
+            wheel_occupied_ &= ~(std::uint64_t{1} << b);
+    }
+    far_min_ = kCycleMax;
+    std::erase_if(far_, [&](const FarWarp &f) {
+        if (f.slot == slot)
+            return true;
+        far_min_ = std::min(far_min_, f.due);
+        return false;
+    });
 }
 
 bool
@@ -198,8 +294,6 @@ Core::start_workgroup(KernelExec *kernel, std::uint32_t wg_index)
     wg.warps_at_barrier = 0;
     wg.warps_finished = 0;
     wg.live = true;
-    wg.ready_mask = warps == 32 ? ~std::uint32_t{0}
-                                : (std::uint32_t{1} << warps) - 1;
     ++wg.generation;
     wg.warps.reserve(warps);
     for (unsigned w = 0; w < warps; ++w) {
@@ -209,6 +303,9 @@ Core::start_workgroup(KernelExec *kernel, std::uint32_t wg_index)
         if (!kernel->launch->check_covers.empty())
             wg.warps.back().cover_state.assign(prog.code.size(), 0);
     }
+    // Every warp is due now.
+    eligible_[static_cast<std::size_t>(slot - slots_.begin())] =
+        warps == 32 ? ~std::uint32_t{0} : (std::uint32_t{1} << warps) - 1;
     wg.shared_mem.assign(prog.shared_bytes, 0);
 
     note_ready(eq_.now());
@@ -293,14 +390,13 @@ Core::tick()
     if (now < ready_hint_)
         return dispatched; // no warp can issue before the hint cycle
 
+    drain_ready(now);
     unsigned issued = 0;
-    // Re-issue from the last-issued warp first, then scan the ready
+    // Re-issue from the last-issued warp first, then scan the eligible
     // warps slot by slot in index order. start_workgroup reuses the
     // lowest free slot, so slot order is not age order.
     auto try_warp = [&](int slot_idx, int warp_idx) -> bool {
-        WorkgroupCtx &wg = slots_[slot_idx];
-        WarpState &warp = wg.warps[warp_idx];
-        if (warp.ready_cycle > now || !issue_one(wg, warp))
+        if (!issue_one(slots_[slot_idx], slots_[slot_idx].warps[warp_idx]))
             return false;
         greedy_slot_ = slot_idx;
         greedy_warp_ = warp_idx;
@@ -310,16 +406,13 @@ Core::tick()
 
     while (issued < cfg_.issue_width) {
         bool progressed = false;
-        if (greedy_slot_ >= 0 && slots_[greedy_slot_].live &&
-            ((slots_[greedy_slot_].ready_mask >> greedy_warp_) & 1))
+        if (greedy_slot_ >= 0 &&
+            ((eligible_[greedy_slot_] >> greedy_warp_) & 1))
             progressed = try_warp(greedy_slot_, greedy_warp_);
         // A failed try changes no warp's status, so each slot's mask
         // snapshot stays exact until an issue ends the scan.
         for (std::size_t s = 0; s < slots_.size() && !progressed; ++s) {
-            if (!slots_[s].live)
-                continue;
-            for (std::uint32_t m = slots_[s].ready_mask; m != 0;
-                 m &= m - 1) {
+            for (std::uint32_t m = eligible_[s]; m != 0; m &= m - 1) {
                 const int w = std::countr_zero(m);
                 if (static_cast<int>(s) == greedy_slot_ &&
                     w == greedy_warp_)
@@ -365,14 +458,14 @@ Core::issue_one(WorkgroupCtx &wg, WarpState &warp)
 
     switch (result.kind) {
       case StepKind::Alu:
-        warp.ready_cycle = now + cfg_.alu_latency;
+        schedule_warp(wg, warp, now + cfg_.alu_latency);
         break;
       case StepKind::Sfu:
-        warp.ready_cycle = now + cfg_.sfu_latency;
+        schedule_warp(wg, warp, now + cfg_.sfu_latency);
         break;
       case StepKind::SharedMem:
         ++kernel->hot.shared_accesses;
-        warp.ready_cycle = now + cfg_.shared_latency;
+        schedule_warp(wg, warp, now + cfg_.shared_latency);
         break;
       case StepKind::Malloc: {
         // Device-side malloc serializes allocator metadata updates
@@ -382,18 +475,18 @@ Core::issue_one(WorkgroupCtx &wg, WarpState &warp)
             std::max(kernel->malloc_busy_until, now) +
             static_cast<Cycle>(result.malloc_count) *
                 cfg_.malloc_serialize_cycles;
-        warp.ready_cycle = kernel->malloc_busy_until;
+        schedule_warp(wg, warp, kernel->malloc_busy_until);
         break;
       }
       case StepKind::Barrier:
         warp.status = WarpStatus::AtBarrier;
-        wg.ready_mask &= ~(std::uint32_t{1} << warp.warp_in_wg());
+        unschedule_warp(wg, warp);
         ++wg.warps_at_barrier;
         if (wg.warps_at_barrier >= live_warps(wg))
             release_barrier(wg);
         break;
       case StepKind::Exited:
-        wg.ready_mask &= ~(std::uint32_t{1} << warp.warp_in_wg());
+        unschedule_warp(wg, warp);
         ++wg.warps_finished;
         finish_warp(wg);
         break;
@@ -411,8 +504,7 @@ Core::release_barrier(WorkgroupCtx &wg)
     for (WarpState &w : wg.warps) {
         if (w.status == WarpStatus::AtBarrier) {
             w.status = WarpStatus::Ready;
-            w.ready_cycle = now + 1;
-            wg.ready_mask |= std::uint32_t{1} << w.warp_in_wg();
+            schedule_warp(wg, w, now + 1);
         }
     }
     wg.warps_at_barrier = 0;
@@ -522,7 +614,7 @@ Core::handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op)
             }
         }
         if (covered) {
-            kernel->stats.add("checks_covered");
+            ++hot.checks_covered;
             ev.covered = true;
         } else {
             BcuRequest req;
@@ -580,7 +672,7 @@ Core::handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op)
                 preq.cover_probe = true;
                 const BcuResponse presp =
                     backend_for(launch.shield_backend).check(preq);
-                kernel->stats.add("cover_probes");
+                ++hot.cover_probes;
                 apply_check(presp);
                 std::uint8_t &probe_state =
                     warp.cover_state[static_cast<std::size_t>(probe_pc)];
@@ -592,7 +684,7 @@ Core::handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op)
                     ev.cover_probe = true;
                 } else {
                     probe_state = 2;
-                    kernel->stats.add("cover_probe_fails");
+                    ++hot.cover_probe_fails;
                 }
             }
             if (!probe_passed) {
@@ -725,14 +817,14 @@ Core::handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op)
     if (is_load) {
         if (pending_loads_[load].remaining > 0) {
             warp.status = WarpStatus::Blocked;
-            wg.ready_mask &= ~(std::uint32_t{1} << warp.warp_in_wg());
+            unschedule_warp(wg, warp);
             warp.profile_block_refill = refill;
         } else {
             drop_idle_load();
-            warp.ready_cycle = now + cfg_.mem.l1_latency;
+            schedule_warp(wg, warp, now + cfg_.mem.l1_latency);
         }
     } else {
-        warp.ready_cycle = now + 1;
+        schedule_warp(wg, warp, now + 1);
     }
 
     // The LSU accepts one memory instruction per cycle; additional
@@ -769,9 +861,8 @@ Core::complete_load(std::uint32_t idx)
         return;
     WarpState &warp = wg.warps[load.warp];
     warp.status = WarpStatus::Ready;
-    warp.ready_cycle = eq_.now();
     warp.profile_block_refill = false;
-    wg.ready_mask |= std::uint32_t{1} << load.warp;
+    schedule_warp(wg, warp, eq_.now());
     note_ready(warp.ready_cycle);
 }
 

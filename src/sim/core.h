@@ -4,7 +4,11 @@
  *
  * Each core holds workgroup slots, schedules warps greedy-then-lowest-
  * slot (the last-issued warp first, then slots and their warps in index
- * order), and drives the LSU + BCU pair for memory instructions. One
+ * order), and drives the LSU + BCU pair for memory instructions. The
+ * scan visits only eligible warps: each slot keeps a mask of its Ready
+ * warps that are due, and a warp due later waits in a 64-cycle
+ * readiness wheel (or, beyond it, a short far list) until the clock
+ * reaches its cycle, so an issue costs no visit to a waiting warp. One
  * memory instruction enters the LSU per cycle; its coalesced
  * transactions go to the memory hierarchy, and the BCU check runs
  * alongside the LSU pipeline (Fig. 12), exposing a bubble only when the
@@ -59,14 +63,18 @@ struct KernelHotCounters
           rbt_refills(s.counter("rbt_refills")),
           violations(s.counter("violations")),
           guard_suppressed_lanes(s.counter("guard_suppressed_lanes")),
-          instr_overhead_cycles(s.counter("instr_overhead_cycles"))
+          instr_overhead_cycles(s.counter("instr_overhead_cycles")),
+          checks_covered(s.counter("checks_covered")),
+          cover_probes(s.counter("cover_probes")),
+          cover_probe_fails(s.counter("cover_probe_fails"))
     {
     }
 
     StatSet::Counter instructions, loads, stores, transactions,
         shared_accesses, mallocs, checks, checks_elided,
         checks_skipped_unprotected, bcu_stall_cycles, rbt_refills,
-        violations, guard_suppressed_lanes, instr_overhead_cycles;
+        violations, guard_suppressed_lanes, instr_overhead_cycles,
+        checks_covered, cover_probes, cover_probe_fails;
 };
 
 /** A kernel under execution on the GPU (shared across its cores). */
@@ -181,10 +189,6 @@ class Core
         unsigned warps_at_barrier = 0;
         unsigned warps_finished = 0;
         bool live = false;
-        /** Bit w set iff warps[w] is WarpStatus::Ready. Kept in step
-         *  with every status transition, so the issue scan visits only
-         *  ready warps. */
-        std::uint32_t ready_mask = 0;
         /** Bumped when the slot starts a workgroup and when an abort
          *  kills it: a load completion issued under an older
          *  generation must not touch the slot. */
@@ -211,8 +215,20 @@ class Core
     ShieldBackend &backend_for(ShieldBackendKind kind);
     /** Lowers the ready hint: some warp may issue at cycle @p c. */
     void note_ready(Cycle c);
-    /** Recomputes the ready hint exactly from current warp states. */
+    /** Sets the ready hint exactly from the readiness structures; @p now
+     *  is the cycle they were drained to. */
     void recompute_ready_hint(Cycle now);
+    /** Makes Ready warp @p warp of @p wg issue no earlier than @p due:
+     *  sets its ready_cycle and files it as eligible (due by now), in
+     *  the wheel, or in the far list. */
+    void schedule_warp(WorkgroupCtx &wg, WarpState &warp, Cycle due);
+    /** Takes @p warp of @p wg out of the eligible set (it stopped being
+     *  Ready: barrier, exit or a blocking load). */
+    void unschedule_warp(const WorkgroupCtx &wg, const WarpState &warp);
+    /** Moves every warp due at or before @p now into the eligible set. */
+    void drain_ready(Cycle now);
+    /** Forgets every filed warp of slot @p slot (its workgroup died). */
+    void drop_slot(std::size_t slot);
     void start_workgroup(KernelExec *kernel, std::uint32_t wg_index);
     bool issue_one(WorkgroupCtx &wg, WarpState &warp);
     void handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op);
@@ -263,11 +279,38 @@ class Core
     int greedy_warp_ = -1;
 
     /**
+     * Readiness of the Ready warps, by the cycle they are due
+     * (ready_cycle). Bit w of eligible_[s] is set for warp w of slot s
+     * once it is due: after drain_ready(now), exactly the Ready warps
+     * with ready_cycle <= now. A warp due within kWheelSpan cycles of
+     * drained_ waits in the wheel bucket of its cycle (one mask per
+     * slot, bucket-major); one due later, which only device-malloc
+     * serialization produces, waits in far_. Every transition that
+     * makes a warp Ready or sets its ready_cycle files it here.
+     */
+    static constexpr Cycle kWheelSpan = 64;
+    struct FarWarp
+    {
+        Cycle due;
+        std::uint32_t slot;
+        std::uint32_t warp;
+    };
+    std::vector<std::uint32_t> eligible_;
+    std::vector<std::uint32_t> wheel_;  //!< kWheelSpan x slots
+    std::uint64_t wheel_occupied_ = 0;  //!< bit b: bucket b not empty
+    std::vector<FarWarp> far_;
+    Cycle far_min_ = kCycleMax;         //!< earliest due in far_
+    Cycle drained_ = 0; //!< wheel buckets up to here were drained
+
+    /**
      * Lower bound on the next cycle at which any resident warp could
-     * issue. tick() skips the warp scan while now is below it; every
-     * warp state transition lowers it via note_ready(), and a scanning
-     * tick recomputes it exactly. A stale-low hint only costs an extra
-     * scan, never changes behaviour.
+     * issue. tick() skips the warp scan while now is below it; a warp
+     * that turns Ready between scans lowers it via note_ready(), and a
+     * scanning tick recomputes it exactly: now + 1 when a warp is still
+     * eligible, else the earliest wheel bucket or far-list cycle. That
+     * is the minimum over Ready warps of max(ready_cycle, now + 1),
+     * which the engine's clock jumps depend on. A stale-low hint only
+     * costs an extra scan, never changes behaviour.
      */
     Cycle ready_hint_ = 0;
 

@@ -61,6 +61,50 @@ fill_lanes(WarpState &warp, int rd, LaneMask active, std::int64_t v)
     for_each_lane(active, [&](unsigned lane) { row[lane] = v; });
 }
 
+template <typename T>
+T
+load_as(const std::uint8_t *p)
+{
+    T v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+/** The @p size bytes at @p p, zero-extended. validate() admits access
+ *  sizes 1, 2, 4 and 8, which are typed loads: copying bytes into a
+ *  zeroed int64 and reading it back stalls the host's store forwarding
+ *  on every lane. A shorter size is a scratchpad access cut short at
+ *  the end. */
+std::int64_t
+load_bytes(const std::uint8_t *p, std::size_t size)
+{
+    switch (size) {
+      case 1: return *p;
+      case 2: return load_as<std::uint16_t>(p);
+      case 4: return load_as<std::uint32_t>(p);
+      case 8: return load_as<std::int64_t>(p);
+      default: {
+        std::int64_t v = 0;
+        std::memcpy(&v, p, size);
+        return v;
+      }
+    }
+}
+
+/** Writes the low @p size bytes (at most 8) of *@p src to @p p. */
+void
+store_bytes(std::uint8_t *p, const std::int64_t *src, std::size_t size)
+{
+    const auto store_as = [&](auto v) { std::memcpy(p, &v, sizeof v); };
+    switch (size) {
+      case 1: *p = static_cast<std::uint8_t>(*src); return;
+      case 2: store_as(static_cast<std::uint16_t>(*src)); return;
+      case 4: store_as(static_cast<std::uint32_t>(*src)); return;
+      case 8: store_as(*src); return;
+      default: std::memcpy(p, src, size); return;
+    }
+}
+
 } // namespace
 
 WarpInterpreter::WarpInterpreter(LaunchState &launch, Driver &driver)
@@ -114,15 +158,21 @@ WarpInterpreter::step(WarpState &warp, std::vector<std::uint8_t> &shared_mem)
             return b >= 64 ? 0 : a >> (b & 63);
         });
         break;
+      // A zero divisor divides by one. Dividing by -1 negates with
+      // wraparound, so INT64_MIN / -1 is INT64_MIN and its remainder 0
+      // (the host's idiv would trap).
       case Op::Divi:
         alu([](std::int64_t a, std::int64_t b) {
+            if (b == -1)
+                return static_cast<std::int64_t>(
+                    0 - static_cast<std::uint64_t>(a));
             return a / (b == 0 ? 1 : b);
         });
         result.kind = StepKind::Sfu;
         break;
       case Op::Rem:
         alu([](std::int64_t a, std::int64_t b) {
-            return a % (b == 0 ? 1 : b);
+            return b == -1 ? 0 : a % (b == 0 ? 1 : b);
         });
         result.kind = StepKind::Sfu;
         break;
@@ -290,30 +340,37 @@ WarpInterpreter::step(WarpState &warp, std::vector<std::uint8_t> &shared_mem)
         break;
       }
       case Op::Lds:
-      case Op::Sts:
-        for_each_lane(active, [&](unsigned lane) {
-            const auto addr =
-                static_cast<std::uint64_t>(warp.reg(lane, in.ra));
-            if (shared_mem.empty())
-                return;
-            // Scratchpad wraps; shared memory is outside GPUShield's
-            // protection scope (Table 1 on-chip types).
-            const std::uint64_t at = addr % shared_mem.size();
-            const std::size_t n =
-                std::min<std::size_t>(in.size, shared_mem.size() - at);
-            if (in.op == Op::Lds) {
-                std::int64_t v = 0;
-                std::copy_n(shared_mem.data() + at, n,
-                            reinterpret_cast<std::uint8_t *>(&v));
-                warp.set_reg(lane, in.rd, v);
-            } else {
-                const std::int64_t v = warp.reg(lane, in.rb);
-                std::copy_n(reinterpret_cast<const std::uint8_t *>(&v), n,
-                            shared_mem.data() + at);
-            }
-        });
+      case Op::Sts: {
         result.kind = StepKind::SharedMem;
+        if (shared_mem.empty())
+            break;
+        // Scratchpad wraps; shared memory is outside GPUShield's
+        // protection scope (Table 1 on-chip types). An access that runs
+        // past the end is cut short there.
+        std::uint8_t *scratch = shared_mem.data();
+        const std::uint64_t bytes = shared_mem.size();
+        const std::int64_t *addr = warp.reg_row(in.ra);
+        const auto offset = [&](unsigned lane) {
+            const auto a = static_cast<std::uint64_t>(addr[lane]);
+            return a < bytes ? a : a % bytes;
+        };
+        if (in.op == Op::Lds) {
+            std::int64_t *rd = warp.reg_row(in.rd);
+            for_each_lane(active, [&](unsigned lane) {
+                const std::uint64_t at = offset(lane);
+                rd[lane] = load_bytes(
+                    scratch + at, std::min<std::uint64_t>(in.size, bytes - at));
+            });
+        } else {
+            const std::int64_t *src = warp.reg_row(in.rb);
+            for_each_lane(active, [&](unsigned lane) {
+                const std::uint64_t at = offset(lane);
+                store_bytes(scratch + at, &src[lane],
+                            std::min<std::uint64_t>(in.size, bytes - at));
+            });
+        }
         break;
+      }
       case Op::Ssy: {
         SimtEntry entry;
         entry.reconv_pc = in.target;
@@ -389,7 +446,7 @@ WarpInterpreter::apply_mem(WarpState &warp, const MemOp &op,
                 frame = t.paddr - off;
                 bytes = mem.frame_bytes(frame);
             }
-            std::memcpy(bytes + off, &op.store_val[lane], op.size);
+            store_bytes(bytes + off, &op.store_val[lane], op.size);
         });
         return;
     }
@@ -413,7 +470,7 @@ WarpInterpreter::apply_mem(WarpState &warp, const MemOp &op,
                     bytes = cmem.frame_bytes(frame);
                 }
                 if (bytes != nullptr) // unbacked frames read zero
-                    std::memcpy(&v, bytes + off, op.size);
+                    v = load_bytes(bytes + off, op.size);
             }
         }
         dest[lane] = v;

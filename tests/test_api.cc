@@ -226,6 +226,28 @@ TEST(Api, ArgumentMismatchThrows)
     }
 }
 
+TEST(Api, BadMemoryGeometryThrows)
+{
+    // A page size or cache geometry that is not a power of two is a
+    // host-API error: the context refuses the page size, and a launch
+    // refuses the cache before any simulation runs.
+    GpuConfig bad_pages = small_config();
+    bad_pages.mem.page_size = 3 * 4096;
+    EXPECT_THROW(Context{bad_pages}, std::invalid_argument);
+
+    GpuConfig bad_l1 = small_config();
+    bad_l1.mem.l1.size_bytes = 3 * bad_l1.mem.l1.line_size *
+                               bad_l1.mem.l1.assoc; // 3 sets
+    Context ctx(bad_l1);
+    PatternParams p;
+    p.name = "vec";
+    p.inputs = 1;
+    const KernelProgram prog = workloads::make_streaming(p);
+    const Buffer buf = ctx.malloc(1024);
+    EXPECT_THROW(ctx.launch(prog, {32, 1}, {arg(buf), arg(buf)}),
+                 std::invalid_argument);
+}
+
 TEST(Api, PreciseExceptionAbortIsReported)
 {
     GpuConfig cfg = small_config();

@@ -18,7 +18,10 @@
  *   - host-side engine profiler observes without changing results
  *   - the exact issue sequence (core, kernel, warp, workgroup, pc) of
  *     the smoke cells, a barrier kernel and the abort paths, which the
- *     goldens' aggregate counters cannot see
+ *     goldens' aggregate counters cannot see, and, with the cycles the
+ *     engine jumped, of the cases around the scheduler's 64-cycle
+ *     readiness wheel: warps due beyond it, zero ALU latency, and clock
+ *     jumps longer than it
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +30,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "harness/executor.h"
 #include "harness/suites.h"
@@ -352,18 +356,47 @@ smoke_cell_order(const harness::SweepSpec &spec,
     return order;
 }
 
-/** The issue order of the instance @p make builds, run alone on @p cfg. */
-IssueOrder
-kernel_order(const GpuConfig &cfg,
-             workloads::WorkloadInstance (*make)(Driver &), bool shield)
+/** The issue order of the instance @p make builds, run alone on @p cfg,
+ *  and the run's outcome. */
+std::pair<IssueOrder, workloads::RunOutcome>
+kernel_run(const GpuConfig &cfg,
+           workloads::WorkloadInstance (*make)(Driver &), bool shield)
 {
     GpuDevice dev(cfg.mem.page_size);
     Driver driver(dev);
     const workloads::WorkloadInstance w = make(driver);
     IssueOrder order;
-    workloads::run_workload(cfg, driver, w, shield, false, 0, 0, nullptr,
-                            &order);
-    return order;
+    workloads::RunOutcome outcome = workloads::run_workload(
+        cfg, driver, w, shield, false, 0, 0, nullptr, &order);
+    return {order, std::move(outcome)};
+}
+
+/** The issue order of the instance @p make builds, run alone on @p cfg. */
+IssueOrder
+kernel_order(const GpuConfig &cfg,
+             workloads::WorkloadInstance (*make)(Driver &), bool shield)
+{
+    return kernel_run(cfg, make, shield).first;
+}
+
+/** heap_instance with 1024 threads in four workgroups (its own buffer
+ *  stays allocated, unused): each warp's 32 mallocs serialize for 192
+ *  cycles, so most warps wait far beyond the scheduler's 64-cycle
+ *  readiness wheel. */
+workloads::WorkloadInstance
+wide_heap_instance(Driver &driver)
+{
+    workloads::WorkloadInstance w = heap_instance(driver);
+    w.ntid = 256;
+    w.nctaid = 4;
+    w.buffers = {driver.create_buffer(1024 * 4)};
+    return w;
+}
+
+workloads::WorkloadInstance
+vectoradd_instance(Driver &driver)
+{
+    return cuda_benchmark("vectoradd").make(driver);
 }
 
 /** Three warps per workgroup load, diverge (odd threads loop), meet
@@ -442,6 +475,60 @@ TEST(Engine, BarrierAndAbortIssueOrderIsPinned)
                  40, 0xf65dbd0a87fce4a5ull);
     expect_order(kernel_order(precise_config(), &overflow_instance, true),
                  51, 0xe452ade0f59beb20ull);
+}
+
+TEST(Engine, ReadinessWheelIssueOrderIsPinned)
+{
+    // (steps, hash, end cycle, cycles jumped) per run, captured before
+    // the scheduler filed warps in a 64-cycle readiness wheel.
+    struct Want
+    {
+        std::uint64_t steps;
+        std::uint64_t hash;
+        Cycle cycles;
+        std::uint64_t skipped;
+    };
+    const auto expect_run = [](const std::pair<IssueOrder,
+                                               workloads::RunOutcome> &got,
+                               const Want &want) {
+        expect_order(got.first, want.steps, want.hash);
+        EXPECT_EQ(got.second.result.cycles(), want.cycles);
+        EXPECT_EQ(got.second.cycles_skipped, want.skipped);
+        EXPECT_FALSE(got.second.result.aborted);
+    };
+
+    // Device mallocs: warps due beyond the wheel, in the far list.
+    GpuConfig two_cores = nvidia_config();
+    two_cores.num_cores = 2;
+    {
+        SCOPED_TRACE("wide heap");
+        expect_run(kernel_run(two_cores, &wide_heap_instance, true),
+                   {352, 0x42a31e6c16679b25ull, 6165, 5449});
+    }
+    // Zero ALU latency: a warp stays eligible after an ALU op and may
+    // issue again in the same tick.
+    GpuConfig no_alu_latency = two_cores;
+    no_alu_latency.alu_latency = 0;
+    {
+        SCOPED_TRACE("alu_latency 0, barrier");
+        expect_run(kernel_run(no_alu_latency, &barrier_instance, true),
+                   {756, 0x2283d5b976192545ull, 476, 235});
+    }
+    {
+        SCOPED_TRACE("alu_latency 0, vectoradd");
+        expect_run(kernel_run(no_alu_latency, &vectoradd_instance, true),
+                   {7680, 0x7c31cca8c5f2f965ull, 9791, 6778});
+    }
+    // Slow DRAM rows: the engine jumps the clock by more than the
+    // wheel's span while every warp waits on a load.
+    GpuConfig slow_dram = two_cores;
+    slow_dram.mem.dram.row_hit_latency = 300;
+    slow_dram.mem.dram.row_miss_latency = 450;
+    {
+        SCOPED_TRACE("slow DRAM");
+        expect_run(kernel_run(slow_dram, &vectoradd_instance, true),
+                   {7680, 0x0513e5b15cf06bc5ull, 42344, 38406});
+    }
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -298,9 +299,11 @@ snapshot(const WarpState &w)
     return regs;
 }
 
-/** Steps @p in once on @p warp (the program is `in; exit`). */
+/** Steps @p in once on @p warp (the program is `in; exit`), with
+ *  @p shared as the workgroup's scratchpad (none when null). */
 StepResult
-step_one(WarpState &warp, const Instr &in)
+step_one(WarpState &warp, const Instr &in,
+         std::vector<std::uint8_t> *shared = nullptr)
 {
     GpuDevice dev(kPageSize2M);
     Driver driver(dev);
@@ -314,8 +317,8 @@ step_one(WarpState &warp, const Instr &in)
     exit_in.op = Op::Exit;
     launch.program.code = {in, exit_in};
     WarpInterpreter interp(launch, driver);
-    std::vector<std::uint8_t> shared;
-    return interp.step(warp, shared);
+    std::vector<std::uint8_t> none;
+    return interp.step(warp, shared != nullptr ? *shared : none);
 }
 
 /**
@@ -423,6 +426,146 @@ TEST(InterpOps, TwoOperandAluOpsPerLane)
             expect_lanes(in, kind, want);
         }
     }
+}
+
+TEST(InterpOps, DivisionOfMinByMinusOneWraps)
+{
+    // INT64_MIN / -1 does not fit: the quotient wraps to INT64_MIN and
+    // the remainder is 0, next to the divide-by-zero rule (a / 1). The
+    // host's idiv would trap on it and end the process.
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    const std::int64_t dividends[] = {kMin, kMax, -9, 0, 7, kMin + 1};
+    const std::int64_t divisors[] = {-1, -1, 0, 3, -1, kMin, 2};
+    const auto want = [&](Op op, std::int64_t a, std::int64_t b) {
+        if (b == -1)
+            return op == Op::Divi ? (a == kMin ? kMin : -a)
+                                  : std::int64_t{0};
+        if (b == 0)
+            return op == Op::Divi ? a : std::int64_t{0};
+        return op == Op::Divi ? a / b : a % b;
+    };
+    for (const Op op : {Op::Divi, Op::Rem}) {
+        for (const bool imm : {false, true}) {
+            SCOPED_TRACE(std::string(op_name(op)) + (imm ? " imm" : " reg"));
+            WarpState w = shaped_warp(Shape::Full);
+            for (unsigned lane = 0; lane < kWarpSize; ++lane) {
+                w.set_reg(lane, 0, dividends[lane % std::size(dividends)]);
+                w.set_reg(lane, 1, divisors[lane % std::size(divisors)]);
+            }
+            Instr in;
+            in.op = op;
+            in.rd = kDest;
+            in.ra = 0;
+            if (imm)
+                in.imm = -1;
+            else
+                in.rb = 1;
+            EXPECT_EQ(step_one(w, in).kind, StepKind::Sfu);
+            for (unsigned lane = 0; lane < kWarpSize; ++lane) {
+                const std::int64_t a = dividends[lane % std::size(dividends)];
+                const std::int64_t b =
+                    imm ? -1 : divisors[lane % std::size(divisors)];
+                ASSERT_EQ(w.reg(lane, kDest), want(op, a, b))
+                    << "lane " << lane;
+            }
+        }
+    }
+}
+
+TEST(InterpOps, SharedAccessesOfEverySizeWrapAndClip)
+{
+    // Lds/Sts of 1, 2, 4 and 8 bytes on a 100-byte scratchpad. The lane
+    // addresses include ones at and far beyond its size (they wrap
+    // modulo the size) and ones whose access runs past its end (cut
+    // short there: a load reads the bytes up to the end, zero-extended;
+    // a store writes them). Lanes store in ascending order.
+    constexpr std::size_t kBytes = 100;
+    const std::uint64_t addrs[] = {0,   3,   17,  96,  97,  98,   99,
+                                   100, 105, 199, 250, 1001, ~0ull, 64};
+    std::vector<std::uint8_t> init(kBytes);
+    for (std::size_t i = 0; i < kBytes; ++i)
+        init[i] = static_cast<std::uint8_t>(i * 29 + 5);
+    const auto addr_of = [&](unsigned lane) {
+        return addrs[lane % std::size(addrs)];
+    };
+    const auto value_of = [](unsigned lane) {
+        return static_cast<std::int64_t>(0x8070'6050'4030'2010ull *
+                                         (lane + 1));
+    };
+    for (const std::uint8_t size : {1, 2, 4, 8}) {
+        for (const Shape shape : {Shape::Full, Shape::Divergent,
+                                  Shape::Partial}) {
+            SCOPED_TRACE("size " + std::to_string(size) + " " +
+                         shape_name(shape));
+            WarpState w = shaped_warp(shape);
+            const LaneMask active = w.active;
+            for (unsigned lane = 0; lane < kWarpSize; ++lane) {
+                w.set_reg(lane, 0, static_cast<std::int64_t>(addr_of(lane)));
+                w.set_reg(lane, 1, value_of(lane));
+            }
+
+            // Store, then check every scratchpad byte.
+            std::vector<std::uint8_t> shared = init;
+            std::vector<std::uint8_t> want = init;
+            for (unsigned lane = 0; lane < kWarpSize; ++lane) {
+                if (((active >> lane) & 1) == 0)
+                    continue;
+                const std::uint64_t at = addr_of(lane) % kBytes;
+                const std::uint64_t v =
+                    static_cast<std::uint64_t>(value_of(lane));
+                for (std::uint64_t i = 0; i < size && at + i < kBytes; ++i)
+                    want[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+            }
+            Instr sts;
+            sts.op = Op::Sts;
+            sts.ra = 0;
+            sts.rb = 1;
+            sts.size = size;
+            EXPECT_EQ(step_one(w, sts, &shared).kind, StepKind::SharedMem);
+            EXPECT_EQ(shared, want);
+
+            // Load into a fresh register and in place over the address.
+            for (const int rd : {kDest, 0}) {
+                WarpState l = w;
+                l.pc = 0;
+                const auto before = snapshot(l);
+                Instr lds;
+                lds.op = Op::Lds;
+                lds.rd = rd;
+                lds.ra = 0;
+                lds.size = size;
+                EXPECT_EQ(step_one(l, lds, &shared).kind,
+                          StepKind::SharedMem);
+                for (unsigned lane = 0; lane < kWarpSize; ++lane) {
+                    std::int64_t expect = before[rd][lane];
+                    if ((active >> lane) & 1) {
+                        const std::uint64_t at = addr_of(lane) % kBytes;
+                        std::uint64_t v = 0;
+                        for (std::uint64_t i = 0;
+                             i < size && at + i < kBytes; ++i)
+                            v |= std::uint64_t{shared[at + i]} << (8 * i);
+                        expect = static_cast<std::int64_t>(v);
+                    }
+                    ASSERT_EQ(l.reg(lane, rd), expect)
+                        << "r" << rd << " lane " << lane;
+                }
+            }
+        }
+    }
+
+    // An empty scratchpad: no lane reads or writes anything.
+    WarpState w = shaped_warp(Shape::Full);
+    const auto before = snapshot(w);
+    std::vector<std::uint8_t> empty;
+    Instr lds;
+    lds.op = Op::Lds;
+    lds.rd = kDest;
+    lds.ra = 0;
+    lds.size = 4;
+    EXPECT_EQ(step_one(w, lds, &empty).kind, StepKind::SharedMem);
+    EXPECT_EQ(snapshot(w), before);
+    EXPECT_EQ(w.pc, 1);
 }
 
 TEST(InterpOps, MovMadAndGepPerLane)

@@ -220,5 +220,43 @@ TEST(Validate, ThrowsOnMissingExit)
     EXPECT_NE(validation_error(prog).find("exit"), std::string::npos);
 }
 
+TEST(Validate, ThrowsOnAccessSizeOtherThanOneTwoFourOrEight)
+{
+    // The interpreter moves each lane's value through one 64-bit
+    // register, so a wider access would overrun it on the host.
+    KernelBuilder b("sizes");
+    const int buf = b.arg_ptr("buf");
+    const int base = b.ldarg(buf);
+    const int gid = b.sreg(SpecialReg::GlobalId);
+    const int v = b.ld(b.gep(base, gid, 4));
+    b.st(b.gep(base, gid, 4), v);
+    b.st_bo(base, gid, 4, b.ld_bo(base, gid, 4));
+    b.sts(gid, b.lds(gid));
+    b.exit();
+    const KernelProgram prog = b.finish();
+
+    int accesses = 0;
+    for (std::size_t pc = 0; pc < prog.code.size(); ++pc) {
+        const Op op = prog.code[pc].op;
+        if (op != Op::Ld && op != Op::St && op != Op::Lds && op != Op::Sts)
+            continue;
+        ++accesses;
+        for (const int size : {1, 2, 4, 8}) {
+            KernelProgram p = prog;
+            p.code[pc].size = static_cast<std::uint8_t>(size);
+            EXPECT_EQ(validation_error(p), "") << op_name(op) << size;
+        }
+        for (const int size : {0, 3, 5, 16, 255}) {
+            KernelProgram p = prog;
+            p.code[pc].size = static_cast<std::uint8_t>(size);
+            EXPECT_EQ(validation_error(p),
+                      "sizes: access size must be 1, 2, 4 or 8 bytes at pc " +
+                          std::to_string(pc))
+                << op_name(op) << size;
+        }
+    }
+    EXPECT_EQ(accesses, 6);
+}
+
 } // namespace
 } // namespace gpushield

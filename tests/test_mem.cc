@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -67,6 +68,12 @@ TEST(PageTable, TranslateMappedAndUnmapped)
     EXPECT_TRUE(t.ok);
     EXPECT_EQ(t.paddr, 0x90123u);
     EXPECT_FALSE(pt.translate(0x20000, false).ok);
+}
+
+TEST(PageTable, PageSizeNotPowerOfTwoThrows)
+{
+    EXPECT_THROW(PageTable{3 * 4096}, std::invalid_argument);
+    EXPECT_THROW(PageTable{0}, std::invalid_argument);
 }
 
 TEST(PageTable, WriteProtection)
@@ -176,6 +183,95 @@ TEST(Cache, HitRateStat)
     cache.access(0x0, false);
     cache.access(0x1000, false);
     EXPECT_DOUBLE_EQ(cache.hit_rate(), 0.5);
+}
+
+TEST(Cache, SeededStreamIsPinned)
+{
+    // A seeded mix of reads and writes, half of them to a small hot set
+    // of lines, through caches of associativity 1, 4, 16 and 64 (the
+    // last one fully associative). Per access, the hit flag, the
+    // dirty-eviction flag and the evicted address are folded into an
+    // FNV-1a digest; the final stats are compared too. Every expected
+    // value was captured before the ways were stored per field.
+    struct Want
+    {
+        unsigned assoc;
+        std::uint64_t digest;
+        std::uint64_t hits, misses, writebacks;
+    };
+    const Want wants[] = {
+        {1, 0x68374302e684be6bull, 6537, 13463, 4985},
+        {4, 0x57893d7353d9a7b9ull, 6417, 13583, 5010},
+        {16, 0xf09e755c6a3f6f9cull, 6319, 13681, 5070},
+        {64, 0xe1e28ba76f775fecull, 6312, 13688, 4946},
+    };
+    for (const Want &want : wants) {
+        SCOPED_TRACE("assoc " + std::to_string(want.assoc));
+        CacheConfig cfg;
+        cfg.size_bytes = 64 * 128;
+        cfg.assoc = want.assoc;
+        cfg.line_size = 128;
+        Cache cache(cfg);
+        Rng rng(want.assoc);
+        std::uint64_t digest = 0xCBF29CE484222325ull;
+        const auto fold = [&](std::uint64_t v) {
+            for (unsigned byte = 0; byte < 8; ++byte) {
+                digest ^= (v >> (8 * byte)) & 0xFF;
+                digest *= 0x100000001B3ull;
+            }
+        };
+        constexpr unsigned kAccesses = 20000;
+        for (unsigned i = 0; i < kAccesses; ++i) {
+            const std::uint64_t line = rng.chance(0.5) ? rng.below(48)
+                                                       : rng.below(1024);
+            const std::uint64_t addr = line * 128 + rng.below(128);
+            const CacheAccessResult r =
+                cache.access(addr, rng.chance(0.3));
+            fold(r.hit);
+            fold(r.evicted_dirty);
+            fold(r.evicted_tag_addr);
+        }
+        EXPECT_EQ(digest, want.digest) << std::hex << digest;
+        EXPECT_EQ(cache.stats().get("accesses"), kAccesses);
+        EXPECT_EQ(cache.stats().get("hits"), want.hits);
+        EXPECT_EQ(cache.stats().get("misses"), want.misses);
+        EXPECT_EQ(cache.stats().get("writebacks"), want.writebacks);
+    }
+}
+
+// A bad geometry is a typed error, not a process exit: a GpuConfig from
+// the API reaches these constructors.
+TEST(Cache, LineSizeNotPowerOfTwoThrows)
+{
+    CacheConfig cfg;
+    cfg.line_size = 96;
+    EXPECT_THROW(Cache{cfg}, std::invalid_argument);
+}
+
+TEST(Cache, EmptyGeometryThrows)
+{
+    CacheConfig no_ways;
+    no_ways.assoc = 0;
+    EXPECT_THROW(Cache{no_ways}, std::invalid_argument);
+    CacheConfig no_bytes;
+    no_bytes.size_bytes = 0;
+    EXPECT_THROW(Cache{no_bytes}, std::invalid_argument);
+}
+
+TEST(Cache, SizeNotDivisibleByAssociativityThrows)
+{
+    CacheConfig cfg;
+    cfg.size_bytes = 10 * 128;
+    cfg.assoc = 4;
+    EXPECT_THROW(Cache{cfg}, std::invalid_argument);
+}
+
+TEST(Cache, SetCountNotPowerOfTwoThrows)
+{
+    CacheConfig cfg;
+    cfg.size_bytes = 12 * 128; // 3 sets of 4 ways
+    cfg.assoc = 4;
+    EXPECT_THROW(Cache{cfg}, std::invalid_argument);
 }
 
 TEST(Tlb, PageGranularity)

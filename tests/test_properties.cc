@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -289,6 +290,43 @@ TEST_P(CoalescerSeed, LinesCoverEveryAccessedByte)
             touched = lo < line + kLineSize && lo + op.size > line;
         }
         EXPECT_TRUE(touched) << "line " << line << " spurious";
+    }
+}
+
+TEST_P(CoalescerSeed, MatchesSortedReference)
+{
+    // Random lane masks over spans narrower and wider than 64 lines,
+    // with every access size from 1 to 8 bytes (straddling accesses
+    // included), against the sort-and-unique reference.
+    Rng rng(GetParam() + 1000);
+    std::vector<VAddr> lines;
+    for (unsigned round = 0; round < 200; ++round) {
+        MemOp op;
+        op.mask = static_cast<LaneMask>(rng.next64());
+        op.size = static_cast<std::uint8_t>(1 + rng.below(8));
+        const std::uint64_t span =
+            std::uint64_t{1} << (4 + rng.below(12)); // 16 B .. 32 KB
+        const VAddr base = 0x7000'0000 + rng.below(1 << 20);
+        for (unsigned lane = 0; lane < kWarpSize; ++lane)
+            op.lane_addr[lane] = base + rng.below(span);
+        const LaneMask part = op.mask & static_cast<LaneMask>(rng.next64());
+        for (const LaneMask mask : {op.mask, part}) {
+            std::vector<VAddr> want;
+            for (unsigned lane = 0; lane < kWarpSize; ++lane) {
+                if (((mask >> lane) & 1) == 0)
+                    continue;
+                const VAddr first = op.lane_addr[lane] / kLineSize;
+                const VAddr last =
+                    (op.lane_addr[lane] + op.size - 1) / kLineSize;
+                for (VAddr l = first; l <= last; ++l)
+                    want.push_back(l * kLineSize);
+            }
+            std::sort(want.begin(), want.end());
+            want.erase(std::unique(want.begin(), want.end()), want.end());
+            coalesce_into(op, mask, kLineSize, lines);
+            ASSERT_EQ(lines, want) << "round " << round << " mask "
+                                   << std::hex << mask << " span " << span;
+        }
     }
 }
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -290,6 +291,43 @@ TEST(Service, RbtExhaustionSurfacesAsLaunchError)
         svc.submit(cred, touch_kernel(), {1, 1}, {api::arg(buf)}).ticket;
     svc.drain();
     EXPECT_EQ(svc.record(ok).status, api::LaunchStatus::Ok);
+}
+
+TEST(Service, DivisionOverflowDoesNotEndTheService)
+{
+    // INT64_MIN / -1 and INT64_MIN % -1 would trap the host's divide
+    // instruction and end the service for every tenant. The tenant's
+    // batch completes with the wrapped results, and the next batch runs.
+    GpuService svc;
+    const Credential cred = svc.admit("divider");
+    KernelBuilder b("min_div");
+    const int out = b.arg_ptr("out");
+    const int min = b.mov_imm(std::numeric_limits<std::int64_t>::min());
+    const int minus_one = b.mov_imm(-1);
+    const int base = b.ldarg(out);
+    b.st(base, b.alu(Op::Divi, min, minus_one), 8);
+    b.st(b.gep(base, b.mov_imm(1), 8), b.alu(Op::Rem, min, minus_one), 8);
+    b.st(b.gep(base, b.mov_imm(2), 8), b.alui(Op::Divi, min, -1), 8);
+    b.exit();
+    const KernelProgram prog = b.finish();
+
+    const BufferHandle buf = svc.create_buffer(cred, 3 * 8);
+    const std::int64_t junk[3] = {7, 7, 7};
+    svc.upload(cred, buf, junk, sizeof junk);
+    const Ticket t = svc.submit(cred, prog, {1, 1}, {api::arg(buf)}).ticket;
+    svc.drain();
+    EXPECT_EQ(svc.record(t).status, api::LaunchStatus::Ok);
+    std::int64_t got[3] = {};
+    svc.download(cred, buf, got, sizeof got);
+    EXPECT_EQ(got[0], std::numeric_limits<std::int64_t>::min());
+    EXPECT_EQ(got[1], 0);
+    EXPECT_EQ(got[2], std::numeric_limits<std::int64_t>::min());
+
+    const BufferHandle other = svc.create_buffer(cred, 64);
+    const Ticket next =
+        svc.submit(cred, touch_kernel(), {1, 1}, {api::arg(other)}).ticket;
+    svc.drain();
+    EXPECT_EQ(svc.record(next).status, api::LaunchStatus::Ok);
 }
 
 TEST(Service, EvictRecyclesSlotAndKillsCredential)
