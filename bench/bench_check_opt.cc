@@ -234,7 +234,7 @@ main(int argc, char **argv)
     }
     out << "{\"bench\":\"check_opt\",\"gate_threshold\":0.30,"
         << "\"gate_pass\":" << (gate_pass ? "true" : "false")
-        << ",\"gated_saved_fraction\":" << fmt(gated_saved)
+        << ",\"gated_saved_fraction\":" << harness::fmt(gated_saved)
         << ",\"suites\":[";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row &r = rows[i];
@@ -245,7 +245,7 @@ main(int argc, char **argv)
             << ",\"checks_covered\":" << r.covered
             << ",\"cover_probes\":" << r.probes
             << ",\"cover_probe_fails\":" << r.probe_fails
-            << ",\"saved_fraction\":" << fmt(r.saved)
+            << ",\"saved_fraction\":" << harness::fmt(r.saved)
             << ",\"bat_rows\":" << r.stat.rows
             << ",\"eligible\":" << r.stat.eligible
             << ",\"hoisted\":" << r.stat.hoisted

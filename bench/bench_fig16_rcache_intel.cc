@@ -27,12 +27,12 @@ main()
     std::printf("\n");
 
     std::vector<std::vector<double>> per_size(std::size(sizes));
-    CsvSink csv("fig16", {"benchmark", "entries", "l1_hit_rate"});
+    harness::CsvSink csv("fig16", {"benchmark", "entries", "l1_hit_rate"});
     for (const BenchmarkDef &def : opencl_benchmarks()) {
         std::printf("%-18s", def.name.c_str());
         for (std::size_t si = 0; si < std::size(sizes); ++si) {
             const GpuConfig cfg =
-                with_l1_entries(intel_config(), sizes[si]);
+                harness::with_l1_entries(intel_config(), sizes[si]);
             GpuDevice dev(cfg.mem.page_size);
             Driver drv(dev);
             const WorkloadInstance inst = def.make(drv);
@@ -41,14 +41,14 @@ main()
             per_size[si].push_back(out.l1_rcache_hit_rate);
             std::printf(" %11.1f", out.l1_rcache_hit_rate * 100);
             csv.row({def.name, std::to_string(sizes[si]),
-                     fmt(out.l1_rcache_hit_rate)});
+                     harness::fmt(out.l1_rcache_hit_rate)});
         }
         std::printf("\n");
     }
 
     std::printf("%-18s", "geomean");
     for (std::size_t si = 0; si < std::size(sizes); ++si)
-        std::printf(" %11.1f", geomean(per_size[si]) * 100);
+        std::printf(" %11.1f", harness::geomean(per_size[si]) * 100);
     std::printf("\n(paper: near-100%% at 4 entries)\n");
     return 0;
 }

@@ -43,8 +43,10 @@ check_reduction(const GpuConfig &cfg, const BenchmarkDef &def)
 int
 main()
 {
-    const GpuConfig cfg15 = with_rcache_latency(nvidia_config(), 1, 5);
-    const GpuConfig cfg25 = with_rcache_latency(nvidia_config(), 2, 5);
+    const GpuConfig cfg15 =
+        harness::with_rcache_latency(nvidia_config(), 1, 5);
+    const GpuConfig cfg25 =
+        harness::with_rcache_latency(nvidia_config(), 2, 5);
 
     std::printf("=== Figure 17: static bounds-check filtering, Nvidia "
                 "===\n");
@@ -52,7 +54,8 @@ main()
                 "+static", "L1:2,L2:5", "+static", "reduct(%)");
 
     std::vector<double> n15, n15s, n25, n25s, reds;
-    CsvSink csv("fig17", {"benchmark", "l1_1_l2_5", "l1_1_l2_5_static",
+    harness::CsvSink csv("fig17",
+                         {"benchmark", "l1_1_l2_5", "l1_1_l2_5_static",
                           "l1_2_l2_5", "l1_2_l2_5_static",
                           "check_reduction"});
     for (const BenchmarkDef &def : cuda_benchmarks()) {
@@ -70,14 +73,16 @@ main()
         reds.push_back(red);
         std::printf("%-16s %9.4f %9.4f %9.4f %9.4f %10.1f\n",
                     def.name.c_str(), a, as, b, bs, red * 100);
-        csv.row({def.name, fmt(a), fmt(as), fmt(b), fmt(bs), fmt(red)});
+        csv.row({def.name, harness::fmt(a), harness::fmt(as), harness::fmt(b),
+                 harness::fmt(bs), harness::fmt(red)});
     }
     double red_avg = 0;
     for (const double r : reds)
         red_avg += r;
     red_avg /= static_cast<double>(reds.size());
     std::printf("%-16s %9.4f %9.4f %9.4f %9.4f %10.1f\n", "geomean/avg",
-                geomean(n15), geomean(n15s), geomean(n25), geomean(n25s),
+                harness::geomean(n15), harness::geomean(n15s),
+                harness::geomean(n25), harness::geomean(n25s),
                 red_avg * 100);
     std::printf("(paper: +static tracks 1.00; graph benchmarks get ~0%% "
                 "reduction)\n");

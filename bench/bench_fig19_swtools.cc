@@ -77,7 +77,7 @@ main()
                 "GMOD", "clArmor", "GPUShield", "reduct(%)");
 
     std::vector<double> mc_all, gm_all, ca_all, gs_all;
-    gpushield::bench::CsvSink csv(
+    harness::CsvSink csv(
         "fig19", {"benchmark", "memcheck", "gmod", "clarmor", "gpushield",
                   "check_reduction"});
     for (const BenchmarkDef &def : rodinia_fig19_benchmarks()) {
@@ -111,15 +111,13 @@ main()
         gs_all.push_back(gs);
         std::printf("%-16s %10.1f %9.1f %9.1f %10.3f %10.1f\n",
                     def.name.c_str(), mc, gm, ca, gs, red * 100);
-        csv.row({def.name, gpushield::bench::fmt(mc, 1),
-                 gpushield::bench::fmt(gm, 1),
-                 gpushield::bench::fmt(ca, 1),
-                 gpushield::bench::fmt(gs, 3),
-                 gpushield::bench::fmt(red)});
+        csv.row({def.name, harness::fmt(mc, 1), harness::fmt(gm, 1),
+                 harness::fmt(ca, 1), harness::fmt(gs, 3),
+                 harness::fmt(red)});
     }
     std::printf("%-16s %10.1f %9.1f %9.1f %10.3f\n", "geomean",
-                geomean(mc_all), geomean(gm_all), geomean(ca_all),
-                geomean(gs_all));
+                harness::geomean(mc_all), harness::geomean(gm_all),
+                harness::geomean(ca_all), harness::geomean(gs_all));
     std::printf("(paper averages: MEMCHECK 72.3x, clArmor 3.1x, GMOD "
                 "1.5x, GPUShield 1.008x;\n streamcluster worst: MEMCHECK "
                 "224x, GMOD 109x)\n");

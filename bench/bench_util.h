@@ -1,10 +1,10 @@
 /**
  * @file
- * Shared helpers for the experiment harnesses. The CSV sink, number
- * formatting, geometric mean, and config-tweak helpers now live in the
- * sweep harness (src/harness/) and are aliased here so the remaining
- * hand-rolled bench binaries keep working unchanged; new experiments
- * should target the harness directly (see docs/HARNESS.md).
+ * Shared helpers for the experiment harnesses: the worker count and
+ * the shield-on/shield-off cycle ratio. The CSV sink, number
+ * formatting, geometric mean and config tweaks live in the sweep
+ * harness (src/harness/); new experiments should target the harness
+ * directly (see docs/HARNESS.md).
  */
 
 #ifndef GPUSHIELD_BENCH_BENCH_UTIL_H
@@ -25,12 +25,6 @@
 
 namespace gpushield::bench {
 
-using harness::CsvSink;
-using harness::fmt;
-using harness::geomean;
-using harness::with_l1_entries;
-using harness::with_rcache_latency;
-
 /** Worker count for sweep-backed benches: $GPUSHIELD_JOBS or all
  *  cores. A value outside [1, ThreadPool::kMaxJobs] is a usage error:
  *  prints the range and exits 2 before any worker starts. */
@@ -39,10 +33,10 @@ default_jobs()
 {
     const char *env = std::getenv("GPUSHIELD_JOBS");
     if (env == nullptr)
-        return harness::ThreadPool::hardware_jobs();
+        return ThreadPool::hardware_jobs();
     std::uint64_t jobs = 0;
     if (!parse_flag("bench", "GPUSHIELD_JOBS", env, 1,
-                    harness::ThreadPool::kMaxJobs, jobs))
+                    ThreadPool::kMaxJobs, jobs))
         std::exit(2);
     return static_cast<unsigned>(jobs);
 }

@@ -20,15 +20,19 @@
  *    index outside its declared ranges), wrong argument count, buffer
  *    passed where a scalar is declared (or vice versa) — throws
  *    `std::invalid_argument` at bind time, before any simulation runs.
- *    These are bugs in the calling host program.
+ *    These are bugs in the calling host program. `malloc(0)`, an
+ *    unknown buffer, and an `upload`/`download` past a buffer's end
+ *    throw it too.
  *  - **Simulated-program outcomes** never throw. They come back on
  *    `LaunchResult::status`: `Ok` (ran to completion; bounds violations
  *    in error-logging mode still count as Ok — inspect
  *    `LaunchResult::violations`), `Aborted` (the simulated kernel was
  *    killed: translation fault, or a bounds violation on a
  *    precise-exception GPU), or `Error` (the simulation itself gave up:
- *    cycle budget exhausted / deadlock). `status_message` carries the
- *    human-readable cause for anything but Ok.
+ *    cycle budget exhausted / deadlock; or the driver refused the
+ *    launch: RBT exhaustion, a region over the 32-bit RBT size field).
+ *    `status_message` carries the human-readable cause for anything
+ *    but Ok.
  *
  * ## Profiling
  *
@@ -171,7 +175,7 @@ struct LaunchOptions
 enum class LaunchStatus : std::uint8_t {
     Ok,      //!< ran to completion (violations may still be logged)
     Aborted, //!< simulated kernel killed (fault / precise exception)
-    Error,   //!< simulation gave up (budget exhausted / deadlock)
+    Error,   //!< simulation gave up or the driver refused the launch
 };
 
 /** Stable lower-case spelling of @p status. */

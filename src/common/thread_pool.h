@@ -78,9 +78,4 @@ class ThreadPool
 
 } // namespace gpushield
 
-namespace gpushield::harness {
-/** Historical alias: the pool began life in the harness layer. */
-using gpushield::ThreadPool;
-} // namespace gpushield::harness
-
 #endif // GPUSHIELD_COMMON_THREAD_POOL_H

@@ -9,7 +9,9 @@ namespace gpushield {
 
 namespace {
 
-// Saturation bound keeping interval arithmetic overflow-free.
+// Saturation bound keeping interval arithmetic overflow-free. A bound
+// that reaches it may stand for a value that wrapped at run time, so an
+// integer range never keeps one: AbsVal::range gives Top instead.
 constexpr std::int64_t kSat = std::int64_t{1} << 62;
 
 std::int64_t
@@ -53,10 +55,12 @@ struct AbsVal
     static AbsVal
     range(std::int64_t lo, std::int64_t hi)
     {
+        if (lo <= -kSat || hi >= kSat)
+            return top();
         AbsVal v;
         v.kind = Kind::Range;
-        v.lo = sat(lo);
-        v.hi = sat(hi);
+        v.lo = lo;
+        v.hi = hi;
         return v;
     }
 
@@ -164,101 +168,193 @@ sreg_value(SpecialReg s, const StaticLaunchInfo &info)
     return AbsVal::top();
 }
 
-void
-eval_pre(const KernelProgram &prog, const StaticLaunchInfo &info,
-         std::vector<AbsVal> &pre, const Instr &in)
+/** base + idx * scale + disp: the address a Gep or a base+offset
+ *  access forms. */
+AbsVal
+abs_gep(const AbsVal &base, const AbsVal &idx, std::uint32_t scale,
+        std::int64_t disp)
 {
-    // Straight-line abstract evaluation used to resolve loop/guard
-    // bounds held in registers (constants, known scalars, special
-    // registers, and simple arithmetic over them). Setp writes a
-    // predicate whose index aliases general-register numbers: treating
-    // it as a register write would clobber an unrelated value.
-    if (in.rd == kNoReg || dest_reg(in) == kNoReg)
-        return;
-    const auto src2_of = [&](const Instr &i) {
-        return i.rb != kNoReg ? pre[i.rb] : AbsVal::constant(i.imm);
-    };
-    switch (in.op) {
-      case Op::Mov:
-        pre[in.rd] = in.ra != kNoReg ? pre[in.ra] : AbsVal::constant(in.imm);
-        break;
-      case Op::Sreg:
-        pre[in.rd] = sreg_value(in.sreg, info);
-        break;
-      case Op::Ldarg: {
-        const auto &spec = prog.args[in.arg_index];
-        if (!spec.is_pointer &&
-            static_cast<std::size_t>(in.arg_index) <
-                info.scalar_values.size() &&
-            info.scalar_values[in.arg_index]) {
-            pre[in.rd] =
-                AbsVal::constant(*info.scalar_values[in.arg_index]);
-        } else {
-            pre[in.rd] = AbsVal::top();
-        }
-        break;
-      }
-      case Op::Add:
-        pre[in.rd] = abs_add(pre[in.ra], src2_of(in));
-        break;
-      case Op::Sub:
-        pre[in.rd] = abs_sub(pre[in.ra], src2_of(in));
-        break;
-      case Op::Mul:
-        pre[in.rd] = abs_mul(pre[in.ra], src2_of(in));
-        break;
-      case Op::Min:
-        pre[in.rd] = abs_minmax(pre[in.ra], src2_of(in), true);
-        break;
-      case Op::Max:
-        pre[in.rd] = abs_minmax(pre[in.ra], src2_of(in), false);
-        break;
-      case Op::Shr: {
-        const AbsVal a = pre[in.ra];
-        const AbsVal s = src2_of(in);
-        if (a.kind == AbsVal::Kind::Range && s.is_const() && a.lo >= 0 &&
-            s.lo >= 0 && s.lo < 63)
-            pre[in.rd] = AbsVal::range(a.lo >> s.lo, a.hi >> s.lo);
-        else
-            pre[in.rd] = AbsVal::top();
-        break;
-      }
-      default:
-        pre[in.rd] = AbsVal::top();
-        break;
-    }
-}
-
-void
-poison_carried(const std::vector<LoopRegion> &loops,
-               std::vector<AbsVal> &vals, int pc)
-{
-    // At a loop head the straight-line value of a loop-carried register
-    // only describes the first iteration; later iterations may hold
-    // anything, so every linear walk forgets them here.
-    for (const LoopRegion &loop : loops)
-        if (loop.head == pc)
-            for (const int r : loop.carried)
-                vals[r] = AbsVal::top();
+    const AbsVal scaled =
+        abs_mul(idx, AbsVal::constant(static_cast<std::int64_t>(scale)));
+    return abs_add(abs_add(base, scaled), AbsVal::constant(disp));
 }
 
 /**
- * The straight-line evaluator: calls @p visit(pc, vals) for every pc in
- * order, with vals the registers' values before the instruction at pc
- * (eval_pre's domain, loop-carried registers forgotten at each head).
+ * The one transfer function: writes the value of @p in's general
+ * destination register into @p vals, reading every source register
+ * through @p read(reg). Loads, Divi, Rem, And, Or, Xor and Shl give
+ * Top. An op with no general destination (dest_reg == kNoReg, Setp
+ * included: its predicate index aliases the register numbering) writes
+ * nothing.
  */
-template <class Visit>
+template <class Read>
 void
-walk_values(const KernelProgram &prog, const StaticLaunchInfo &info,
-            const std::vector<LoopRegion> &loops, Visit &&visit)
+transfer(const KernelProgram &prog, const StaticLaunchInfo &info,
+         std::vector<AbsVal> &vals, const Instr &in, Read &&read)
 {
-    std::vector<AbsVal> vals(prog.num_regs);
+    const int rd = dest_reg(in);
+    if (rd == kNoReg)
+        return;
+    const auto src2 = [&] {
+        return in.rb != kNoReg ? read(in.rb) : AbsVal::constant(in.imm);
+    };
+    AbsVal v;
+    switch (in.op) {
+      case Op::Mov:
+        v = in.ra != kNoReg ? read(in.ra) : AbsVal::constant(in.imm);
+        break;
+      case Op::Add:
+        v = abs_add(read(in.ra), src2());
+        break;
+      case Op::Sub:
+        v = abs_sub(read(in.ra), src2());
+        break;
+      case Op::Mul:
+        v = abs_mul(read(in.ra), src2());
+        break;
+      case Op::Min:
+      case Op::Max:
+        v = abs_minmax(read(in.ra), src2(), in.op == Op::Min);
+        break;
+      case Op::Shr: {
+        const AbsVal a = read(in.ra);
+        const AbsVal s = src2();
+        if (a.kind == AbsVal::Kind::Range && s.is_const() && a.lo >= 0 &&
+            s.lo >= 0 && s.lo < 63)
+            v = AbsVal::range(a.lo >> s.lo, a.hi >> s.lo);
+        break;
+      }
+      case Op::Mad:
+        v = abs_add(abs_mul(read(in.ra), read(in.rb)), read(in.rc));
+        break;
+      case Op::Sreg:
+        v = sreg_value(in.sreg, info);
+        break;
+      case Op::Ldarg:
+        if (prog.args[in.arg_index].is_pointer)
+            v = AbsVal::pointer(BaseRef{BaseKind::Arg, in.arg_index});
+        else if (static_cast<std::size_t>(in.arg_index) <
+                     info.scalar_values.size() &&
+                 info.scalar_values[in.arg_index])
+            v = AbsVal::constant(*info.scalar_values[in.arg_index]);
+        break;
+      case Op::Ldloc:
+        v = AbsVal::pointer(BaseRef{BaseKind::Local, in.arg_index});
+        break;
+      case Op::Malloc:
+        v = AbsVal::pointer(BaseRef{BaseKind::Heap, -1});
+        break;
+      case Op::Gep:
+        v = abs_gep(read(in.ra), read(in.rb), in.scale, in.disp);
+        break;
+      default:
+        break; // loaded data is runtime input; the bit ops are not tracked
+    }
+    vals[rd] = v;
+}
+
+/**
+ * The one abstract walk. At each pc in order it forgets the
+ * loop-carried registers of a loop whose head is pc (their straight-
+ * line value only describes the first iteration), calls @p visit(pc)
+ * while @p vals holds the registers' values before the instruction,
+ * then applies transfer() with sources read through @p read(reg, pc).
+ */
+template <class Read, class Visit>
+void
+walk(const KernelProgram &prog, const StaticLaunchInfo &info,
+     const std::vector<LoopRegion> &loops, std::vector<AbsVal> &vals,
+     Read &&read, Visit &&visit)
+{
     for (std::size_t pc = 0; pc < prog.code.size(); ++pc) {
         const int ipc = static_cast<int>(pc);
-        poison_carried(loops, vals, ipc);
-        visit(ipc, static_cast<const std::vector<AbsVal> &>(vals));
-        eval_pre(prog, info, vals, prog.code[pc]);
+        for (const LoopRegion &loop : loops)
+            if (loop.head == ipc)
+                for (const int r : loop.carried)
+                    vals[r] = AbsVal::top();
+        visit(ipc);
+        transfer(prog, info, vals, prog.code[pc],
+                 [&](int r) { return read(r, ipc); });
     }
+}
+
+/** What the straight-line pre-walk reads at the compares. */
+struct PreBounds
+{
+    std::vector<Guard> guards; //!< find_guards()
+    /** Per loop: the hi of its counted-loop bound, when that bound is a
+     *  Range of at least 1. */
+    std::vector<std::optional<std::int64_t>> trip_hi;
+};
+
+/**
+ * The straight-line pre-walk: registers are read raw, with no induction
+ * scope or guard refinement. A compare's bound is read at its setp, so
+ * a bound register rewritten later does not change what the compare
+ * proved. It bounds each guard that branches on the predicate and, at
+ * a counted loop's compare, the loop's trip count.
+ */
+PreBounds
+pre_walk(const KernelProgram &prog, const StaticLaunchInfo &info,
+         const std::vector<LoopRegion> &loops)
+{
+    // The last setp of each predicate and its bound as read there.
+    struct SetpSnap
+    {
+        int pc = -1;
+        AbsVal bound;
+    };
+    std::vector<SetpSnap> setps(
+        static_cast<std::size_t>(std::max(prog.num_preds, 1)));
+    PreBounds out;
+    out.trip_hi.resize(loops.size());
+    std::vector<AbsVal> vals(prog.num_regs);
+    const auto raw = [&vals](int r, int) {
+        return r == kNoReg ? AbsVal::top() : vals[r];
+    };
+    const auto visit = [&](int pc) {
+        const Instr &in = prog.code[static_cast<std::size_t>(pc)];
+        if (in.op == Op::Setp && in.rd >= 0 &&
+            static_cast<std::size_t>(in.rd) < setps.size()) {
+            SetpSnap &snap = setps[static_cast<std::size_t>(in.rd)];
+            snap.pc = pc;
+            snap.bound = in.rb != kNoReg ? vals[in.rb]
+                                         : AbsVal::constant(in.imm);
+            for (std::size_t l = 0; l < loops.size(); ++l)
+                if (loops[l].setp_pc == pc &&
+                    snap.bound.kind == AbsVal::Kind::Range &&
+                    snap.bound.hi >= 1)
+                    out.trip_hi[l] = snap.bound.hi;
+            return;
+        }
+        if (in.op != Op::Bra || in.pred == kNoReg || !in.neg_pred ||
+            in.target <= pc || in.pred < 0 ||
+            static_cast<std::size_t>(in.pred) >= setps.size())
+            return;
+        const SetpSnap &snap = setps[static_cast<std::size_t>(in.pred)];
+        if (snap.pc < 0 || snap.bound.kind != AbsVal::Kind::Range)
+            return;
+        const Instr &setp = prog.code[static_cast<std::size_t>(snap.pc)];
+        if (setp.ra == kNoReg)
+            return;
+        // x reassigned after the compare but before the region ends.
+        for (int q = snap.pc + 1; q < in.target; ++q) {
+            if (q < static_cast<int>(prog.code.size()) &&
+                dest_reg(prog.code[static_cast<std::size_t>(q)]) == setp.ra)
+                return;
+        }
+        // A loop head strictly inside the region lets execution
+        // re-enter past the guard without re-evaluating it.
+        for (const LoopRegion &loop : loops) {
+            if (loop.head > snap.pc && loop.head < in.target &&
+                (loop.end > in.target || loop.end <= snap.pc))
+                return;
+        }
+        out.guards.push_back({pc, in.target, setp.cmp, setp.ra,
+                              Interval{snap.bound.lo, snap.bound.hi}});
+    };
+    walk(prog, info, loops, vals, raw, visit);
+    return out;
 }
 
 /** The full analysis state. */
@@ -267,8 +363,11 @@ class Analyzer
   public:
     Analyzer(const KernelProgram &prog, const StaticLaunchInfo &info)
         : prog_(prog), info_(info), regs_(prog.num_regs),
-          loops_(find_loops(prog)), guards_(find_guards(prog, info, loops_))
+          loops_(find_loops(prog))
     {
+        PreBounds pre = pre_walk(prog, info, loops_);
+        guards_ = std::move(pre.guards);
+        resolve_inductions(pre.trip_hi);
     }
 
     BoundsAnalysisTable run();
@@ -285,9 +384,9 @@ class Analyzer
         int end = 0;
     };
 
-    AbsVal eval_src(const Instr &in, int pc) const; //!< rb-or-imm operand
     AbsVal read_reg(int r, int pc) const;
-    void resolve_inductions();
+    void resolve_inductions(
+        const std::vector<std::optional<std::int64_t>> &trip_hi);
     void record_access(int pc, const Instr &in);
     void assign_pointer_types(BoundsAnalysisTable &bat) const;
     std::uint64_t buffer_size_of(const BaseRef &ref) const;
@@ -343,36 +442,10 @@ Analyzer::read_reg(int r, int pc) const
     return v;
 }
 
-AbsVal
-Analyzer::eval_src(const Instr &in, int pc) const
-{
-    // Second operand of two-source ALU ops: register or immediate.
-    // Goes through read_reg so induction scoping and guard refinements
-    // apply to the rb operand too.
-    return in.rb != kNoReg ? read_reg(in.rb, pc) : AbsVal::constant(in.imm);
-}
-
 void
-Analyzer::resolve_inductions()
+Analyzer::resolve_inductions(
+    const std::vector<std::optional<std::int64_t>> &trip_hi)
 {
-    // Counted-loop trip bounds, snapshotted *at the defining setp* (a
-    // bound register rewritten later must not leak its new value into
-    // the loop).
-    std::vector<std::optional<std::int64_t>> trip_hi(loops_.size());
-    const auto visit = [&](int pc, const std::vector<AbsVal> &vals) {
-        for (std::size_t l = 0; l < loops_.size(); ++l) {
-            const LoopRegion &loop = loops_[l];
-            if (loop.setp_pc != pc)
-                continue;
-            const AbsVal bound = loop.bound_reg != kNoReg
-                                     ? vals[loop.bound_reg]
-                                     : AbsVal::constant(loop.bound_imm);
-            if (bound.kind == AbsVal::Kind::Range && bound.hi >= 1)
-                trip_hi[l] = bound.hi;
-        }
-    };
-    walk_values(prog_, info_, loops_, visit);
-
     for (std::size_t l = 0; l < loops_.size(); ++l) {
         if (!trip_hi[l] || loops_[l].ivar == kNoReg)
             continue;
@@ -397,26 +470,13 @@ Analyzer::buffer_size_of(const BaseRef &ref) const
                 info_.arg_buffer_sizes.size())
             return info_.arg_buffer_sizes[ref.index];
         return 0;
-      case BaseKind::Local: {
+      case BaseKind::Local:
         if (ref.index < 0 ||
             static_cast<std::size_t>(ref.index) >= prog_.locals.size())
             return 0;
-        const LocalVarSpec &lv = prog_.locals[ref.index];
-        const std::uint64_t threads =
-            static_cast<std::uint64_t>(info_.ntid) * info_.nctaid;
-        // elem_size and elems are 32-bit, so their product fits in 64
-        // bits; the per-thread scale-up can wrap. A wrapped size would
-        // be compared against real offsets and can certify an
-        // out-of-bounds access as InBounds, so reject it (size 0 ⇒
-        // Unknown verdict ⇒ runtime-checked), mirroring the driver's
-        // launch-time >32-bit rejection.
-        const std::uint64_t per_thread =
-            static_cast<std::uint64_t>(lv.elem_size) * lv.elems;
-        const std::uint64_t total = per_thread * threads;
-        if (per_thread != 0 && threads != 0 && total / per_thread != threads)
-            return 0;
-        return total;
-      }
+        // A size that wraps reads 0: Unknown, so runtime-checked.
+        return prog_.locals[ref.index].total_bytes(
+            static_cast<std::uint64_t>(info_.ntid) * info_.nctaid);
       default:
         return 0; // heap size unknown at compile time
     }
@@ -448,10 +508,7 @@ Analyzer::record_access(int pc, const Instr &in)
         } else {
             base = read_reg(in.ra, pc);
         }
-        const AbsVal idx = read_reg(in.rb, pc);
-        const AbsVal scaled =
-            abs_mul(idx, AbsVal::constant(static_cast<std::int64_t>(in.scale)));
-        addr = abs_add(abs_add(base, scaled), AbsVal::constant(in.disp));
+        addr = abs_gep(base, read_reg(in.rb, pc), in.scale, in.disp);
     } else {
         addr = read_reg(in.ra, pc);
     }
@@ -539,112 +596,20 @@ Analyzer::assign_pointer_types(BoundsAnalysisTable &bat) const
 BoundsAnalysisTable
 Analyzer::run()
 {
-    resolve_inductions();
-
-    for (std::size_t pc = 0; pc < prog_.code.size(); ++pc) {
-        const Instr &in = prog_.code[pc];
-        const int ipc = static_cast<int>(pc);
-        poison_carried(loops_, regs_, ipc);
-        switch (in.op) {
-          case Op::Mov:
-            regs_[in.rd] = in.ra != kNoReg ? read_reg(in.ra, ipc)
-                                           : AbsVal::constant(in.imm);
-            break;
-          case Op::Add:
-            regs_[in.rd] = abs_add(read_reg(in.ra, ipc), eval_src(in, ipc));
-            break;
-          case Op::Sub:
-            regs_[in.rd] = abs_sub(read_reg(in.ra, ipc), eval_src(in, ipc));
-            break;
-          case Op::Mul:
-            regs_[in.rd] = abs_mul(read_reg(in.ra, ipc), eval_src(in, ipc));
-            break;
-          case Op::Min:
-            regs_[in.rd] =
-                abs_minmax(read_reg(in.ra, ipc), eval_src(in, ipc), true);
-            break;
-          case Op::Max:
-            regs_[in.rd] =
-                abs_minmax(read_reg(in.ra, ipc), eval_src(in, ipc), false);
-            break;
-          case Op::Mad:
-            regs_[in.rd] =
-                abs_add(abs_mul(read_reg(in.ra, ipc), read_reg(in.rb, ipc)),
-                        read_reg(in.rc, ipc));
-            break;
-          case Op::Sreg:
-            regs_[in.rd] = sreg_value(in.sreg, info_);
-            break;
-          case Op::Ldarg: {
-            const KernelArgSpec &spec = prog_.args[in.arg_index];
-            if (spec.is_pointer) {
-                regs_[in.rd] =
-                    AbsVal::pointer(BaseRef{BaseKind::Arg, in.arg_index});
-            } else if (static_cast<std::size_t>(in.arg_index) <
-                           info_.scalar_values.size() &&
-                       info_.scalar_values[in.arg_index]) {
-                regs_[in.rd] =
-                    AbsVal::constant(*info_.scalar_values[in.arg_index]);
-            } else {
-                regs_[in.rd] = AbsVal::top();
-            }
-            break;
-          }
-          case Op::Ldloc:
-            regs_[in.rd] =
-                AbsVal::pointer(BaseRef{BaseKind::Local, in.arg_index});
-            break;
-          case Op::Malloc:
-            regs_[in.rd] = AbsVal::pointer(BaseRef{BaseKind::Heap, -1});
-            break;
-          case Op::Gep: {
-            const AbsVal scaled = abs_mul(
-                read_reg(in.rb, ipc),
-                AbsVal::constant(static_cast<std::int64_t>(in.scale)));
-            regs_[in.rd] = abs_add(abs_add(read_reg(in.ra, ipc), scaled),
-                                   AbsVal::constant(in.disp));
-            break;
-          }
-          case Op::Ld:
-            record_access(ipc, in);
-            regs_[in.rd] = AbsVal::top(); // loaded data is runtime input
-            break;
-          case Op::St:
-            record_access(ipc, in);
-            break;
-          case Op::Lds:
-            regs_[in.rd] = AbsVal::top();
-            break;
-          case Op::Divi:
-          case Op::Rem:
-          case Op::And:
-          case Op::Or:
-          case Op::Xor:
-          case Op::Shl:
-          case Op::Shr:
-            if (in.rd != kNoReg)
-                regs_[in.rd] = AbsVal::top();
-            break;
-          default:
-            break;
-        }
-        // Induction registers keep their loop-wide range regardless of
-        // the straight-line value just computed — but only inside their
-        // loop; afterwards they hold the exit value.
-        if (in.rd != kNoReg) {
-            const auto it = induction_.find(in.rd);
-            if (it != induction_.end() && ipc >= it->second.head &&
-                ipc <= it->second.end)
-                regs_[in.rd] = it->second.in_loop;
-        }
-        for (const LoopRegion &loop : loops_) {
-            if (loop.end != ipc || loop.ivar == kNoReg)
-                continue;
-            const auto it = induction_.find(loop.ivar);
-            if (it != induction_.end() && it->second.end == ipc)
-                regs_[loop.ivar] = it->second.after;
-        }
-    }
+    // Before each instruction: record a load or store, and give an
+    // induction register its exit value at its loop's backedge.
+    // Inside [head, end] read_reg substitutes the in-loop range, so the
+    // value the walk stores for it there is never read.
+    const auto visit = [this](int pc) {
+        const Instr &in = prog_.code[static_cast<std::size_t>(pc)];
+        if (is_global_mem(in.op))
+            record_access(pc, in);
+        for (const auto &[reg, scope] : induction_)
+            if (scope.end == pc)
+                regs_[reg] = scope.after;
+    };
+    walk(prog_, info_, loops_, regs_,
+         [this](int r, int pc) { return read_reg(r, pc); }, visit);
 
     assign_pointer_types(bat_);
     return std::move(bat_);
@@ -675,8 +640,6 @@ find_loops(const KernelProgram &prog)
                 if (setp.cmp == Cmp::Lt && !bra.neg_pred) {
                     loop.ivar = setp.ra;
                     loop.setp_pc = static_cast<int>(q);
-                    loop.bound_reg = setp.rb;
-                    loop.bound_imm = setp.imm;
                 }
                 break;
             }
@@ -712,61 +675,7 @@ std::vector<Guard>
 find_guards(const KernelProgram &prog, const StaticLaunchInfo &info,
             const std::vector<LoopRegion> &loops)
 {
-    // The last setp of each predicate, with its bound as read there.
-    struct SetpSnap
-    {
-        int reg = kNoReg;
-        Cmp cmp = Cmp::Eq;
-        AbsVal bound;
-        int pc = -1;
-    };
-    std::vector<SetpSnap> setps(
-        static_cast<std::size_t>(std::max(prog.num_preds, 1)));
-    std::vector<Guard> guards;
-
-    const auto visit = [&](int pc, const std::vector<AbsVal> &vals) {
-        const Instr &in = prog.code[static_cast<std::size_t>(pc)];
-        if (in.op == Op::Setp && in.rd >= 0 &&
-            static_cast<std::size_t>(in.rd) < setps.size()) {
-            SetpSnap &snap = setps[static_cast<std::size_t>(in.rd)];
-            snap.reg = in.ra;
-            snap.cmp = in.cmp;
-            snap.bound = in.rb != kNoReg ? vals[in.rb]
-                                         : AbsVal::constant(in.imm);
-            snap.pc = pc;
-            return;
-        }
-        if (in.op != Op::Bra || in.pred == kNoReg || !in.neg_pred ||
-            in.target <= pc || in.pred < 0 ||
-            static_cast<std::size_t>(in.pred) >= setps.size())
-            return;
-        const SetpSnap &snap = setps[static_cast<std::size_t>(in.pred)];
-        if (snap.pc < 0 || snap.reg == kNoReg ||
-            snap.bound.kind != AbsVal::Kind::Range)
-            return;
-        // x reassigned after the compare but before the region ends.
-        for (int q = snap.pc + 1; q < in.target; ++q) {
-            if (q < static_cast<int>(prog.code.size()) &&
-                dest_reg(prog.code[static_cast<std::size_t>(q)]) == snap.reg)
-                return;
-        }
-        // A loop head strictly inside the region lets execution
-        // re-enter past the guard without re-evaluating it.
-        for (const LoopRegion &loop : loops) {
-            if (loop.head > snap.pc && loop.head < in.target &&
-                (loop.end > in.target || loop.end <= snap.pc))
-                return;
-        }
-        Guard g;
-        g.bra_pc = pc;
-        g.end_pc = in.target;
-        g.cmp = snap.cmp;
-        g.reg = snap.reg;
-        g.bound = Interval{snap.bound.lo, snap.bound.hi};
-        guards.push_back(g);
-    };
-    walk_values(prog, info, loops, visit);
-    return guards;
+    return pre_walk(prog, info, loops).guards;
 }
 
 BoundsAnalysisTable

@@ -20,6 +20,21 @@
  * the software bounds checks of §6.4. The loop and guard finders are
  * exported, so the check optimizer (check_opt.h) and guard replacement
  * (guard_replace.h) work on the same loops and guards as this pass.
+ *
+ * One transfer function evaluates every instruction, and one walk
+ * visits the pcs in order, forgetting loop-carried registers at each
+ * loop head. The walk runs in two modes that differ only in how a
+ * register is read:
+ *  - the straight-line pre-walk reads registers raw; it reads each
+ *    guard's bound (find_guards) and each counted loop's trip bound;
+ *  - the access walk (analyze_kernel) reads them refined: an induction
+ *    register holds its trip range inside its loop and its exit value
+ *    after it, and a guard clamps its register inside its region.
+ * Both modes therefore know the same arithmetic, `x >> c` and
+ * `a * b + c` included: A[gid >> 3] is proven, and a trip count
+ * computed by a mad bounds its loop. Only Range values can bound a
+ * loop or a guard, never a pointer. A range whose arithmetic saturates
+ * becomes unknown, since the value it stands for may have wrapped.
  */
 
 #ifndef GPUSHIELD_COMPILER_STATIC_ANALYSIS_H
@@ -66,12 +81,10 @@ struct LoopRegion
      *  their value on iterations >= 2 is not the straight-line one. */
     std::vector<int> carried;
     /** Canonical counted-loop shape (setp.lt p, i, bound ; bra p,
-     *  head): the induction register and the compare's pc and bound
-     *  operand. ivar is kNoReg for any other shape. */
+     *  head): the induction register and the compare's pc. ivar is
+     *  kNoReg for any other shape. */
     int ivar = kNoReg;
     int setp_pc = -1;
-    int bound_reg = kNoReg;
-    std::int64_t bound_imm = 0;
 };
 
 /** The region of every backward branch, in backedge order. Needs no

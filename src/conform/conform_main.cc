@@ -26,7 +26,6 @@ using namespace gpushield;
 using namespace gpushield::conform;
 
 constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
-constexpr std::uint64_t kMaxKernelArgs = 128; // Driver::launch's limit
 
 int
 usage(const char *argv0)

@@ -1,6 +1,7 @@
 #include "driver/driver.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/bitutil.h"
 #include "common/log.h"
@@ -21,6 +22,23 @@ constexpr PAddr kLocalPaBase = 0x0000'6000'0000ull;
 constexpr VAddr kHeapVaBase = 0x00A0'0000'0000ull;
 constexpr PAddr kHeapPaBase = 0x0000'A000'0000ull;
 constexpr PAddr kRbtPaBase = 0x0000'E000'0000ull;
+
+// The RBT's size field is 32 bits wide (Fig. 10).
+constexpr std::uint64_t kMaxEntrySize = 0xFFFFFFFFull;
+
+/** The Type 2 pointer to @p base for region @p id of @p state's kernel
+ *  (Fig. 7). Unprotected when the shield is off. Armor pointers carry
+ *  the plaintext tag fold, since that hardware has no per-kernel
+ *  cipher; otherwise the ID is encrypted under the kernel's key. */
+std::uint64_t
+tagged_pointer(const LaunchState &state, VAddr base, BufferId id)
+{
+    if (!state.shield_enabled)
+        return make_unprotected_ptr(base);
+    if (state.shield_backend == ShieldBackendKind::Armor)
+        return make_tagged_ptr(base, armor_ptr_tag(id));
+    return make_tagged_ptr(base, IdCipher(state.secret_key).encrypt(id));
+}
 
 } // namespace
 
@@ -75,7 +93,8 @@ Driver::region(BufferHandle handle) const
 {
     if (handle.index < 0 ||
         static_cast<std::size_t>(handle.index) >= buffers_.size())
-        fatal("Driver: invalid buffer handle");
+        throw std::invalid_argument("Driver: invalid buffer handle " +
+                                    std::to_string(handle.index));
     return buffers_[handle.index];
 }
 
@@ -84,8 +103,8 @@ Driver::upload(BufferHandle handle, const void *data, std::size_t len,
                std::uint64_t offset)
 {
     const VaRegion &r = region(handle);
-    if (offset + len > r.size)
-        fatal("Driver::upload: out of buffer range");
+    if (offset > r.size || len > r.size - offset)
+        throw std::invalid_argument("Driver::upload: out of buffer range");
     // Uploads are driver-privileged (they bypass access permissions);
     // regions are contiguous in PA.
     const Translation t =
@@ -100,8 +119,8 @@ Driver::download(BufferHandle handle, void *out, std::size_t len,
                  std::uint64_t offset) const
 {
     const VaRegion &r = region(handle);
-    if (offset + len > r.size)
-        fatal("Driver::download: out of buffer range");
+    if (offset > r.size || len > r.size - offset)
+        throw std::invalid_argument("Driver::download: out of buffer range");
     const Translation t =
         dev_.page_table().translate(r.base + offset, /*is_write=*/false);
     if (!t.ok)
@@ -159,20 +178,31 @@ Driver::assign_kernel_id()
                           " kernel IDs of this context are live");
 }
 
-std::uint64_t
-Driver::tagged_arg_pointer(const LaunchState &state, const VaRegion &region,
-                           PtrTypeRec type, BufferId id) const
+BufferId
+Driver::install_region(LaunchState &state, VaRegion &region,
+                       VaAllocator *from)
 {
-    if (!state.shield_enabled || type == PtrTypeRec::Unprotected)
-        return make_unprotected_ptr(region.base);
-    if (type == PtrTypeRec::SizedWindow)
-        return make_sized_ptr(region.base, log2_floor(region.reserved));
-    // Armor pointers carry the plaintext tag fold — no per-kernel
-    // cipher exists in that hardware point.
-    if (state.shield_backend == ShieldBackendKind::Armor)
-        return make_tagged_ptr(region.base, armor_ptr_tag(id));
-    IdCipher cipher(state.secret_key);
-    return make_tagged_ptr(region.base, cipher.encrypt(id));
+    // The RBT size field is 32 bits (Fig. 10): truncating would leave
+    // the entry covering a sliver of the region. An empty region (a
+    // zero-size local) has nothing to bound. Either refuses the launch
+    // before anything is allocated for the region.
+    if (region.size == 0 || region.size > kMaxEntrySize)
+        throw SimulationError("Driver::launch: region " + region.label +
+                              " of " + std::to_string(region.size) +
+                              " bytes is outside the 32-bit RBT size "
+                              "field's range [1, 2^32)");
+    if (from != nullptr)
+        region = from->alloc(region.size, region.read_only, region.label);
+    const BufferId id = assign_unique_id();
+    Bounds bounds;
+    bounds.base_addr = region.base;
+    bounds.size = static_cast<std::uint32_t>(region.size);
+    bounds.valid = true;
+    bounds.read_only = region.read_only;
+    bounds.kernel = state.kernel_id;
+    state.rbt->set(id, bounds);
+    state.shield_regions.push_back({id, armor_ptr_tag(id), bounds});
+    return id;
 }
 
 LaunchState
@@ -180,6 +210,41 @@ Driver::launch(const LaunchConfig &cfg)
 {
     if (cfg.program == nullptr)
         fatal("Driver::launch: no program");
+
+    const KernelProgram &src = *cfg.program;
+    if (src.args.size() > kMaxKernelArgs)
+        throw SimulationError("Driver::launch: more than " +
+                              std::to_string(kMaxKernelArgs) +
+                              " kernel arguments (§2.1)");
+
+    // --- Static analysis (host-side, Fig. 9 steps 1-3) ---------------
+    // Its launch facts are gathered before anything is assigned, so an
+    // unbound pointer argument refuses the launch with nothing to undo.
+    StaticLaunchInfo info;
+    info.ntid = cfg.ntid;
+    info.nctaid = cfg.nctaid;
+    info.arg_buffer_sizes.assign(src.args.size(), 0);
+    info.arg_buffer_pow2.assign(src.args.size(), false);
+    info.arg_buffer_readonly.assign(src.args.size(), false);
+    info.scalar_values.assign(src.args.size(), std::nullopt);
+    for (std::size_t a = 0; a < src.args.size(); ++a) {
+        const KernelArgSpec &spec = src.args[a];
+        if (spec.is_pointer) {
+            if (spec.buffer_index < 0 ||
+                static_cast<std::size_t>(spec.buffer_index) >=
+                    cfg.buffers.size())
+                throw SimulationError(
+                    "Driver::launch: unbound pointer argument " + spec.name);
+            const BufferHandle handle = cfg.buffers[spec.buffer_index];
+            const VaRegion &r = region(handle);
+            info.arg_buffer_sizes[a] = r.size;
+            info.arg_buffer_pow2[a] = buffer_pow2_[handle.index];
+            info.arg_buffer_readonly[a] = r.read_only;
+        } else if (a < cfg.scalar_static.size() && cfg.scalar_static[a] &&
+                   a < cfg.scalars.size()) {
+            info.scalar_values[a] = cfg.scalars[a];
+        }
+    }
 
     LaunchState state;
     ++c_launches_;
@@ -189,38 +254,12 @@ Driver::launch(const LaunchConfig &cfg)
     state.secret_key = rng_.next64();
     state.ntid = cfg.ntid;
     state.nctaid = cfg.nctaid;
-    state.program = *cfg.program; // patched copy
+    state.program = src; // patched copy
     state.shield_enabled = cfg.shield_enabled;
     state.shield_backend = backend_;
 
     const KernelProgram &prog = state.program;
 
-    // --- Static analysis (host-side, Fig. 9 steps 1-3) ---------------
-    StaticLaunchInfo info;
-    info.ntid = cfg.ntid;
-    info.nctaid = cfg.nctaid;
-    info.arg_buffer_sizes.assign(prog.args.size(), 0);
-    info.arg_buffer_pow2.assign(prog.args.size(), false);
-    info.arg_buffer_readonly.assign(prog.args.size(), false);
-    info.scalar_values.assign(prog.args.size(), std::nullopt);
-    for (std::size_t a = 0; a < prog.args.size(); ++a) {
-        const KernelArgSpec &spec = prog.args[a];
-        if (spec.is_pointer) {
-            if (spec.buffer_index < 0 ||
-                static_cast<std::size_t>(spec.buffer_index) >=
-                    cfg.buffers.size())
-                fatal("Driver::launch: unbound pointer argument " +
-                      spec.name);
-            const VaRegion &r = region(cfg.buffers[spec.buffer_index]);
-            info.arg_buffer_sizes[a] = r.size;
-            info.arg_buffer_pow2[a] =
-                buffer_pow2_[cfg.buffers[spec.buffer_index].index];
-            info.arg_buffer_readonly[a] = r.read_only;
-        } else if (a < cfg.scalar_static.size() && cfg.scalar_static[a] &&
-                   a < cfg.scalars.size()) {
-            info.scalar_values[a] = cfg.scalars[a];
-        }
-    }
     // §6.4: replace redundant software guards before the bounds
     // analysis (the transformed program is what runs and is analyzed).
     if (cfg.shield_enabled && cfg.replace_sw_checks) {
@@ -243,8 +282,6 @@ Driver::launch(const LaunchConfig &cfg)
         dev_.mem(), dev_.rbt_base(state.kernel_id));
     state.rbt->clear_all();
 
-    IdCipher cipher(state.secret_key);
-
     // --- ID budgeting (§6.3) -----------------------------------------
     // When the remaining ID space cannot cover this launch, the driver
     // falls back to sharing one ID (and a merged bounds entry) between
@@ -253,8 +290,6 @@ Driver::launch(const LaunchConfig &cfg)
     for (std::size_t a = 0; a < prog.args.size(); ++a)
         if (prog.args[a].is_pointer)
             ptr_args.push_back(static_cast<int>(a));
-    if (prog.args.size() > 128)
-        fatal("Driver::launch: more than 128 kernel arguments (§2.1)");
 
     const std::size_t fixed_ids =
         prog.locals.size() + (cfg.heap_bytes > 0 ? 1 : 0);
@@ -281,19 +316,12 @@ Driver::launch(const LaunchConfig &cfg)
     // overflow it closes the group early (costing an extra ID) rather
     // than silently truncating the bounds.
     std::vector<BufferId> arg_id(prog.args.size(), 0);
-    std::vector<Bounds> arg_bounds(prog.args.size());
     std::vector<bool> arg_in_merged_group(prog.args.size(), false);
-    constexpr std::uint64_t kMaxEntrySize = 0xFFFFFFFFull;
 
-    // Exhaustion mid-launch (a merged hull closing early, locals, heap)
-    // must not leak the IDs already assigned to this launch: release
-    // them and the kernel ID before propagating the error.
-    std::vector<BufferId> assigned;
-    const auto fresh_id = [&]() {
-        const BufferId id = assign_unique_id();
-        assigned.push_back(id);
-        return id;
-    };
+    // Exhaustion or a refused size mid-launch must not leak the IDs
+    // already assigned to this launch (each has its row in
+    // shield_regions): release them and the kernel ID before
+    // propagating the error.
     try {
     for (std::size_t g = 0; g < ptr_args.size();) {
         const std::size_t want = std::min(g + group, ptr_args.size());
@@ -313,36 +341,26 @@ Driver::launch(const LaunchConfig &cfg)
             single_ro = r.read_only;
             ++end;
         }
-        if (hi - lo > kMaxEntrySize)
-            fatal("Driver::launch: buffer exceeds the 32-bit RBT size "
-                  "field (" + prog.args[ptr_args[g]].name + ")");
-        const BufferId id = fresh_id();
-        Bounds merged;
-        merged.valid = true;
-        merged.kernel = state.kernel_id;
-        merged.base_addr = lo;
-        merged.size = static_cast<std::uint32_t>(hi - lo);
         // Read-only is only enforceable for unshared entries.
-        merged.read_only = (end - g == 1) && single_ro;
+        VaRegion hull{.base = lo,
+                      .size = hi - lo,
+                      .read_only = (end - g == 1) && single_ro,
+                      .label = prog.args[ptr_args[g]].name};
+        const BufferId id = install_region(state, hull);
         for (std::size_t k = g; k < end; ++k) {
             arg_id[ptr_args[k]] = id;
-            arg_bounds[ptr_args[k]] = merged;
             arg_in_merged_group[ptr_args[k]] = end - g > 1;
         }
-        state.rbt->set(id, merged);
-        state.shield_regions.push_back({id, armor_ptr_tag(id), merged});
         g = end;
     }
 
     // Method A binding table: one entry per pointer argument, in
     // argument order (§2.2: "the GPU driver assigns buffer IDs based on
-    // the order specified in kernel arguments").
+    // the order specified in kernel arguments"). Every buffer fits the
+    // 32-bit size field: a larger one was refused as its own group.
     for (const int a : ptr_args) {
         const VaRegion &r =
             region(cfg.buffers[prog.args[a].buffer_index]);
-        if (r.size > kMaxEntrySize)
-            fatal("Driver::launch: buffer exceeds the 32-bit binding-"
-                  "table size field (" + prog.args[a].name + ")");
         Bounds bt;
         bt.base_addr = r.base;
         bt.size = static_cast<std::uint32_t>(r.size);
@@ -408,8 +426,11 @@ Driver::launch(const LaunchConfig &cfg)
 
         const BufferId id = arg_id[a];
         state.id_map[ref] = id;
-
-        state.arg_values[a] = tagged_arg_pointer(state, r, type, id);
+        state.arg_values[a] =
+            type == PtrTypeRec::Unprotected ? make_unprotected_ptr(r.base)
+            : type == PtrTypeRec::SizedWindow
+                ? make_sized_ptr(r.base, log2_floor(r.reserved))
+                : tagged_pointer(state, r.base, id);
 
         // Canary fill for Type 3 padding (detected at finish()).
         if (type == PtrTypeRec::SizedWindow && r.reserved > r.size) {
@@ -420,70 +441,27 @@ Driver::launch(const LaunchConfig &cfg)
     }
 
     // Local variables: one region-bounds entry per variable (§5.2.1).
-    const std::uint64_t total_threads =
+    // A size that wraps 64 bits reads 0 and is refused like a zero one.
+    const std::uint64_t threads =
         static_cast<std::uint64_t>(cfg.ntid) * cfg.nctaid;
     state.local_bases.assign(prog.locals.size(), 0);
     for (std::size_t l = 0; l < prog.locals.size(); ++l) {
         const LocalVarSpec &lv = prog.locals[l];
-        // Overflow-checked scale-up mirroring the static pass: a wrapped
-        // size would allocate a tiny region while the kernel indexes the
-        // full (impossible) extent.
-        const std::uint64_t per_thread =
-            static_cast<std::uint64_t>(lv.elem_size) * lv.elems;
-        const std::uint64_t bytes = per_thread * total_threads;
-        if (per_thread != 0 && total_threads != 0 &&
-            bytes / per_thread != total_threads)
-            fatal("Driver::launch: local variable size overflows 64 bits "
-                  "(" + lv.name + ")");
-        const VaRegion r = dev_.local_alloc().alloc(bytes, false, lv.name);
-        if (r.size > kMaxEntrySize)
-            fatal("Driver::launch: local variable exceeds the 32-bit RBT "
-                  "size field (" + lv.name + ")");
-
-        const BufferId id = fresh_id();
-        const BaseRef ref{BaseKind::Local, static_cast<int>(l)};
-        state.id_map[ref] = id;
-        Bounds bounds;
-        bounds.base_addr = r.base;
-        bounds.size = static_cast<std::uint32_t>(r.size);
-        bounds.valid = true;
-        bounds.kernel = state.kernel_id;
-        state.rbt->set(id, bounds);
-        state.shield_regions.push_back({id, armor_ptr_tag(id), bounds});
-
-        state.local_bases[l] =
-            !cfg.shield_enabled ? make_unprotected_ptr(r.base)
-            : backend_ == ShieldBackendKind::Armor
-                ? make_tagged_ptr(r.base, armor_ptr_tag(id))
-                : make_tagged_ptr(r.base, cipher.encrypt(id));
+        VaRegion r{.size = lv.total_bytes(threads), .label = lv.name};
+        const BufferId id = install_region(state, r, &dev_.local_alloc());
+        state.id_map[BaseRef{BaseKind::Local, static_cast<int>(l)}] = id;
+        state.local_bases[l] = tagged_pointer(state, r.base, id);
     }
 
     // Heap: one coarse entry covering the whole preset heap (§5.2.1).
     if (cfg.heap_bytes > 0) {
-        if (cfg.heap_bytes > kMaxEntrySize)
-            fatal("Driver::launch: heap limit exceeds the 32-bit RBT "
-                  "size field");
-        const VaRegion r =
-            dev_.heap_alloc().alloc(cfg.heap_bytes, false, "heap");
+        VaRegion r{.size = cfg.heap_bytes, .label = "heap"};
+        const BufferId id = install_region(state, r, &dev_.heap_alloc());
         state.heap_base = r.base;
         state.heap_cursor = r.base;
         state.heap_bytes = cfg.heap_bytes;
-
-        const BufferId id = fresh_id();
         state.id_map[BaseRef{BaseKind::Heap, -1}] = id;
-        Bounds bounds;
-        bounds.base_addr = r.base;
-        bounds.size = static_cast<std::uint32_t>(cfg.heap_bytes);
-        bounds.valid = true;
-        bounds.kernel = state.kernel_id;
-        state.rbt->set(id, bounds);
-        state.shield_regions.push_back({id, armor_ptr_tag(id), bounds});
-
-        state.heap_base_tagged =
-            !cfg.shield_enabled ? make_unprotected_ptr(r.base)
-            : backend_ == ShieldBackendKind::Armor
-                ? make_tagged_ptr(r.base, armor_ptr_tag(id))
-                : make_tagged_ptr(r.base, cipher.encrypt(id));
+        state.heap_base_tagged = tagged_pointer(state, r.base, id);
     }
 
     // --- Loop-aware check optimization (compiler/check_opt.h) --------
@@ -543,8 +521,8 @@ Driver::launch(const LaunchConfig &cfg)
         }
     }
     } catch (...) {
-        for (const BufferId id : assigned)
-            used_ids_.erase(id);
+        for (const ShieldRegionDesc &r : state.shield_regions)
+            used_ids_.erase(r.id);
         stats_.set("rbt_occupancy", used_ids_.size());
         live_kernels_.erase(state.kernel_id);
         throw;
@@ -556,14 +534,15 @@ Driver::launch(const LaunchConfig &cfg)
 std::uint64_t
 Driver::device_malloc(LaunchState &state, std::uint64_t bytes)
 {
+    // No heap configured (cudaLimitMallocHeapSize 0) or too little left:
+    // the allocation fails, like CUDA malloc returning NULL.
     if (state.heap_bytes == 0)
-        fatal("device_malloc: heap limit not configured "
-              "(cudaLimitMallocHeapSize)");
+        return 0;
     const VAddr at = align_up(state.heap_cursor, 16);
     // Overflow-safe limit check: `at + bytes` wraps for huge requests.
     const VAddr heap_end = state.heap_base + state.heap_bytes;
     if (at > heap_end || bytes > heap_end - at)
-        return 0; // allocation failure, like CUDA malloc returning NULL
+        return 0;
     state.heap_cursor = at + bytes;
     ++c_device_mallocs_;
     // The preassigned heap-region ID is embedded in every heap pointer.

@@ -227,24 +227,30 @@ class Driver
     /**
      * Allocates a device buffer (512B-aligned, packed). @p pow2 reserves
      * a power-of-two window with canary padding (Type 3 eligible).
+     * @throws std::invalid_argument for a zero @p size.
      */
     BufferHandle create_buffer(std::uint64_t size, bool read_only = false,
                                bool pow2 = false, std::string label = {});
 
-    /** Region descriptor of @p handle. */
+    /** Region descriptor of @p handle. It, upload() and download() throw
+     *  std::invalid_argument for a handle this driver never made. */
     const VaRegion &region(BufferHandle handle) const;
 
-    /** Fills a buffer with host data. */
+    /** Fills a buffer with host data.
+     *  @throws std::invalid_argument for a range past the buffer's end. */
     void upload(BufferHandle handle, const void *data, std::size_t len,
                 std::uint64_t offset = 0);
 
-    /** Reads a buffer back to the host. */
+    /** Reads a buffer back to the host (throws as upload() does). */
     void download(BufferHandle handle, void *out, std::size_t len,
                   std::uint64_t offset = 0) const;
 
     /**
      * Sets up a kernel launch per Fig. 9: static analysis, ID assignment,
      * encryption, RBT population, instruction patching.
+     * @throws SimulationError for a launch it refuses (over 128
+     *         arguments, an unbound pointer argument, a region that
+     *         install_region() refuses) or on ID exhaustion.
      */
     LaunchState launch(const LaunchConfig &cfg);
 
@@ -254,7 +260,8 @@ class Driver
      */
     std::vector<CanaryReport> finish(LaunchState &state);
 
-    /** Device-side malloc servicing the Malloc IR op. */
+    /** Device-side malloc servicing the Malloc IR op. Returns 0 (NULL)
+     *  when the launch has no heap or too little of it is left. */
     std::uint64_t device_malloc(LaunchState &state, std::uint64_t bytes);
 
     GpuDevice &device() { return dev_; }
@@ -283,9 +290,17 @@ class Driver
   private:
     BufferId assign_unique_id();
     KernelId assign_kernel_id();
-    std::uint64_t tagged_arg_pointer(const LaunchState &state,
-                                     const VaRegion &region,
-                                     PtrTypeRec type, BufferId id) const;
+
+    /**
+     * Installs one protected region of @p state's kernel under a fresh
+     * buffer ID, which it returns: the RBT entry and the shield_regions
+     * row. Argument groups, locals and the heap all go through here.
+     * With @p from set, @p region (size, label) is allocated there first.
+     * @throws SimulationError, before allocating, for a size of 0 or
+     *         over the RBT's 32-bit size field; or on ID exhaustion.
+     */
+    BufferId install_region(LaunchState &state, VaRegion &region,
+                            VaAllocator *from = nullptr);
 
     GpuDevice &dev_;
     Rng rng_;

@@ -45,7 +45,8 @@ usage(const char *argv0)
                  "                 to shield cells (adds \"conform\")\n"
                  "  --list         list available suites\n"
                  "  --quiet        suppress per-cell progress\n",
-                 argv0, ThreadPool::kMaxJobs, ThreadPool::hardware_jobs());
+                 argv0, gpushield::ThreadPool::kMaxJobs,
+                 gpushield::ThreadPool::hardware_jobs());
     return 2;
 }
 
@@ -75,7 +76,7 @@ int
 main(int argc, char **argv)
 {
     std::string suite_name, jsonl_path, csv_path;
-    unsigned jobs = ThreadPool::hardware_jobs();
+    unsigned jobs = gpushield::ThreadPool::hardware_jobs();
     gpushield::ShieldBackendKind backend =
         gpushield::ShieldBackendKind::Region;
     bool quiet = false, list = false, profile = false, conform = false;
@@ -100,7 +101,8 @@ main(int argc, char **argv)
         if (arg == "--suite")
             suite_name = value();
         else if (arg == "--jobs")
-            jobs = static_cast<unsigned>(number(1, ThreadPool::kMaxJobs));
+            jobs = static_cast<unsigned>(
+                number(1, gpushield::ThreadPool::kMaxJobs));
         else if (arg == "--backend") {
             const char *name = value();
             if (!gpushield::parse_shield_backend(name, backend)) {

@@ -149,6 +149,10 @@ KernelProgram::validate() const
 {
     if (code.empty())
         throw std::invalid_argument(name + ": empty kernel");
+    if (args.size() > kMaxKernelArgs)
+        throw std::invalid_argument(name + ": more than " +
+                                    std::to_string(kMaxKernelArgs) +
+                                    " kernel arguments (§2.1)");
     bool has_exit = false;
     for (std::size_t pc = 0; pc < code.size(); ++pc) {
         const Instr &in = code[pc];

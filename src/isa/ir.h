@@ -87,6 +87,9 @@ enum class CheckMode : std::uint8_t {
 /** Sentinel for "no register operand". */
 inline constexpr int kNoReg = -1;
 
+/** Most arguments a kernel may take (§2.1). */
+inline constexpr std::size_t kMaxKernelArgs = 128;
+
 /**
  * One IR instruction. Fields are interpreted per opcode; unused register
  * fields hold kNoReg. When rb == kNoReg for two-source ALU ops, `imm` is
@@ -159,6 +162,19 @@ struct LocalVarSpec
     std::uint32_t elem_size = 4;  //!< bytes per element
     std::uint32_t elems = 1;      //!< elements per thread
     std::string name;
+
+    /** Bytes for @p threads threads, or 0 when that wraps 64 bits: a
+     *  wrapped size must never bound a region the kernel indexes in
+     *  full, so the static pass proves nothing against it and the
+     *  driver refuses the launch. */
+    std::uint64_t
+    total_bytes(std::uint64_t threads) const
+    {
+        const std::uint64_t per_thread =
+            static_cast<std::uint64_t>(elem_size) * elems;
+        const std::uint64_t total = per_thread * threads;
+        return per_thread != 0 && total / per_thread != threads ? 0 : total;
+    }
 };
 
 /** A compiled kernel program. */
@@ -173,8 +189,9 @@ struct KernelProgram
     std::uint32_t shared_bytes = 0; //!< per-workgroup scratchpad usage
 
     /**
-     * Validates structural invariants (targets in range, registers within
-     * bounds, loads and stores of 1, 2, 4 or 8 bytes, Exit present).
+     * Validates structural invariants (at most kMaxKernelArgs arguments,
+     * targets in range, registers within bounds, loads and stores of 1,
+     * 2, 4 or 8 bytes, Exit present).
      * Throws std::invalid_argument on violation: a program can come from
      * a tenant, so a bad one must not end the process.
      */

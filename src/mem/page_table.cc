@@ -65,7 +65,7 @@ VaRegion
 VaAllocator::alloc(std::uint64_t size, bool read_only, std::string label)
 {
     if (size == 0)
-        fatal("VaAllocator: zero-size allocation");
+        throw std::invalid_argument("VaAllocator: zero-size allocation");
     const VAddr base = align_up(cursor_, alloc_align_);
     const std::uint64_t reserved = align_up(size, alloc_align_);
     return alloc_at(base, size, reserved, read_only, std::move(label));
@@ -75,7 +75,7 @@ VaRegion
 VaAllocator::alloc_pow2(std::uint64_t size, bool read_only, std::string label)
 {
     if (size == 0)
-        fatal("VaAllocator: zero-size allocation");
+        throw std::invalid_argument("VaAllocator: zero-size allocation");
     const std::uint64_t reserved =
         std::uint64_t{1} << log2_ceil(std::max<std::uint64_t>(size, alloc_align_));
     const VAddr base = align_up(cursor_, reserved);

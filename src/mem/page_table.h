@@ -116,6 +116,7 @@ class VaAllocator
     /**
      * Allocates @p size bytes; maps backing pages read-write (or read-only
      * when @p read_only). Returns the region descriptor.
+     * @throws std::invalid_argument for a zero @p size (host-API misuse).
      */
     VaRegion alloc(std::uint64_t size, bool read_only = false,
                    std::string label = {});
@@ -125,6 +126,7 @@ class VaAllocator
      * the Type 3 (size-in-pointer) mode of §5.3.3. The base is also aligned
      * to the rounded size so that base+offset arithmetic stays inside one
      * power-of-two window.
+     * @throws std::invalid_argument for a zero @p size.
      */
     VaRegion alloc_pow2(std::uint64_t size, bool read_only = false,
                         std::string label = {});

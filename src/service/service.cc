@@ -208,8 +208,12 @@ GpuService::submit(const Credential &cred, const KernelProgram &program,
     TenantCtx &t = authenticate(cred);
     // Validate and bind now so a malformed program or argument-count/
     // kind misuse throws at submit time (the api::Context contract),
-    // not asynchronously inside the scheduler.
+    // not asynchronously inside the scheduler. A buffer handle must be
+    // one of this tenant's.
     (void)api::make_launch_config(program, grid, args, options);
+    for (const api::Arg &arg : args)
+        if (arg.is_buffer())
+            (void)t.driver->region(arg.buffer());
 
     if (t.queue.size() >= cfg_.queue_capacity) {
         t.stats.add("queue_rejects");
@@ -297,11 +301,12 @@ GpuService::run_batch(std::vector<Job> jobs)
             const std::size_t idx =
                 gpu.launch(t.driver->launch(cfg), job.core_mask);
             flight.push_back({&t, pending.ticket, idx});
-        } catch (const SimulationError &e) {
-            // Driver-side setup failure (RBT / kernel-ID exhaustion):
-            // the kernel never ran. The tenant keeps its slot and later
-            // submissions proceed — exhaustion is a per-tenant error,
-            // not a service outage.
+        } catch (const std::exception &e) {
+            // Driver-side setup failure (RBT / kernel-ID exhaustion, or
+            // a launch the hardware cannot carry, such as a region over
+            // the 32-bit RBT size field): the kernel never ran. The
+            // tenant keeps its slot and later submissions proceed; it
+            // is a per-tenant error, not a service outage.
             rec.status = api::LaunchStatus::Error;
             rec.status_message = e.what();
             finish_record(rec, t);

@@ -163,6 +163,9 @@ class GpuService
     /// @}
 
     /// @name Tenant-scoped device memory (credential-checked)
+    /// Each throws std::invalid_argument on a bad credential, a zero
+    /// size, a buffer handle that is not the tenant's, or a range past
+    /// the buffer's end.
     /// @{
     BufferHandle create_buffer(const Credential &cred, std::uint64_t bytes,
                                const api::BufferDesc &desc = {});
@@ -179,8 +182,11 @@ class GpuService
      * Enqueues a launch. The program/args are copied; execution happens
      * when the scheduler drains the tenant's queue (step()/drain()).
      * @throws std::invalid_argument on a bad credential, a program
-     *         that fails KernelProgram::validate(), or argument-binding
-     *         misuse (count/kind mismatch).
+     *         that fails KernelProgram::validate(), argument-binding
+     *         misuse (count/kind mismatch), or a buffer handle that is
+     *         not this tenant's. A launch the driver refuses later (a
+     *         region over the 32-bit RBT size field, a local of zero
+     *         bytes, RBT exhaustion) completes as LaunchStatus::Error.
      */
     SubmitResult submit(const Credential &cred,
                         const KernelProgram &program, api::Grid grid,

@@ -1,8 +1,7 @@
 #include "shield/rcache.h"
 
 #include <algorithm>
-
-#include "common/log.h"
+#include <stdexcept>
 
 namespace gpushield {
 
@@ -18,7 +17,7 @@ RCache::RCache(const RCacheConfig &cfg)
       c_refills_(stats_.counter("refills"))
 {
     if (cfg_.partitions == 0)
-        fatal("RCache: at least one partition required");
+        throw std::invalid_argument("RCache: at least one partition required");
     banks_.resize(cfg_.partitions);
     for (Bank &bank : banks_) {
         bank.l1.resize(cfg_.l1_entries);

@@ -248,6 +248,27 @@ TEST(Api, BadMemoryGeometryThrows)
                  std::invalid_argument);
 }
 
+TEST(Api, ZeroRCachePartitionsThrows)
+{
+    // An RCache with no bank is a host-API configuration error like a
+    // bad cache geometry: the launch refuses it instead of exiting.
+    GpuConfig cfg = small_config();
+    cfg.shield.region.partitions = 0;
+    Context ctx(cfg);
+    PatternParams p;
+    p.name = "vec";
+    p.inputs = 1;
+    const KernelProgram prog = workloads::make_streaming(p);
+    const Buffer buf = ctx.malloc(1024);
+    EXPECT_THROW(ctx.launch(prog, {32, 1}, {arg(buf), arg(buf)}),
+                 std::invalid_argument);
+
+    cfg.shield.region.partitions = 1;
+    Context ok(cfg);
+    const Buffer ok_buf = ok.malloc(1024);
+    EXPECT_NO_THROW(ok.launch(prog, {32, 1}, {arg(ok_buf), arg(ok_buf)}));
+}
+
 TEST(Api, PreciseExceptionAbortIsReported)
 {
     GpuConfig cfg = small_config();

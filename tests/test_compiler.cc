@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include "compiler/static_analysis.h"
+#include "driver/driver.h"
 #include "isa/builder.h"
 #include "workloads/kernels.h"
+#include "workloads/suites.h"
 
 namespace gpushield {
 namespace {
@@ -429,6 +431,196 @@ TEST(StaticAnalysis, SetpDoesNotClobberAliasedRegister)
     const BoundsAnalysisTable bat = analyze_kernel(prog, info);
     ASSERT_EQ(bat.entries.size(), 1u);
     EXPECT_EQ(bat.entries[0].verdict, Verdict::InBounds);
+}
+
+TEST(StaticAnalysis, ShiftedIndexProven)
+{
+    // A[gid >> 3]: the shift narrows gid's range eightfold, so 1,024
+    // threads store into the first 128 elements.
+    KernelBuilder b("shifted");
+    const int a = b.arg_ptr("A");
+    const int base = b.ldarg(a);
+    const int gid = b.sreg(SpecialReg::GlobalId);
+    const int idx = b.alui(Op::Shr, gid, 3);
+    b.st(b.gep(base, idx, 4), gid, 4);
+    b.exit();
+    const KernelProgram prog = b.finish();
+
+    const auto info = info_for(prog, 256, 4, 4096); // 1024 elements
+    const BoundsAnalysisTable bat = analyze_kernel(prog, info);
+    ASSERT_EQ(bat.entries.size(), 1u);
+    EXPECT_EQ(bat.entries[0].verdict, Verdict::InBounds);
+    EXPECT_EQ(bat.entries[0].off_lo, 0);
+    EXPECT_EQ(bat.entries[0].off_end, 512);
+}
+
+TEST(StaticAnalysis, MadTripCountBoundsLoop)
+{
+    // for (i = 0; i < n * 2 + 1; ++i) out[i] with n = 7: the trip
+    // bound is a mad, which the pre-walk evaluates like the access
+    // walk does, so the loop is counted and the store proven.
+    KernelBuilder b("madtrip");
+    const int a = b.arg_ptr("out");
+    const int base = b.ldarg(a);
+    const int count = b.mad(b.mov_imm(7), b.mov_imm(2), b.mov_imm(1));
+    b.loop_count(count, [&](int i) { b.st(b.gep(base, i, 4), i, 4); });
+    b.exit();
+    const KernelProgram prog = b.finish();
+
+    const auto info = info_for(prog, 32, 1, 15 * 4);
+    const BoundsAnalysisTable bat = analyze_kernel(prog, info);
+    ASSERT_EQ(bat.entries.size(), 1u);
+    EXPECT_EQ(bat.entries[0].verdict, Verdict::InBounds);
+    EXPECT_EQ(bat.entries[0].off_lo, 0);
+    EXPECT_EQ(bat.entries[0].off_end, 60);
+
+    // One element short: not provable.
+    const auto tight = info_for(prog, 32, 1, 14 * 4);
+    EXPECT_EQ(analyze_kernel(prog, tight).entries[0].verdict,
+              Verdict::Unknown);
+}
+
+TEST(StaticAnalysis, SaturatedProductIsNotNarrowed)
+{
+    // gid * 2^k overflows the interval arithmetic's saturation bound.
+    // A saturated bound is not a value: narrowing it back (shift,
+    // min, a guard) must not prove the access.
+    const auto kernel = [](Op narrow, int shift) {
+        KernelBuilder b("saturated");
+        const int a = b.arg_ptr("A");
+        const int base = b.ldarg(a);
+        const int gid = b.sreg(SpecialReg::GlobalId);
+        const int big = b.alui(Op::Mul, gid, std::int64_t{1} << shift);
+        const int idx = narrow == Op::Shr ? b.alui(Op::Shr, big, shift)
+                                          : b.alui(Op::Min, big, 100);
+        b.st(b.gep(base, idx, 4), gid, 4);
+        b.exit();
+        return b.finish();
+    };
+    // idx = (gid << 53) >> 53 reaches 1023, past 640 elements.
+    const KernelProgram shr = kernel(Op::Shr, 53);
+    const BoundsAnalysisTable shr_bat =
+        analyze_kernel(shr, info_for(shr, 256, 4, 2560));
+    ASSERT_EQ(shr_bat.entries.size(), 1u);
+    EXPECT_EQ(shr_bat.entries[0].verdict, Verdict::Unknown);
+    EXPECT_FALSE(shr_bat.entries[0].offsets_known);
+
+    // min(gid << 62, 100) wraps negative at gid = 2.
+    const KernelProgram mn = kernel(Op::Min, 62);
+    const BoundsAnalysisTable mn_bat =
+        analyze_kernel(mn, info_for(mn, 256, 4, 4096));
+    ASSERT_EQ(mn_bat.entries.size(), 1u);
+    EXPECT_EQ(mn_bat.entries[0].verdict, Verdict::Unknown);
+    EXPECT_FALSE(mn_bat.entries[0].offsets_known);
+}
+
+/** FNV-1a over the eight bytes of @p v, folded into @p h. */
+void
+fnv_mix(std::uint64_t &h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i, v >>= 8)
+        h = (h ^ (v & 0xFF)) * 0x100000001b3ull;
+}
+
+/** Folds every BAT field of @p state, and the pointers, regions and
+ *  covers the driver derived from it, into @p h. */
+void
+digest_launch(std::uint64_t &h, const LaunchState &state)
+{
+    const BoundsAnalysisTable &bat = state.bat;
+    fnv_mix(h, bat.entries.size());
+    for (const BatEntry &e : bat.entries) {
+        for (const std::int64_t v :
+             {std::int64_t{e.pc}, std::int64_t(e.base.kind),
+              std::int64_t{e.base.index}, std::int64_t{e.is_store},
+              std::int64_t{e.base_offset_mode}, std::int64_t(e.verdict),
+              e.off_lo, e.off_end, std::int64_t{e.offsets_known},
+              std::int64_t(e.check_kind), std::int64_t{e.cover_pc},
+              e.cover_lo, e.cover_end})
+            fnv_mix(h, static_cast<std::uint64_t>(v));
+    }
+    fnv_mix(h, bat.pointer_types.size());
+    for (const auto &[ref, type] : bat.pointer_types) {
+        fnv_mix(h, static_cast<std::uint64_t>(ref.kind));
+        fnv_mix(h, static_cast<std::uint64_t>(ref.index));
+        fnv_mix(h, static_cast<std::uint64_t>(type));
+    }
+    fnv_mix(h, state.program.code.size());
+    for (const Instr &in : state.program.code)
+        fnv_mix(h, static_cast<std::uint64_t>(in.check));
+    fnv_mix(h, state.guards_removed);
+    for (const std::uint64_t v : state.arg_values)
+        fnv_mix(h, v);
+    for (const std::uint64_t v : state.local_bases)
+        fnv_mix(h, v);
+    fnv_mix(h, state.heap_base_tagged);
+    fnv_mix(h, state.ids_merged);
+    for (const ShieldRegionDesc &r : state.shield_regions) {
+        for (const std::uint64_t v :
+             {std::uint64_t{r.id}, std::uint64_t{r.tag},
+              r.bounds.base_addr, std::uint64_t{r.bounds.size},
+              std::uint64_t{r.bounds.valid},
+              std::uint64_t{r.bounds.read_only},
+              std::uint64_t{r.bounds.kernel}})
+            fnv_mix(h, v);
+    }
+    for (const Bounds &b : state.binding_table) {
+        for (const std::uint64_t v :
+             {b.base_addr, std::uint64_t{b.size}, std::uint64_t{b.valid},
+              std::uint64_t{b.read_only}, std::uint64_t{b.kernel}})
+            fnv_mix(h, v);
+    }
+    for (const auto &[ref, id] : state.id_map) {
+        fnv_mix(h, static_cast<std::uint64_t>(ref.kind));
+        fnv_mix(h, static_cast<std::uint64_t>(ref.index));
+        fnv_mix(h, id);
+    }
+    for (const auto &[pc, c] : state.check_covers) {
+        for (const std::uint64_t v :
+             {std::uint64_t(c.pc), std::uint64_t(c.kind),
+              std::uint64_t(c.cover_pc), c.va_lo, c.va_end,
+              std::uint64_t(c.rel_lo), std::uint64_t(c.rel_end),
+              std::uint64_t{c.is_store}})
+            fnv_mix(h, v);
+    }
+}
+
+TEST(StaticAnalysis, BatDigestOverEveryBenchmarkPinned)
+{
+    // Every CUDA, OpenCL and Fig. 19 benchmark, launched with static
+    // analysis off and on and guard replacement off and on, check-opt
+    // on. The value was captured before the access walk and the bound
+    // finders were folded into one evaluator, and before Driver::launch
+    // installed and signed every region through one path: a refactor
+    // that moves any row, verdict, pointer or region breaks it.
+    constexpr std::uint64_t kExpected = 0x5c5f41c3a728466dull;
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::size_t launches = 0;
+    std::size_t rows = 0;
+    for (const auto *set :
+         {&workloads::cuda_benchmarks(), &workloads::opencl_benchmarks(),
+          &workloads::rodinia_fig19_benchmarks()}) {
+        for (const workloads::BenchmarkDef &def : *set) {
+            for (const bool use_static : {false, true}) {
+                for (const bool replace : {false, true}) {
+                    GpuDevice dev(kPageSize2M);
+                    Driver driver(dev);
+                    workloads::WorkloadInstance inst = def.make(driver);
+                    inst.replace_sw_checks = replace;
+                    inst.optimize_checks = true;
+                    LaunchState state =
+                        driver.launch(inst.make_config(true, use_static));
+                    digest_launch(h, state);
+                    rows += state.bat.entries.size();
+                    (void)driver.finish(state);
+                    ++launches;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(launches, (88u + 17u + 9u) * 4u);
+    EXPECT_EQ(rows, 3012u);
+    EXPECT_EQ(h, kExpected) << std::hex << h;
 }
 
 TEST(Bat, ToStringListsRows)

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <sstream>
 #include <vector>
@@ -328,6 +329,193 @@ TEST(Service, DivisionOverflowDoesNotEndTheService)
         svc.submit(cred, touch_kernel(), {1, 1}, {api::arg(other)}).ticket;
     svc.drain();
     EXPECT_EQ(svc.record(next).status, api::LaunchStatus::Ok);
+}
+
+// --- Bad input refused, never the end of the service ----------------
+//
+// Each input below used to reach a fatal() inside submit() or drain()
+// and end the process for every tenant. Now it is refused at submit
+// (std::invalid_argument) or its launch completes as Error, and the
+// tenant's next launch still runs.
+
+/** Submits a well-formed launch and drains: the service still serves
+ *  @p cred after whatever came before. */
+void
+expect_next_launch_ok(GpuService &svc, const Credential &cred)
+{
+    const BufferHandle buf = svc.create_buffer(cred, 64);
+    const Ticket t =
+        svc.submit(cred, touch_kernel(), {1, 1}, {api::arg(buf)}).ticket;
+    svc.drain();
+    EXPECT_EQ(svc.record(t).status, api::LaunchStatus::Ok);
+}
+
+/** Drains @p ticket's launch and expects it refused by the driver. */
+void
+expect_launch_error(GpuService &svc, Ticket ticket, const char *fragment)
+{
+    svc.drain();
+    const LaunchRecord &rec = svc.record(ticket);
+    EXPECT_TRUE(rec.done);
+    EXPECT_EQ(rec.status, api::LaunchStatus::Error);
+    EXPECT_NE(rec.status_message.find(fragment), std::string::npos)
+        << rec.status_message;
+}
+
+TEST(Service, UnknownBufferHandleRefusedAtSubmit)
+{
+    GpuService svc;
+    const Credential cred = svc.admit("alice");
+    for (const int bad : {-1, 0, 7})
+        EXPECT_THROW((void)svc.submit(cred, touch_kernel(), {1, 1},
+                                      {api::arg(BufferHandle{bad})}),
+                     std::invalid_argument)
+            << bad;
+    EXPECT_EQ(svc.pending(cred.tenant), 0u);
+    expect_next_launch_ok(svc, cred);
+}
+
+TEST(Service, BufferOver4GiBLaunchIsAnError)
+{
+    // The RBT size field is 32 bits: the launch is refused, not
+    // truncated.
+    GpuService svc;
+    const Credential cred = svc.admit("alice");
+    const BufferHandle huge = svc.create_buffer(cred, (1ull << 32) + 512);
+    const Ticket t =
+        svc.submit(cred, touch_kernel(), {1, 1}, {api::arg(huge)}).ticket;
+    expect_launch_error(svc, t, "32-bit");
+    EXPECT_EQ(svc.tenant_driver(cred).ids_in_use(), 0u);
+    expect_next_launch_ok(svc, cred);
+}
+
+TEST(Service, MoreThan128ArgumentsRefusedAtSubmit)
+{
+    GpuService svc;
+    const Credential cred = svc.admit("alice");
+    KernelBuilder b("many_args");
+    for (int i = 0; i < 128; ++i)
+        b.arg_scalar("s" + std::to_string(i));
+    b.exit();
+    KernelProgram prog = b.finish();
+    prog.args.push_back(prog.args.back()); // after finish() validated
+    const std::vector<api::Arg> args(prog.args.size(), api::arg(1));
+    EXPECT_THROW((void)svc.submit(cred, prog, {1, 1}, args),
+                 std::invalid_argument);
+    EXPECT_EQ(svc.pending(cred.tenant), 0u);
+    expect_next_launch_ok(svc, cred);
+}
+
+/** One-thread kernel storing to local variable @p elems x @p elem_size. */
+KernelProgram
+local_kernel(std::uint32_t elem_size, std::uint32_t elems)
+{
+    KernelBuilder b("local");
+    const int l = b.local("l", elem_size, elems);
+    b.st(b.ldloc(l), b.mov_imm(1), 4);
+    b.exit();
+    return b.finish();
+}
+
+TEST(Service, EightGiBLocalLaunchIsAnError)
+{
+    // 8 GiB for the one thread: refused before the local is allocated.
+    GpuService svc;
+    const Credential cred = svc.admit("alice");
+    Driver &driver = svc.tenant_driver(cred);
+    const VAddr local_cursor = driver.device().local_alloc().cursor();
+    const Ticket t =
+        svc.submit(cred, local_kernel(8, 1u << 30), {1, 1}, {}).ticket;
+    expect_launch_error(svc, t, "32-bit");
+    EXPECT_EQ(driver.device().local_alloc().cursor(), local_cursor);
+    expect_next_launch_ok(svc, cred);
+}
+
+TEST(Service, ZeroByteLocalLaunchIsAnError)
+{
+    GpuService svc;
+    const Credential cred = svc.admit("alice");
+    const Ticket t = svc.submit(cred, local_kernel(4, 0), {1, 1}, {}).ticket;
+    expect_launch_error(svc, t, "of 0 bytes");
+    // 2^32 + 2 bytes per thread for 2^32 threads wraps 64 bits; the
+    // wrapped size reads 0 and is refused the same way, not allocated.
+    const Ticket wrapped = svc.submit(cred, local_kernel(2, 0x80000001u),
+                                      {1u << 16, 1u << 16}, {})
+                               .ticket;
+    expect_launch_error(svc, wrapped, "of 0 bytes");
+    expect_next_launch_ok(svc, cred);
+}
+
+TEST(Service, HeapOver4GiBLaunchIsAnError)
+{
+    GpuService svc;
+    const Credential cred = svc.admit("alice");
+    const BufferHandle buf = svc.create_buffer(cred, 64);
+    api::LaunchOptions options;
+    options.heap_bytes = 1ull << 33;
+    const Ticket t = svc.submit(cred, touch_kernel(), {1, 1},
+                                {api::arg(buf)}, options)
+                         .ticket;
+    expect_launch_error(svc, t, "32-bit");
+    expect_next_launch_ok(svc, cred);
+}
+
+TEST(Service, MallocWithoutHeapReturnsNull)
+{
+    // No heap configured: malloc fails like CUDA's, returning NULL.
+    GpuService svc;
+    const Credential cred = svc.admit("alice");
+    KernelBuilder b("malloc_no_heap");
+    const int out = b.arg_ptr("out");
+    const int p = b.malloc_heap(b.mov_imm(16));
+    b.st(b.ldarg(out), p, 8);
+    b.exit();
+    const KernelProgram prog = b.finish();
+
+    const BufferHandle buf = svc.create_buffer(cred, 8);
+    const std::int64_t junk = 7;
+    svc.upload(cred, buf, &junk, sizeof junk);
+    const Ticket t = svc.submit(cred, prog, {1, 1}, {api::arg(buf)}).ticket;
+    svc.drain();
+    EXPECT_EQ(svc.record(t).status, api::LaunchStatus::Ok);
+    std::int64_t got = -1;
+    svc.download(cred, buf, &got, sizeof got);
+    EXPECT_EQ(got, 0);
+    expect_next_launch_ok(svc, cred);
+}
+
+TEST(Service, ZeroByteBufferRefused)
+{
+    GpuService svc;
+    const Credential cred = svc.admit("alice");
+    api::BufferDesc pow2;
+    pow2.pow2 = true;
+    EXPECT_THROW((void)svc.create_buffer(cred, 0), std::invalid_argument);
+    EXPECT_THROW((void)svc.create_buffer(cred, 0, pow2),
+                 std::invalid_argument);
+    expect_next_launch_ok(svc, cred);
+}
+
+TEST(Service, OutOfRangeCopiesRefused)
+{
+    GpuService svc;
+    const Credential cred = svc.admit("alice");
+    const BufferHandle buf = svc.create_buffer(cred, 64);
+    std::array<std::uint8_t, 16> bytes{};
+    // Past the end, straddling it, and an offset that wraps offset + len.
+    for (const std::uint64_t offset :
+         {std::uint64_t{64}, std::uint64_t{56}, ~std::uint64_t{0}}) {
+        EXPECT_THROW(svc.upload(cred, buf, bytes.data(), bytes.size(), offset),
+                     std::invalid_argument)
+            << offset;
+        EXPECT_THROW(
+            svc.download(cred, buf, bytes.data(), bytes.size(), offset),
+            std::invalid_argument)
+            << offset;
+    }
+    EXPECT_THROW(svc.upload(cred, BufferHandle{9}, bytes.data(), 1),
+                 std::invalid_argument);
+    expect_next_launch_ok(svc, cred);
 }
 
 TEST(Service, EvictRecyclesSlotAndKillsCredential)
