@@ -89,17 +89,16 @@ main()
     // 7. Profile a launch: every warp-cycle is attributed to a stall
     //    cause, and the timeline exports as Chrome trace JSON (load
     //    quickstart_profile.json in https://ui.perfetto.dev).
-    LaunchOptions profiled;
-    profiled.profile.enabled = true;
-    const LaunchResult prof_run =
-        ctx.launch(vecadd, {256, 16}, {arg(a), arg(b), arg(c)}, profiled);
+    obs::Profiler prof;
+    ctx.attach_profiler(&prof);
+    (void)ctx.launch(vecadd, {256, 16}, {arg(a), arg(b), arg(c)});
+    const obs::ProfileSummary profile = prof.summary();
     std::printf("profiled: %.1f%% of warp-cycles issued, %.1f%% waiting "
                 "on memory\n",
-                100.0 * prof_run.profile.fraction(obs::StallCause::Issued),
-                100.0 * prof_run.profile.fraction(
-                            obs::StallCause::MemPending));
+                100.0 * profile.fraction(obs::StallCause::Issued),
+                100.0 * profile.fraction(obs::StallCause::MemPending));
     std::ofstream trace("quickstart_profile.json");
-    ctx.profiler()->write_chrome_trace(trace);
+    prof.write_chrome_trace(trace);
 
     return wrong == 0 && !bad_run.violations.empty() ? 0 : 1;
 }

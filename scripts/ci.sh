@@ -2,7 +2,8 @@
 # CI entry point: build, run the test suite, and smoke the sweep
 # harness. `--tsan` additionally rebuilds the sweep harness under
 # ThreadSanitizer and re-runs its thread-pool executor;
-# `--asan` rebuilds the conformance, service, shield-backend, harness,
+# `--asan` rebuilds the conformance, service and host-API tests (one
+# launch path), the shield-backend, harness,
 # observability and trace tests (hostile JSON input, the instruction
 # observer), the interpreter, warp, simulator, engine and memory tests
 # (lane-mask iteration, register rows, cached frame pointers), the
@@ -22,9 +23,9 @@ cmake --build build -j"$JOBS"
 # can reach lets one tenant end the service for all. ROADMAP item 3
 # turned such sites into typed errors; what is left guards internal
 # invariants, and no change may raise the count. Today: driver 5 (ID
-# partitions, no program, an unmapped page behind a live buffer), mem 1
-# (allocator alignment), shield 1 (window exponent).
-FATAL_SITES_MAX=7
+# partitions, no program, an unmapped page behind a live buffer),
+# shield 1 (window exponent).
+FATAL_SITES_MAX=6
 fatal_sites="$( (grep -rE --include='*.cc' '\bfatal\(([^)]|$)' src || true) \
     | wc -l)"
 if (( fatal_sites > FATAL_SITES_MAX )); then
@@ -139,9 +140,14 @@ cmp build/smoke-postopt.jsonl tests/golden/smoke.jsonl
 cmp build/check-opt-smoke.json BENCH_check_opt.json
 
 # Profile smoke: trace every single-kernel smoke cell, re-parse each
-# trace, and verify the stall-attribution invariant (--check).
+# trace, and verify the stall-attribution invariant (--check). The
+# single-benchmark mode is the CLI's path through api::Context: two
+# launches on one timeline, parsed back as JSON.
 ./build/src/gpushield-profile --suite smoke \
     --out-dir build/profile-smoke --check
+./build/src/gpushield-profile --benchmark vectoradd --launches 2 --summary \
+    --out build/profile-vectoradd.json
+python3 -m json.tool build/profile-vectoradd.json > /dev/null
 
 # Service smoke: 2-tenant adversarial battery in both scheduler modes.
 # Gate: zero cross-tenant escapes (the binary exits 1 on any escape),
@@ -174,12 +180,13 @@ fi
 if [[ "${1:-}" == "--asan" ]]; then
     cmake --preset asan
     cmake --build build-asan -j"$JOBS" \
-        --target test_conform test_service test_backend test_harness \
+        --target test_conform test_service test_api test_backend test_harness \
         test_obs test_trace test_interp test_warp test_sim test_engine \
         test_mem test_common test_properties test_compiler test_check_opt \
         test_guard_replace gpushield-conformance gpushield-service
     ./build-asan/tests/test_conform
     ./build-asan/tests/test_service
+    ./build-asan/tests/test_api
     ./build-asan/tests/test_backend
     ./build-asan/tests/test_harness
     ./build-asan/tests/test_obs

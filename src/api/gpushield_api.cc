@@ -1,8 +1,11 @@
 #include "api/gpushield_api.h"
 
+#include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "common/log.h"
+#include "sim/gpu.h"
 
 namespace gpushield::api {
 
@@ -52,8 +55,8 @@ Context::address_of(Buffer buffer) const
 }
 
 LaunchConfig
-make_launch_config(const KernelProgram &program, Grid grid,
-                   const std::vector<Arg> &args,
+make_launch_config(const Driver &driver, const KernelProgram &program,
+                   Grid grid, const std::vector<Arg> &args,
                    const LaunchOptions &options)
 {
     // Host-API misuse throws (the contract in the header); everything
@@ -96,6 +99,7 @@ make_launch_config(const KernelProgram &program, Grid grid,
                     "api::launch: argument " + std::to_string(i) +
                     " has buffer index " + std::to_string(slot) +
                     " outside [0, " + std::to_string(args.size()) + ")");
+            (void)driver.region(args[i].buffer()); // one of its buffers
             const auto idx = static_cast<std::size_t>(slot);
             cfg.buffers.resize(std::max(cfg.buffers.size(), idx + 1));
             cfg.buffers[idx] = args[i].buffer();
@@ -107,63 +111,85 @@ make_launch_config(const KernelProgram &program, Grid grid,
     return cfg;
 }
 
+BatchResult
+run_batch(const GpuConfig &config, const std::vector<BatchJob> &jobs,
+          obs::Profiler *profiler, Cycle time_base, LaneObserver *observer)
+{
+    // Every driver is bound to one device; each launch's mallocs go to
+    // the driver that built it (LaunchState::driver).
+    Gpu gpu(config, *jobs.front().driver);
+    if (profiler != nullptr) {
+        profiler->set_time_base(time_base);
+        gpu.set_profiler(profiler);
+    }
+    gpu.set_lane_observer(observer);
+
+    BatchResult batch;
+    batch.results.resize(jobs.size());
+    batch.launched.assign(jobs.size(), false);
+    std::vector<std::size_t> idx(jobs.size(), 0);
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        try {
+            idx[j] = gpu.launch(jobs[j].driver->launch(jobs[j].config),
+                                jobs[j].core_mask);
+            batch.launched[j] = true;
+        } catch (const std::exception &e) {
+            // The driver or the GPU refused the launch (RBT or kernel-ID
+            // exhaustion, a region the RBT cannot carry or its window
+            // cannot hold, another backend's signature): it never ran,
+            // and the launches beside it proceed.
+            batch.results[j].status = LaunchStatus::Error;
+            batch.results[j].status_message = e.what();
+        }
+    }
+
+    std::optional<std::string> run_error;
+    try {
+        gpu.run(); // returns at once when nothing was launched
+    } catch (const SimulationError &e) {
+        run_error = e.what();
+    }
+    batch.makespan = gpu.now();
+
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        if (!batch.launched[j])
+            continue;
+        LaunchResult &r = batch.results[j];
+        if (run_error) {
+            r.status = LaunchStatus::Error;
+            r.status_message = *run_error;
+        }
+        const KernelResult kr = gpu.result(idx[j]);
+        LaunchState &state = gpu.launch_state(idx[j]);
+        r.cycles = r.status == LaunchStatus::Error ? gpu.now() : kr.cycles();
+        r.violations = kr.violations;
+        r.stats = kr.stats;
+        r.l1_rcache_hit_rate = gpu.rcache_l1_hit_rate();
+        r.arg_values = state.arg_values;
+        if (r.status == LaunchStatus::Ok && kr.aborted) {
+            r.status = LaunchStatus::Aborted;
+            r.status_message =
+                config.precise_exceptions && kr.stats.get("violations") > 0
+                    ? "bounds violation (precise exception)"
+                    : "illegal memory access (translation fault)";
+        }
+        r.canaries = jobs[j].driver->finish(state);
+    }
+    return batch;
+}
+
 LaunchResult
 Context::launch(const KernelProgram &program, Grid grid,
                 const std::vector<Arg> &args, const LaunchOptions &options)
 {
-    const LaunchConfig cfg = make_launch_config(program, grid, args, options);
-
-    Gpu gpu(config_, driver_);
-    if (observer_ != nullptr)
-        gpu.set_lane_observer(observer_);
-    if (options.profile.enabled) {
-        if (!profiler_)
-            profiler_ = std::make_unique<obs::Profiler>(
-                options.profile.sample_interval);
-        profiler_->set_time_base(profile_time_base_);
-        gpu.set_profiler(profiler_.get());
-    }
-
-    LaunchResult result;
-    std::size_t idx = 0;
-    try {
-        // Driver-side launch setup can fail recoverably (RBT / kernel-ID
-        // exhaustion): the kernel never starts and no launch state
-        // exists, so report the error without touching the GPU.
-        idx = gpu.launch(driver_.launch(cfg), options.core_mask);
-    } catch (const SimulationError &e) {
-        result.status = LaunchStatus::Error;
-        result.status_message = e.what();
-        return result;
-    }
-
-    try {
-        gpu.run();
-    } catch (const SimulationError &e) {
-        result.status = LaunchStatus::Error;
-        result.status_message = e.what();
-    }
-
-    if (options.profile.enabled)
-        profile_time_base_ += gpu.now();
-
-    const KernelResult kr = gpu.result(idx);
-    result.cycles =
-        result.status == LaunchStatus::Error ? gpu.now() : kr.cycles();
-    result.violations = kr.violations;
-    result.stats = kr.stats;
-    result.l1_rcache_hit_rate = gpu.rcache_l1_hit_rate();
-    if (result.status == LaunchStatus::Ok && kr.aborted) {
-        result.status = LaunchStatus::Aborted;
-        result.status_message =
-            config_.precise_exceptions && kr.stats.get("violations") > 0
-                ? "bounds violation (precise exception)"
-                : "illegal memory access (translation fault)";
-    }
-    result.canaries = driver_.finish(gpu.launch_state(idx));
-    if (profiler_)
-        result.profile = profiler_->summary();
-    return result;
+    const std::vector<BatchJob> jobs = {
+        {&driver_, make_launch_config(driver_, program, grid, args, options),
+         options.core_mask}};
+    BatchResult batch =
+        run_batch(config_, jobs, profiler_, profile_time_base_, observer_);
+    if (profiler_ != nullptr)
+        profile_time_base_ += batch.makespan;
+    return std::move(batch.results.front());
 }
 
 } // namespace gpushield::api

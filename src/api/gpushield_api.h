@@ -20,7 +20,8 @@
  *    index outside its declared ranges), wrong argument count, buffer
  *    passed where a scalar is declared (or vice versa) — throws
  *    `std::invalid_argument` at bind time, before any simulation runs.
- *    These are bugs in the calling host program. `malloc(0)`, an
+ *    These are bugs in the calling host program. `malloc(0)`, a
+ *    `malloc` the rest of the device's global window cannot hold, an
  *    unknown buffer, and an `upload`/`download` past a buffer's end
  *    throw it too.
  *  - **Simulated-program outcomes** never throw. They come back on
@@ -30,26 +31,28 @@
  *    killed: translation fault, or a bounds violation on a
  *    precise-exception GPU), or `Error` (the simulation itself gave up:
  *    cycle budget exhausted / deadlock; or the driver refused the
- *    launch: RBT exhaustion, a region over the 32-bit RBT size field).
+ *    launch: RBT exhaustion, a region over the 32-bit RBT size field
+ *    or past its allocator's window).
  *    `status_message` carries the human-readable cause for anything
  *    but Ok.
  *
+ * `Context::launch` and the multi-tenant service (src/service/) run
+ * their launches through one function, `run_batch`, so both report
+ * these outcomes the same way.
+ *
  * ## Profiling
  *
- * Set `LaunchOptions::profile.enabled` to attribute every warp-cycle of
- * the launch to a stall cause (see src/obs/profiler.h and
- * docs/PROFILING.md). The Context lazily creates one obs::Profiler and
- * accumulates successive profiled launches onto a single timeline;
- * `profiler()` exposes it for Chrome-trace export, and each
- * `LaunchResult::profile` carries the running aggregate summary.
- * GT-Pin-style instruction observers attach via `attach()`.
+ * `attach_profiler()` attributes every warp-cycle of later launches to
+ * a stall cause (see src/obs/profiler.h and docs/PROFILING.md).
+ * Successive launches land on the profiler's single timeline, one
+ * after the other. GT-Pin-style instruction observers attach via
+ * `attach()`.
  */
 
 #ifndef GPUSHIELD_API_GPUSHIELD_API_H
 #define GPUSHIELD_API_GPUSHIELD_API_H
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <variant>
 #include <vector>
@@ -57,7 +60,6 @@
 #include "driver/driver.h"
 #include "obs/profiler.h"
 #include "sim/config.h"
-#include "sim/gpu.h"
 #include "sim/observer.h"
 
 namespace gpushield::api {
@@ -153,13 +155,6 @@ arg(std::int64_t scalar, Static statically_known = Static::no)
     return Arg::of(scalar, statically_known);
 }
 
-/** Per-launch profiling options (see docs/PROFILING.md). */
-struct ProfileOptions
-{
-    bool enabled = false;       //!< attach the stall-attribution profiler
-    Cycle sample_interval = 64; //!< occupancy/IPC sampling period
-};
-
 /** Per-launch protection options. */
 struct LaunchOptions
 {
@@ -168,7 +163,6 @@ struct LaunchOptions
     bool replace_sw_checks = false;//!< §6.4 guard replacement
     std::uint64_t heap_bytes = 0;  //!< device-malloc limit
     std::uint64_t core_mask = ~std::uint64_t{0};
-    ProfileOptions profile;        //!< stall-attribution profiling
 };
 
 /** How a launch ended (see the error-reporting contract above). */
@@ -183,16 +177,17 @@ const char *to_string(LaunchStatus status);
 
 /**
  * Binds @p args to @p program positionally and returns the driver-level
- * launch configuration. Shared by Context::launch and the multi-tenant
- * service front end (src/service/), which drives per-tenant Drivers
- * directly. The returned config aliases @p program — the program must
- * outlive any Driver::launch performed with it.
+ * launch configuration for @p driver. Shared by Context::launch and the
+ * multi-tenant service front end (src/service/), which drives
+ * per-tenant Drivers directly. The returned config aliases @p program —
+ * the program must outlive any Driver::launch performed with it.
  * @throws std::invalid_argument when @p program fails
  *         KernelProgram::validate(), on argument count/kind mismatch,
- *         or on a pointer argument whose buffer_index lies outside
- *         [0, args.size()).
+ *         on a pointer argument whose buffer_index lies outside
+ *         [0, args.size()), or on a buffer @p driver never made.
  */
-LaunchConfig make_launch_config(const KernelProgram &program, Grid grid,
+LaunchConfig make_launch_config(const Driver &driver,
+                                const KernelProgram &program, Grid grid,
                                 const std::vector<Arg> &args,
                                 const LaunchOptions &options);
 
@@ -206,12 +201,49 @@ struct LaunchResult
     std::vector<CanaryReport> canaries;
     StatSet stats;
     double l1_rcache_hit_rate = 0.0;
-    /** Aggregate stall attribution; enabled only when the launch was
-     *  profiled (running total across this Context's profiled launches). */
-    obs::ProfileSummary profile;
+    /** Tagged pointers and scalars the kernel's arguments held
+     *  (capability forensics: the service's isolation suite replays
+     *  them across tenants). Empty when the driver refused the launch. */
+    std::vector<std::uint64_t> arg_values;
 
     bool ok() const { return status == LaunchStatus::Ok; }
 };
+
+/** One launch of a run_batch() batch. */
+struct BatchJob
+{
+    Driver *driver = nullptr; //!< builds the launch and services it
+    LaunchConfig config;      //!< from make_launch_config()
+    std::uint64_t core_mask = ~std::uint64_t{0}; //!< SMs it may use
+};
+
+/** Outcome of run_batch(). */
+struct BatchResult
+{
+    std::vector<LaunchResult> results; //!< one per job, in job order
+    /** Per job: false when its driver refused it, so it never ran. */
+    std::vector<bool> launched;
+    Cycle makespan = 0; //!< device cycles the batch ran
+};
+
+/**
+ * The launch path of Context::launch and the multi-tenant service:
+ * runs @p jobs together on one Gpu built from @p config. A launch its
+ * driver or the Gpu refuses, and every launch of a batch whose run
+ * fails (cycle budget, deadlock), ends as LaunchStatus::Error; a
+ * kernel killed by a fault or a precise exception ends as Aborted.
+ * Every launched job is finished on its driver (canaries checked, IDs
+ * released).
+ * @param profiler  records the batch at @p time_base when non-null
+ * @param observer  sees every launched instruction when non-null
+ * @pre @p jobs is non-empty and every driver is bound to one device.
+ * @throws std::invalid_argument, before any job launches, for a
+ *         @p config whose cache or RCache geometry the Gpu refuses.
+ */
+BatchResult run_batch(const GpuConfig &config,
+                      const std::vector<BatchJob> &jobs,
+                      obs::Profiler *profiler, Cycle time_base,
+                      LaneObserver *observer);
 
 /**
  * A GPU context: device memory + driver + one simulated GPU. Launches
@@ -239,7 +271,8 @@ class Context
      * Launches @p program synchronously and returns the outcome.
      * @throws std::invalid_argument on host-API misuse (a program that
      *         fails KernelProgram::validate(), argument count/kind
-     *         mismatch); simulated-program faults never throw — see
+     *         mismatch, a buffer this context never made);
+     *         simulated-program faults never throw — see
      *         LaunchResult::status.
      */
     LaunchResult launch(const KernelProgram &program, Grid grid,
@@ -255,11 +288,10 @@ class Context
     /** Detaches the instruction observer. */
     void detach_observer() { observer_ = nullptr; }
 
-    /** The context's profiler — created by the first launch with
-     *  profile.enabled; nullptr before that. Successive profiled
-     *  launches accumulate onto its single timeline. */
-    obs::Profiler *profiler() { return profiler_.get(); }
-    const obs::Profiler *profiler() const { return profiler_.get(); }
+    /** Attaches a stall-attribution profiler to subsequent launches;
+     *  each lands on its timeline after the one before. Not owned;
+     *  must outlive the launches. nullptr detaches. */
+    void attach_profiler(obs::Profiler *profiler) { profiler_ = profiler; }
     /// @}
 
     const GpuConfig &config() const { return config_; }
@@ -271,7 +303,7 @@ class Context
     GpuDevice device_;
     Driver driver_;
     LaneObserver *observer_ = nullptr;
-    std::unique_ptr<obs::Profiler> profiler_;
+    obs::Profiler *profiler_ = nullptr;
     /** Each launch simulates from cycle 0; this offset strings profiled
      *  launches onto one trace timeline. */
     Cycle profile_time_base_ = 0;

@@ -12,16 +12,28 @@ namespace gpushield {
 
 namespace {
 
-// Device virtual/physical address map. The RBT physical window lies
-// outside every VA-backed physical range, so no virtual mapping can
-// reach it — kernels cannot touch bounds metadata (§5.4, §6.1).
-constexpr VAddr kGlobalVaBase = 0x0020'0000'0000ull;
-constexpr PAddr kGlobalPaBase = 0x0000'2000'0000ull;
-constexpr VAddr kLocalVaBase = 0x0060'0000'0000ull;
-constexpr PAddr kLocalPaBase = 0x0000'6000'0000ull;
-constexpr VAddr kHeapVaBase = 0x00A0'0000'0000ull;
-constexpr PAddr kHeapPaBase = 0x0000'A000'0000ull;
-constexpr PAddr kRbtPaBase = 0x0000'E000'0000ull;
+// Device virtual/physical address map. Each allocator owns one window
+// and refuses an allocation that would cross its end, so no virtual
+// mapping reaches another window or the RBT's physical window: kernels
+// cannot touch bounds metadata (§5.4, §6.1). Every physical base lies
+// 512 MiB past a multiple of 1 GiB, and DRAM channel, DRAM bank and L2
+// set read only an address's low 30 bits.
+struct Window
+{
+    VAddr va;
+    PAddr pa;
+    std::uint64_t bytes;
+};
+constexpr std::uint64_t kGiB = std::uint64_t{1} << 30;
+constexpr Window kGlobal{0x0020'0000'0000ull, 0x0004'E000'0000ull, 16 * kGiB};
+constexpr Window kLocal{0x0060'0000'0000ull, 0x0000'6000'0000ull, kGiB};
+constexpr Window kHeap{0x00A0'0000'0000ull, 0x0000'A000'0000ull, kGiB};
+constexpr PAddr kRbtPaBase = 0x0000'E000'0000ull; // 2^16 kernel tables
+static_assert(kLocal.pa + kLocal.bytes <= kHeap.pa &&
+                  kHeap.pa + kHeap.bytes <= kRbtPaBase &&
+                  kRbtPaBase + 0x10000 * RegionBoundsTable::kTableBytes <=
+                      kGlobal.pa,
+              "device address windows overlap");
 
 // The RBT's size field is 32 bits wide (Fig. 10).
 constexpr std::uint64_t kMaxEntrySize = 0xFFFFFFFFull;
@@ -44,10 +56,13 @@ tagged_pointer(const LaunchState &state, VAddr base, BufferId id)
 
 GpuDevice::GpuDevice(std::uint64_t page_size)
     : pt_(page_size),
-      global_alloc_(pt_, kGlobalVaBase, kGlobalPaBase),
-      local_alloc_(pt_, kLocalVaBase, kLocalPaBase),
-      heap_alloc_(pt_, kHeapVaBase, kHeapPaBase)
+      global_alloc_(pt_, kGlobal.va, kGlobal.pa, kGlobal.bytes),
+      local_alloc_(pt_, kLocal.va, kLocal.pa, kLocal.bytes),
+      heap_alloc_(pt_, kHeap.va, kHeap.pa, kHeap.bytes)
 {
+    // A larger page would start below its window's physical base.
+    if (page_size > kGiB / 2)
+        throw std::invalid_argument("GpuDevice: page size over 512 MiB");
 }
 
 PAddr
@@ -191,8 +206,14 @@ Driver::install_region(LaunchState &state, VaRegion &region,
                               " of " + std::to_string(region.size) +
                               " bytes is outside the 32-bit RBT size "
                               "field's range [1, 2^32)");
-    if (from != nullptr)
-        region = from->alloc(region.size, region.read_only, region.label);
+    if (from != nullptr) {
+        try {
+            region = from->alloc(region.size, region.read_only, region.label);
+        } catch (const std::invalid_argument &e) {
+            throw SimulationError("Driver::launch: region " + region.label +
+                                  ": " + e.what());
+        }
+    }
     const BufferId id = assign_unique_id();
     Bounds bounds;
     bounds.base_addr = region.base;

@@ -44,7 +44,9 @@ namespace gpushield {
 class GpuDevice
 {
   public:
-    /** @param page_size device page size (2MB Nvidia-like, 4KB optional) */
+    /** @param page_size device page size (2MB Nvidia-like, 4KB optional)
+     *  @throws std::invalid_argument unless it is a power of two of at
+     *          most 512 MiB, which tiles every address window. */
     explicit GpuDevice(std::uint64_t page_size = kPageSize2M);
 
     PhysicalMemory &mem() { return mem_; }
@@ -227,7 +229,8 @@ class Driver
     /**
      * Allocates a device buffer (512B-aligned, packed). @p pow2 reserves
      * a power-of-two window with canary padding (Type 3 eligible).
-     * @throws std::invalid_argument for a zero @p size.
+     * @throws std::invalid_argument for a zero @p size or one the rest
+     *         of the device's global window cannot hold.
      */
     BufferHandle create_buffer(std::uint64_t size, bool read_only = false,
                                bool pow2 = false, std::string label = {});
@@ -297,7 +300,8 @@ class Driver
      * row. Argument groups, locals and the heap all go through here.
      * With @p from set, @p region (size, label) is allocated there first.
      * @throws SimulationError, before allocating, for a size of 0 or
-     *         over the RBT's 32-bit size field; or on ID exhaustion.
+     *         over the RBT's 32-bit size field, or one the rest of
+     *         @p from's window cannot hold; or on ID exhaustion.
      */
     BufferId install_region(LaunchState &state, VaRegion &region,
                             VaAllocator *from = nullptr);

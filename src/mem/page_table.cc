@@ -2,10 +2,21 @@
 
 #include <bit>
 #include <stdexcept>
-
-#include "common/log.h"
+#include <string>
 
 namespace gpushield {
+
+namespace {
+
+/** The refusal of an allocation of @p size bytes. */
+std::invalid_argument
+no_room(std::uint64_t size)
+{
+    return std::invalid_argument("VaAllocator: " + std::to_string(size) +
+                                 " bytes do not fit the rest of the window");
+}
+
+} // namespace
 
 PageTable::PageTable(std::uint64_t page_size)
     : page_size_(page_size),
@@ -53,31 +64,36 @@ PageTable::is_mapped(VAddr vaddr) const
 }
 
 VaAllocator::VaAllocator(PageTable &pt, VAddr va_base, PAddr pa_base,
-                         std::uint64_t alloc_align)
+                         std::uint64_t window_bytes)
     : pt_(pt), va_base_(va_base), pa_base_(pa_base),
-      alloc_align_(alloc_align), cursor_(va_base)
+      va_end_(va_base + window_bytes), cursor_(va_base)
 {
-    if (!is_pow2(alloc_align))
-        fatal("VaAllocator: alignment must be a power of two");
+}
+
+void
+VaAllocator::check_size(std::uint64_t size) const
+{
+    if (size == 0)
+        throw std::invalid_argument("VaAllocator: zero-size allocation");
+    if (size > va_end_ - va_base_)
+        throw no_room(size);
 }
 
 VaRegion
 VaAllocator::alloc(std::uint64_t size, bool read_only, std::string label)
 {
-    if (size == 0)
-        throw std::invalid_argument("VaAllocator: zero-size allocation");
-    const VAddr base = align_up(cursor_, alloc_align_);
-    const std::uint64_t reserved = align_up(size, alloc_align_);
+    check_size(size);
+    const VAddr base = align_up(cursor_, kAllocAlign);
+    const std::uint64_t reserved = align_up(size, kAllocAlign);
     return alloc_at(base, size, reserved, read_only, std::move(label));
 }
 
 VaRegion
 VaAllocator::alloc_pow2(std::uint64_t size, bool read_only, std::string label)
 {
-    if (size == 0)
-        throw std::invalid_argument("VaAllocator: zero-size allocation");
-    const std::uint64_t reserved =
-        std::uint64_t{1} << log2_ceil(std::max<std::uint64_t>(size, alloc_align_));
+    check_size(size);
+    const std::uint64_t reserved = std::uint64_t{1}
+                                   << log2_ceil(std::max(size, kAllocAlign));
     const VAddr base = align_up(cursor_, reserved);
     return alloc_at(base, size, reserved, read_only, std::move(label));
 }
@@ -86,6 +102,8 @@ VaRegion
 VaAllocator::alloc_at(VAddr base, std::uint64_t size, std::uint64_t reserved,
                       bool read_only, std::string label)
 {
+    if (base > va_end_ || reserved > va_end_ - base)
+        throw no_room(size);
     VaRegion region;
     region.base = base;
     region.size = size;
@@ -95,7 +113,6 @@ VaAllocator::alloc_at(VAddr base, std::uint64_t size, std::uint64_t reserved,
 
     back_range(base, base + reserved, read_only);
     cursor_ = base + reserved;
-    regions_.push_back(region);
     return region;
 }
 

@@ -94,29 +94,32 @@ class PageTable
 };
 
 /**
- * Bump allocator over a device virtual-address range.
+ * Bump allocator over one device address window.
  *
- * Allocations are aligned to @p alloc_align (512B by default, matching
- * CUDA), packed consecutively, and backed on demand with identity-offset
- * physical frames. Pages are mapped lazily so unmapped-page faults behave
- * like the real device.
+ * Allocations are aligned to kAllocAlign (512B, matching CUDA), packed
+ * consecutively, and backed on demand with identity-offset physical
+ * frames: virtual address va_base + x maps to physical pa_base + x.
+ * Pages are mapped lazily so unmapped-page faults behave like the real
+ * device. An allocation that would cross the window's end is refused,
+ * so nothing this allocator maps reaches another window.
  */
 class VaAllocator
 {
   public:
     /**
-     * @param pt           page table to populate
-     * @param va_base      first virtual address handed out
-     * @param pa_base      physical base backing the region
-     * @param alloc_align  allocation alignment (power of two)
+     * @param pt            page table to populate
+     * @param va_base       first virtual address handed out
+     * @param pa_base       physical base backing the window
+     * @param window_bytes  window size, the same in both address spaces
      */
     VaAllocator(PageTable &pt, VAddr va_base, PAddr pa_base,
-                std::uint64_t alloc_align = kAllocAlign);
+                std::uint64_t window_bytes);
 
     /**
      * Allocates @p size bytes; maps backing pages read-write (or read-only
      * when @p read_only). Returns the region descriptor.
-     * @throws std::invalid_argument for a zero @p size (host-API misuse).
+     * @throws std::invalid_argument, with nothing mapped, for a zero
+     *         @p size or one the rest of the window cannot hold.
      */
     VaRegion alloc(std::uint64_t size, bool read_only = false,
                    std::string label = {});
@@ -126,18 +129,18 @@ class VaAllocator
      * the Type 3 (size-in-pointer) mode of §5.3.3. The base is also aligned
      * to the rounded size so that base+offset arithmetic stays inside one
      * power-of-two window.
-     * @throws std::invalid_argument for a zero @p size.
+     * @throws std::invalid_argument as alloc() does.
      */
     VaRegion alloc_pow2(std::uint64_t size, bool read_only = false,
                         std::string label = {});
-
-    /** All regions allocated so far, in allocation order. */
-    const std::vector<VaRegion> &regions() const { return regions_; }
 
     /** Next address the allocator would hand out (for tests). */
     VAddr cursor() const { return cursor_; }
 
   private:
+    /** Throws unless @p size is 1 to the window's size: rounding a
+     *  larger one up could wrap 64 bits. */
+    void check_size(std::uint64_t size) const;
     VaRegion alloc_at(VAddr base, std::uint64_t size, std::uint64_t reserved,
                       bool read_only, std::string label);
     void back_range(VAddr lo, VAddr hi, bool read_only);
@@ -145,9 +148,8 @@ class VaAllocator
     PageTable &pt_;
     VAddr va_base_;
     PAddr pa_base_;
-    std::uint64_t alloc_align_;
+    VAddr va_end_;
     VAddr cursor_;
-    std::vector<VaRegion> regions_;
 };
 
 } // namespace gpushield

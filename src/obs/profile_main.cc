@@ -183,8 +183,8 @@ run_single(const std::string &bench, const std::string &set,
     opts.static_analysis = use_static;
     opts.replace_sw_checks = inst.replace_sw_checks;
     opts.heap_bytes = inst.heap_bytes;
-    opts.profile.enabled = true;
-    opts.profile.sample_interval = interval;
+    obs::Profiler prof(interval);
+    ctx.attach_profiler(&prof);
 
     api::LaunchResult last;
     StatSet kernel_stats; // every launch's counters, merged
@@ -198,7 +198,7 @@ run_single(const std::string &bench, const std::string &set,
     }
 
     if (out_path == "-") {
-        ctx.profiler()->write_chrome_trace(std::cout);
+        prof.write_chrome_trace(std::cout);
     } else {
         std::ofstream out(out_path);
         if (!out.is_open()) {
@@ -206,12 +206,12 @@ run_single(const std::string &bench, const std::string &set,
                          out_path.c_str());
             return 2;
         }
-        ctx.profiler()->write_chrome_trace(out);
+        prof.write_chrome_trace(out);
         std::fprintf(stderr, "gpushield-profile: wrote %s\n",
                      out_path.c_str());
     }
     if (summary)
-        print_summary(last.profile, kernel_stats);
+        print_summary(prof.summary(), kernel_stats);
     return last.ok() ? 0 : 1;
 }
 

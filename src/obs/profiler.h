@@ -115,8 +115,8 @@ struct ProfileSummary
 };
 
 /**
- * The stall-attribution profiler. Attach via api::Context (the
- * LaunchOptions::profile block) or Gpu::set_profiler for direct
+ * The stall-attribution profiler. Attach via attach_profiler() on
+ * api::Context or service::GpuService, or Gpu::set_profiler for direct
  * simulator embedding. One Profiler may span several sequential
  * launches: set_time_base() shifts each launch onto a common timeline.
  */

@@ -99,12 +99,12 @@ run_mix(const ServiceConfig &cfg, const std::string &name,
         std::uint64_t lat_sum = 0;
         for (const Ticket ticket : runs[t].tickets) {
             const LaunchRecord &rec = svc.record(ticket);
-            if (!rec.done || rec.status != api::LaunchStatus::Ok)
+            if (!rec.done || rec.result.status != api::LaunchStatus::Ok)
                 continue;
             ++r.completed;
             lat.push_back(rec.latency());
             lat_sum += rec.latency();
-            r.exec_cycles += rec.exec_cycles;
+            r.exec_cycles += rec.result.cycles;
         }
         std::sort(lat.begin(), lat.end());
         r.p50 = percentile(lat, 0.50);

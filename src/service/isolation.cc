@@ -100,7 +100,7 @@ device_mem_equals(GpuService &svc, VAddr va, const void *expect,
 bool
 attributed_to(const LaunchRecord &rec, TenantId attacker)
 {
-    for (const Violation &v : rec.violations)
+    for (const Violation &v : rec.result.violations)
         if (v.tenant != attacker)
             return false;
     return true;
@@ -131,7 +131,7 @@ attack_capability_replay(const ServiceConfig &base)
     svc.drain();
     // The exfiltrated capability: the exact tagged pointer the service
     // bound to the victim's kernel argument.
-    const std::uint64_t stolen = svc.record(tv).arg_values[0];
+    const std::uint64_t stolen = svc.record(tv).result.arg_values[0];
 
     const BufferHandle buf_a = svc.create_buffer(attacker, 64);
     const KernelProgram replay = make_replay();
@@ -143,7 +143,7 @@ attack_capability_replay(const ServiceConfig &base)
     svc.drain();
 
     const LaunchRecord &rec = svc.record(ta);
-    out.violations = rec.violations.size();
+    out.violations = rec.result.violations.size();
     out.attributed = attributed_to(rec, attacker.tenant);
     const bool intact = device_mem_equals(svc, va_v, init, sizeof(init));
     out.contained = out.violations > 0 && out.attributed && intact;
@@ -182,7 +182,7 @@ attack_forged_id(const ServiceConfig &base)
     svc.drain();
 
     const LaunchRecord &rec = svc.record(ta);
-    out.violations = rec.violations.size();
+    out.violations = rec.result.violations.size();
     out.attributed = attributed_to(rec, attacker.tenant);
     const bool intact = device_mem_equals(svc, va_v, init, sizeof(init));
     out.contained = out.violations > 0 && out.attributed && intact;
@@ -222,17 +222,16 @@ attack_rbt_exhaustion(const ServiceConfig &base)
     const LaunchRecord &ra = svc.record(ta);
     const LaunchRecord &rv = svc.record(tv);
     const bool attacker_rejected =
-        ra.status == api::LaunchStatus::Error &&
-        ra.status_message.find("RBT exhausted") != std::string::npos;
-    const bool victim_ok = rv.status == api::LaunchStatus::Ok;
+        ra.result.status == api::LaunchStatus::Error &&
+        ra.result.status_message.find("RBT exhausted") != std::string::npos;
+    const bool victim_ok = rv.result.ok();
 
     // The attacker's slot must stay healthy for well-formed work.
     const BufferHandle buf_a = svc.create_buffer(attacker, 64);
     const Ticket ta2 =
         svc.submit(attacker, touch, {1, 1}, {api::arg(buf_a)}).ticket;
     svc.drain();
-    const bool attacker_recovers =
-        svc.record(ta2).status == api::LaunchStatus::Ok;
+    const bool attacker_recovers = svc.record(ta2).result.ok();
 
     out.contained = attacker_rejected && victim_ok && attacker_recovers;
     out.detail = std::string("greedy launch ") +
@@ -272,7 +271,7 @@ attack_teardown_reuse(const ServiceConfig &base)
     const Ticket tf =
         svc.submit(first, touch, {1, 1}, {api::arg(buf_f)}).ticket;
     svc.drain();
-    const std::uint64_t stale = svc.record(tf).arg_values[0];
+    const std::uint64_t stale = svc.record(tf).result.arg_values[0];
     svc.evict(first);
 
     // The slot is recycled; the attacker re-admits into it and replays
@@ -288,7 +287,7 @@ attack_teardown_reuse(const ServiceConfig &base)
     svc.drain();
 
     const LaunchRecord &rec = svc.record(ta);
-    out.violations = rec.violations.size();
+    out.violations = rec.result.violations.size();
     out.attributed = attributed_to(rec, attacker.tenant);
     const bool intact = device_mem_equals(svc, va_f, init, sizeof(init));
     out.contained = out.violations > 0 && out.attributed && intact;

@@ -65,12 +65,6 @@ GpuService::partition_for_slot(unsigned slot) const
 Credential
 GpuService::admit(const std::string &name)
 {
-    return admit(name, cfg_.gpu.shield.backend);
-}
-
-Credential
-GpuService::admit(const std::string &name, ShieldBackendKind backend)
-{
     for (unsigned s = 0; s < slots_.size(); ++s) {
         TenantCtx &t = slots_[s];
         if (t.active)
@@ -88,7 +82,7 @@ GpuService::admit(const std::string &name, ShieldBackendKind backend)
         // before an evict can never validate for the slot's next owner.
         t.driver = std::make_unique<Driver>(device_, partition_for_slot(s),
                                             cfg_.seed ^ t.token);
-        t.driver->set_shield_backend(backend);
+        t.driver->set_shield_backend(cfg_.gpu.shield.backend);
         stats_.add("admissions");
         return Credential{t.id, t.token};
     }
@@ -105,8 +99,8 @@ GpuService::evict(const Credential &cred)
     // as errors so waiting tickets resolve rather than dangle.
     for (const Pending &p : t.queue) {
         LaunchRecord &rec = records_.at(p.ticket);
-        rec.status = api::LaunchStatus::Error;
-        rec.status_message = "tenant evicted before launch";
+        rec.result.status = api::LaunchStatus::Error;
+        rec.result.status_message = "tenant evicted before launch";
         rec.complete_time = now_;
         rec.done = true;
     }
@@ -189,31 +183,16 @@ GpuService::tenant_stats(TenantId tenant) const
     return slots_[tenant - 1].stats;
 }
 
-LaunchRecord &
-GpuService::start_record(const TenantCtx &tenant, const Pending &pending)
-{
-    LaunchRecord &rec = records_[pending.ticket];
-    rec.ticket = pending.ticket;
-    rec.tenant = tenant.id;
-    rec.kernel_name = pending.program.name;
-    rec.submit_time = now_;
-    return rec;
-}
-
 SubmitResult
 GpuService::submit(const Credential &cred, const KernelProgram &program,
                    api::Grid grid, const std::vector<api::Arg> &args,
                    const api::LaunchOptions &options)
 {
     TenantCtx &t = authenticate(cred);
-    // Validate and bind now so a malformed program or argument-count/
-    // kind misuse throws at submit time (the api::Context contract),
-    // not asynchronously inside the scheduler. A buffer handle must be
-    // one of this tenant's.
-    (void)api::make_launch_config(program, grid, args, options);
-    for (const api::Arg &arg : args)
-        if (arg.is_buffer())
-            (void)t.driver->region(arg.buffer());
+    // Validate and bind now so a malformed program, argument-count/
+    // kind misuse or another tenant's buffer handle throws at submit
+    // time (the api::Context contract), not inside the scheduler.
+    (void)api::make_launch_config(*t.driver, program, grid, args, options);
 
     if (t.queue.size() >= cfg_.queue_capacity) {
         t.stats.add("queue_rejects");
@@ -227,7 +206,11 @@ GpuService::submit(const Credential &cred, const KernelProgram &program,
     p.grid = grid;
     p.args = args;
     p.options = options;
-    start_record(t, p);
+    LaunchRecord &rec = records_[p.ticket];
+    rec.ticket = p.ticket;
+    rec.tenant = t.id;
+    rec.kernel_name = program.name;
+    rec.submit_time = now_;
     t.queue.push_back(std::move(p));
     t.stats.add("submissions");
     stats_.add("submissions");
@@ -253,100 +236,42 @@ GpuService::record(Ticket ticket) const
 }
 
 void
-GpuService::finish_record(LaunchRecord &rec, TenantCtx &tenant)
-{
-    rec.complete_time = now_;
-    rec.done = true;
-    tenant.stats.add("launches");
-    switch (rec.status) {
-    case api::LaunchStatus::Ok: tenant.stats.add("launches_ok"); break;
-    case api::LaunchStatus::Aborted:
-        tenant.stats.add("launches_aborted");
-        break;
-    case api::LaunchStatus::Error: tenant.stats.add("launches_error"); break;
-    }
-    tenant.stats.add("violations", rec.violations.size());
-    tenant.stats.add("exec_cycles", rec.exec_cycles);
-    tenant.stats.add("latency_cycles", rec.latency());
-    tenant.stats.merge(rec.stats);
-    stats_.add("launches");
-}
-
-void
 GpuService::run_batch(std::vector<Job> jobs)
 {
-    // Every tenant driver is bound to device_; each launch's mallocs go
-    // to the driver that built it (LaunchState::driver).
-    Gpu gpu(cfg_.gpu, *jobs.front().tenant->driver);
-    if (profiler_ != nullptr) {
-        profiler_->set_time_base(now_);
-        gpu.set_profiler(profiler_);
+    std::vector<api::BatchJob> launches;
+    for (const Job &job : jobs) {
+        const Pending &p = job.pending;
+        launches.push_back(
+            {job.tenant->driver.get(),
+             api::make_launch_config(*job.tenant->driver, p.program, p.grid,
+                                     p.args, p.options),
+             job.core_mask});
     }
+    api::BatchResult batch =
+        api::run_batch(cfg_.gpu, launches, profiler_, now_, nullptr);
 
-    struct InFlight
-    {
-        TenantCtx *tenant;
-        Ticket ticket;
-        std::size_t idx;
-    };
-    std::vector<InFlight> flight;
-
-    for (Job &job : jobs) {
-        TenantCtx &t = *job.tenant;
-        const Pending &pending = job.pending;
-        LaunchRecord &rec = records_.at(pending.ticket);
-        const LaunchConfig cfg = api::make_launch_config(
-            pending.program, pending.grid, pending.args, pending.options);
-        try {
-            const std::size_t idx =
-                gpu.launch(t.driver->launch(cfg), job.core_mask);
-            flight.push_back({&t, pending.ticket, idx});
-        } catch (const std::exception &e) {
-            // Driver-side setup failure (RBT / kernel-ID exhaustion, or
-            // a launch the hardware cannot carry, such as a region over
-            // the 32-bit RBT size field): the kernel never ran. The
-            // tenant keeps its slot and later submissions proceed; it
-            // is a per-tenant error, not a service outage.
-            rec.status = api::LaunchStatus::Error;
-            rec.status_message = e.what();
-            finish_record(rec, t);
+    // A launch the driver refused completes when the batch starts, one
+    // that ran when the batch ends. Either way the tenant keeps its
+    // slot and its later submissions proceed.
+    const Cycle start = now_;
+    now_ += batch.makespan;
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        StatSet &tenant = jobs[j].tenant->stats;
+        LaunchRecord &rec = records_.at(jobs[j].pending.ticket);
+        rec.result = std::move(batch.results[j]);
+        rec.complete_time = batch.launched[j] ? now_ : start;
+        rec.done = true;
+        tenant.add("launches");
+        switch (rec.result.status) {
+        case api::LaunchStatus::Ok: tenant.add("launches_ok"); break;
+        case api::LaunchStatus::Aborted: tenant.add("launches_aborted"); break;
+        case api::LaunchStatus::Error: tenant.add("launches_error"); break;
         }
-    }
-
-    bool run_failed = false;
-    std::string run_error;
-    if (!flight.empty()) {
-        try {
-            gpu.run();
-        } catch (const SimulationError &e) {
-            run_failed = true;
-            run_error = e.what();
-        }
-    }
-
-    now_ += gpu.now();
-    for (const InFlight &f : flight) {
-        LaunchRecord &rec = records_.at(f.ticket);
-        if (run_failed) {
-            rec.status = api::LaunchStatus::Error;
-            rec.status_message = run_error;
-        }
-        const KernelResult kr = gpu.result(f.idx);
-        rec.exec_cycles =
-            rec.status == api::LaunchStatus::Error ? gpu.now() : kr.cycles();
-        rec.violations = kr.violations;
-        rec.stats = kr.stats;
-        rec.arg_values = gpu.launch_state(f.idx).arg_values;
-        if (rec.status == api::LaunchStatus::Ok && kr.aborted) {
-            rec.status = api::LaunchStatus::Aborted;
-            rec.status_message =
-                cfg_.gpu.precise_exceptions &&
-                        kr.stats.get("violations") > 0
-                    ? "bounds violation (precise exception)"
-                    : "illegal memory access (translation fault)";
-        }
-        rec.canaries = f.tenant->driver->finish(gpu.launch_state(f.idx));
-        finish_record(rec, *f.tenant);
+        tenant.add("violations", rec.result.violations.size());
+        tenant.add("exec_cycles", rec.result.cycles);
+        tenant.add("latency_cycles", rec.latency());
+        tenant.merge(rec.result.stats);
+        stats_.add("launches");
     }
 }
 

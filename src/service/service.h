@@ -22,8 +22,8 @@
  *    pointer-signing keys are never shared or replayed across tenants
  *    or across evict()/admit() reuse of a partition slot.
  *
- * A scheduler drains the queues into the shared device through one
- * launch path (run_batch). Two modes:
+ * A scheduler drains the queues into the shared device through the
+ * launch path api::Context uses (api::run_batch). Two modes:
  *
  *  - TimeSlice (default): round-robin over tenants, draining up to
  *    `quantum` submissions per turn; kernels are non-preemptive (as on
@@ -111,24 +111,16 @@ struct LaunchRecord
     std::string kernel_name;
     bool done = false;
 
-    api::LaunchStatus status = api::LaunchStatus::Ok;
-    std::string status_message;
-
     Cycle submit_time = 0;   //!< service clock when enqueued
     Cycle complete_time = 0; //!< service clock at completion
-    Cycle exec_cycles = 0;   //!< device cycles the kernel actually ran
 
     /** Launch-to-completion latency on the service clock (queueing
      *  delay included — the fairness bench metric). */
     Cycle latency() const { return complete_time - submit_time; }
 
-    std::vector<Violation> violations;
-    StatSet stats;
-    std::vector<CanaryReport> canaries;
-
-    /** Tagged kernel-argument values of the launch (capability
-     *  forensics: the isolation suite replays these across tenants). */
-    std::vector<std::uint64_t> arg_values;
+    /** How the launch ended, as api::Context::launch reports it;
+     *  `result.cycles` is the device cycles the kernel actually ran. */
+    api::LaunchResult result;
 };
 
 /** The multi-tenant GPU service (see file comment). */
@@ -147,12 +139,6 @@ class GpuService
      * @throws SimulationError when all slots are occupied.
      */
     Credential admit(const std::string &name);
-
-    /** Same, with this tenant's shield backend overridden (default:
-     *  ServiceConfig::gpu.shield.backend). Tenants on one device may
-     *  run different hardware points — a core hosting a co-scheduled
-     *  mixed pair instantiates the alternate backend lazily. */
-    Credential admit(const std::string &name, ShieldBackendKind backend);
 
     /** Tears a tenant down: drops its queue (pending submissions
      *  complete as Error), frees its partition slot for re-admission.
@@ -185,8 +171,9 @@ class GpuService
      *         that fails KernelProgram::validate(), argument-binding
      *         misuse (count/kind mismatch), or a buffer handle that is
      *         not this tenant's. A launch the driver refuses later (a
-     *         region over the 32-bit RBT size field, a local of zero
-     *         bytes, RBT exhaustion) completes as LaunchStatus::Error.
+     *         region over the 32-bit RBT size field or past its
+     *         window, a local of zero bytes, RBT exhaustion) completes
+     *         as LaunchStatus::Error.
      */
     SubmitResult submit(const Credential &cred,
                         const KernelProgram &program, api::Grid grid,
@@ -266,15 +253,12 @@ class GpuService
     TenantCtx &authenticate(const Credential &cred);
     const TenantCtx &authenticate(const Credential &cred) const;
     DriverPartition partition_for_slot(unsigned slot) const;
-    /** Runs @p jobs concurrently on one Gpu, advances the service
-     *  clock by its makespan and completes every job's record. The
-     *  one launch path of both scheduler modes. */
+    /** Runs @p jobs concurrently through api::run_batch, advances the
+     *  service clock by its makespan and completes every job's record.
+     *  The one launch path of both scheduler modes. */
     void run_batch(std::vector<Job> jobs);
     /** Runs one submission per backlogged tenant on disjoint SM sets. */
     bool run_coscheduled();
-    LaunchRecord &start_record(const TenantCtx &tenant,
-                               const Pending &pending);
-    void finish_record(LaunchRecord &rec, TenantCtx &tenant);
 
     ServiceConfig cfg_;
     GpuDevice device_;

@@ -14,6 +14,7 @@ namespace gpushield {
 Core::Core(CoreId id, const GpuConfig &cfg, EventQueue &eq,
            MemoryHierarchy &hier)
     : id_(id), cfg_(cfg), eq_(eq), hier_(hier),
+      shield_(make_shield_backend(cfg.shield, cfg.lsu_pipeline_slack)),
       slots_(cfg.max_workgroups_per_core),
       eligible_(cfg.max_workgroups_per_core, 0),
       wheel_(kWheelSpan * cfg.max_workgroups_per_core, 0),
@@ -21,24 +22,6 @@ Core::Core(CoreId id, const GpuConfig &cfg, EventQueue &eq,
       c_workgroups_started_(stats_.counter("workgroups_started")),
       c_workgroups_finished_(stats_.counter("workgroups_finished"))
 {
-    backend_for(cfg.shield.backend);
-}
-
-ShieldBackend &
-Core::backend_for(ShieldBackendKind kind)
-{
-    // The configured kind is created with the core. The other exists
-    // only once a resident kernel was signed for it (mixed-backend
-    // co-scheduling), so single-backend runs never create — or
-    // aggregate stats from — a second unit.
-    std::unique_ptr<ShieldBackend> &slot =
-        shields_[static_cast<std::size_t>(kind)];
-    if (slot == nullptr) {
-        ShieldConfig shield = cfg_.shield;
-        shield.backend = kind;
-        slot = make_shield_backend(shield, cfg_.lsu_pipeline_slack);
-    }
-    return *slot;
 }
 
 void
@@ -52,7 +35,7 @@ Core::attach_kernel(KernelExec *kernel)
         desc.secret_key = kernel->launch->secret_key;
         desc.rbt = kernel->launch->rbt.get();
         desc.regions = &kernel->launch->shield_regions;
-        backend_for(kernel->launch->shield_backend).register_kernel(desc);
+        shield_->register_kernel(desc);
     }
 }
 
@@ -63,8 +46,7 @@ Core::detach_kernel(KernelExec *kernel)
     resident_.erase(std::remove(resident_.begin(), resident_.end(), kernel),
                     resident_.end());
     if (kernel->launch->shield_enabled)
-        backend_for(kernel->launch->shield_backend)
-            .deregister_kernel(kernel->launch->kernel_id);
+        shield_->deregister_kernel(kernel->launch->kernel_id);
     // Kill any still-live workgroups (kernel aborts).
     for (std::size_t s = 0; s < slots_.size(); ++s) {
         WorkgroupCtx &wg = slots_[s];
@@ -670,8 +652,7 @@ Core::handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op)
                 preq.max_offset_end = cover->rel_end;
                 preq.silent = false;
                 preq.cover_probe = true;
-                const BcuResponse presp =
-                    backend_for(launch.shield_backend).check(preq);
+                const BcuResponse presp = shield_->check(preq);
                 ++hot.cover_probes;
                 apply_check(presp);
                 std::uint8_t &probe_state =
@@ -688,8 +669,7 @@ Core::handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op)
                 }
             }
             if (!probe_passed) {
-                const BcuResponse resp =
-                    backend_for(launch.shield_backend).check(req);
+                const BcuResponse resp = shield_->check(req);
                 ++hot.checks;
                 apply_check(resp);
                 if (resp.violation) {

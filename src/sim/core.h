@@ -24,7 +24,6 @@
 #ifndef GPUSHIELD_SIM_CORE_H
 #define GPUSHIELD_SIM_CORE_H
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -149,15 +148,8 @@ class Core
     /** True when no workgroups are resident. */
     bool idle() const { return live_workgroups_ == 0; }
 
-    /** The core's shield backends, indexed by ShieldBackendKind. The
-     *  configured kind exists from construction; the other is created
-     *  when a resident kernel was signed for it (mixed-backend
-     *  co-scheduling) and is null until then. */
-    const std::array<std::unique_ptr<ShieldBackend>, kShieldBackendKinds> &
-    shields() const
-    {
-        return shields_;
-    }
+    /** The core's shield backend, the kind GpuConfig::shield names. */
+    const ShieldBackend &shield() const { return *shield_; }
 
     const StatSet &stats() const { return stats_; }
     CoreId id() const { return id_; }
@@ -210,9 +202,6 @@ class Core
      *  workgroups left, this core in its mask, and warps to spare. */
     bool dispatchable(const KernelExec &kernel) const;
     bool try_dispatch();
-    /** Backend that checks @p kind kernels on this core; creates it
-     *  on first use. */
-    ShieldBackend &backend_for(ShieldBackendKind kind);
     /** Lowers the ready hint: some warp may issue at cycle @p c. */
     void note_ready(Cycle c);
     /** Sets the ready hint exactly from the readiness structures; @p now
@@ -249,7 +238,7 @@ class Core
     const GpuConfig &cfg_;
     EventQueue &eq_;
     MemoryHierarchy &hier_;
-    std::array<std::unique_ptr<ShieldBackend>, kShieldBackendKinds> shields_;
+    std::unique_ptr<ShieldBackend> shield_;
 
     std::vector<KernelExec *> resident_;
     std::size_t dispatch_rr_ = 0; //!< round-robin among resident kernels

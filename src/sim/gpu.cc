@@ -24,6 +24,15 @@ Gpu::launch(LaunchState state, std::uint64_t core_mask,
 {
     if (state.driver == nullptr)
         panic("Gpu::launch: LaunchState was not built by Driver::launch");
+    if (state.shield_enabled && state.shield_backend != cfg_.shield.backend) {
+        // Its pointers would not decode on this GPU's hardware.
+        state.driver->finish(state);
+        throw SimulationError(
+            std::string("Gpu::launch: kernel ") + state.program.name +
+            " was signed for the " + to_string(state.shield_backend) +
+            " shield backend, and this GPU runs " +
+            to_string(cfg_.shield.backend));
+    }
     Launched entry;
     entry.state = std::make_unique<LaunchState>(std::move(state));
 
@@ -193,14 +202,10 @@ Gpu::result(std::size_t index) const
     r.end_cycle = l.exec->end_cycle;
     r.aborted = l.exec->aborted;
     r.stats = l.exec->stats;
-    // A kernel registers with one backend kind, so its violations come
-    // from one backend per core, in that backend's order.
     for (const auto &core : cores_)
-        for (const auto &shield : core->shields())
-            if (shield != nullptr)
-                for (const Violation &v : shield->violations())
-                    if (v.kernel == l.state->kernel_id)
-                        r.violations.push_back(v);
+        for (const Violation &v : core->shield().violations())
+            if (v.kernel == l.state->kernel_id)
+                r.violations.push_back(v);
     return r;
 }
 
@@ -217,9 +222,7 @@ Gpu::rcache_stats() const
 {
     StatSet agg;
     for (const auto &core : cores_)
-        for (const auto &shield : core->shields())
-            if (shield != nullptr)
-                agg.merge(shield->metadata_stats());
+        agg.merge(core->shield().metadata_stats());
     return agg;
 }
 
@@ -228,9 +231,7 @@ Gpu::bcu_stats() const
 {
     StatSet agg;
     for (const auto &core : cores_)
-        for (const auto &shield : core->shields())
-            if (shield != nullptr)
-                agg.merge(shield->stats());
+        agg.merge(core->shield().stats());
     return agg;
 }
 

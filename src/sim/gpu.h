@@ -55,6 +55,9 @@ class Gpu
      * @param extra_cycles_per_mem / @param extra_transactions
      *                   instrumentation knobs for software-tool baselines
      * @return launch index for result()
+     * @throws SimulationError, after releasing the launch's IDs on its
+     *         driver, when @p state's pointers were signed for another
+     *         shield backend than GpuConfig::shield names
      */
     std::size_t launch(LaunchState state,
                        std::uint64_t core_mask = ~std::uint64_t{0},

@@ -62,10 +62,6 @@ TEST(Api, VectorAddEndToEnd)
     // Static analysis is on by default: checks elided entirely.
     EXPECT_EQ(r.stats.get("checks"), 0u);
     EXPECT_GT(r.stats.get("checks_elided"), 0u);
-    // Not profiled: the summary stays disabled and empty.
-    EXPECT_FALSE(r.profile.enabled);
-    EXPECT_EQ(r.profile.warp_cycles, 0u);
-    EXPECT_EQ(ctx.profiler(), nullptr);
 
     std::vector<std::int32_t> hc(n);
     ctx.download(c, hc.data(), n * 4);
@@ -197,7 +193,8 @@ TEST(Api, ArgumentMismatchThrows)
 
     // A buffer index outside the argument list (e.g. from a decoded
     // binary) throws instead of indexing or growing the buffer table.
-    EXPECT_NO_THROW(make_launch_config(prog, {32, 1}, {arg(buf), arg(buf)},
+    EXPECT_NO_THROW(make_launch_config(ctx.driver(), prog, {32, 1},
+                                       {arg(buf), arg(buf)},
                                        LaunchOptions{}));
     for (const int bad : {-1, 1 << 30}) {
         KernelProgram mangled = prog;
@@ -208,6 +205,12 @@ TEST(Api, ArgumentMismatchThrows)
                      std::invalid_argument)
             << bad;
     }
+
+    // So does a buffer handle this context never made.
+    for (const int bad : {-1, buf.index + 1})
+        EXPECT_THROW(ctx.launch(prog, {32, 1}, {arg(buf), arg(Buffer{bad})}),
+                     std::invalid_argument)
+            << bad;
 
     // So does a program that fails validate(): here a load whose address
     // register, or base+offset index register, lies past the register
@@ -233,6 +236,9 @@ TEST(Api, BadMemoryGeometryThrows)
     // refuses the cache before any simulation runs.
     GpuConfig bad_pages = small_config();
     bad_pages.mem.page_size = 3 * 4096;
+    EXPECT_THROW(Context{bad_pages}, std::invalid_argument);
+    // A page over 512 MiB would map across the edge of its window.
+    bad_pages.mem.page_size = std::uint64_t{1} << 30;
     EXPECT_THROW(Context{bad_pages}, std::invalid_argument);
 
     GpuConfig bad_l1 = small_config();
@@ -329,22 +335,21 @@ TEST(Api, ProfiledLaunchAttributesEveryWarpCycle)
     const Buffer b = ctx.malloc(n * 4);
     const Buffer c = ctx.malloc(n * 4);
 
-    LaunchOptions opts;
-    opts.profile.enabled = true;
+    obs::Profiler prof;
+    ctx.attach_profiler(&prof);
     const LaunchResult r =
-        ctx.launch(prog, {256, 16}, {arg(a), arg(b), arg(c)}, opts);
+        ctx.launch(prog, {256, 16}, {arg(a), arg(b), arg(c)});
     ASSERT_TRUE(r.ok());
-    ASSERT_TRUE(r.profile.enabled);
-    EXPECT_GT(r.profile.cycles, 0u);
-    EXPECT_GT(r.profile.warp_cycles, 0u);
-    EXPECT_GT(
-        r.profile.cause_cycles[static_cast<std::size_t>(
-            obs::StallCause::Issued)],
-        0u);
+    const obs::ProfileSummary s = prof.summary();
+    ASSERT_TRUE(s.enabled);
+    EXPECT_GT(s.cycles, 0u);
+    EXPECT_GT(s.warp_cycles, 0u);
+    EXPECT_GT(s.cause_cycles[static_cast<std::size_t>(
+                  obs::StallCause::Issued)],
+              0u);
 
-    ASSERT_NE(ctx.profiler(), nullptr);
     // Every workgroup's per-warp cause cycles sum to its residency.
-    for (const obs::WorkgroupSpan &wg : ctx.profiler()->workgroups()) {
+    for (const obs::WorkgroupSpan &wg : prof.workgroups()) {
         ASSERT_FALSE(wg.open);
         for (const obs::WarpStallBreakdown &w : wg.warps)
             EXPECT_EQ(w.total(), wg.end - wg.start);
@@ -352,16 +357,15 @@ TEST(Api, ProfiledLaunchAttributesEveryWarpCycle)
 
     // Successive profiled launches land later on the same timeline.
     const LaunchResult r2 =
-        ctx.launch(prog, {256, 16}, {arg(a), arg(b), arg(c)}, opts);
+        ctx.launch(prog, {256, 16}, {arg(a), arg(b), arg(c)});
     ASSERT_TRUE(r2.ok());
-    EXPECT_GT(r2.profile.warp_cycles, r.profile.warp_cycles);
-    ASSERT_EQ(ctx.profiler()->kernels().size(), 2u);
-    EXPECT_GE(ctx.profiler()->kernels()[1].start,
-              ctx.profiler()->kernels()[0].end);
+    EXPECT_GT(prof.summary().warp_cycles, s.warp_cycles);
+    ASSERT_EQ(prof.kernels().size(), 2u);
+    EXPECT_GE(prof.kernels()[1].start, prof.kernels()[0].end);
 
     // The trace round-trips through the parser and validates.
     std::ostringstream os;
-    ctx.profiler()->write_chrome_trace(os);
+    prof.write_chrome_trace(os);
     const JsonValue root = parse_json(os.str());
     std::string error;
     EXPECT_TRUE(obs::validate_trace(root, &error)) << error;
@@ -380,10 +384,10 @@ TEST(Api, ProfilingDoesNotPerturbTiming)
         const Buffer a = ctx.malloc(n * 4);
         const Buffer b = ctx.malloc(n * 4);
         const Buffer c = ctx.malloc(n * 4);
-        LaunchOptions opts;
-        opts.profile.enabled = profiled;
-        return ctx.launch(prog, {256, 8}, {arg(a), arg(b), arg(c)},
-                          opts);
+        obs::Profiler prof;
+        if (profiled)
+            ctx.attach_profiler(&prof);
+        return ctx.launch(prog, {256, 8}, {arg(a), arg(b), arg(c)});
     };
 
     const LaunchResult plain = run(false);

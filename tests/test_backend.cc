@@ -35,6 +35,8 @@
 #include "shield/pointer.h"
 #include "shield/rbt.h"
 #include "shield/region_backend.h"
+#include "sim/gpu.h"
+#include "workloads/kernels.h"
 
 namespace gpushield {
 namespace {
@@ -492,6 +494,38 @@ TEST_F(ArmorTest, CrossKernelReplayDoesNotLeakBounds)
     const BcuResponse resp = armor_.check(replay);
     EXPECT_TRUE(resp.checked);
     EXPECT_TRUE(resp.violation);
+}
+
+// --- One backend per GPU ----------------------------------------------
+
+TEST(Backend, GpuRefusesLaunchSignedForTheOtherKind)
+{
+    // Each core holds only the configured backend, so a kernel whose
+    // pointers were signed for the other kind is refused and its IDs go
+    // back to its driver. A shield-off launch carries no signature.
+    GpuConfig cfg = nvidia_config();
+    cfg.num_cores = 2;
+    GpuDevice dev(cfg.mem.page_size);
+    Driver driver(dev);
+    driver.set_shield_backend(ShieldBackendKind::Armor);
+    workloads::PatternParams p;
+    p.name = "signed";
+    p.inputs = 1;
+    const KernelProgram prog = workloads::make_streaming(p);
+    LaunchConfig lc;
+    lc.program = &prog;
+    lc.ntid = 32;
+    for (std::size_t a = 0; a < prog.args.size(); ++a)
+        if (prog.args[a].is_pointer)
+            lc.buffers.push_back(driver.create_buffer(32 * 4));
+
+    Gpu gpu(cfg, driver);
+    EXPECT_THROW(gpu.launch(driver.launch(lc)), SimulationError);
+    EXPECT_EQ(driver.ids_in_use(), 0u);
+    lc.shield_enabled = false;
+    const std::size_t idx = gpu.launch(driver.launch(lc));
+    gpu.run();
+    EXPECT_FALSE(gpu.result(idx).aborted);
 }
 
 // --- Service attack battery on both backends --------------------------

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "driver/driver.h"
 #include "shield/cipher.h"
@@ -270,6 +273,51 @@ TEST_F(DriverTest, RbtClearedAtFinish)
     EXPECT_TRUE(state.rbt->get(id).valid);
     driver_.finish(state);
     EXPECT_FALSE(state.rbt->get(id).valid);
+}
+
+/** The physical span [first, last + 1) of every byte of @p r, checked
+ *  page by page to be one contiguous run. */
+std::pair<PAddr, PAddr>
+physical_span(const PageTable &pt, const VaRegion &r)
+{
+    const PAddr first = pt.translate(r.base, false).paddr;
+    const VAddr end = r.base + r.size;
+    for (VAddr v = r.base; v < end;
+         v = align_down(v, pt.page_size()) + pt.page_size()) {
+        const Translation t = pt.translate(v, false);
+        EXPECT_TRUE(t.ok);
+        EXPECT_EQ(t.paddr, first + (v - r.base));
+    }
+    EXPECT_EQ(pt.translate(end - 1, false).paddr, first + r.size - 1);
+    return {first, first + r.size};
+}
+
+TEST(GpuDevice, FullWindowsReachNoOtherWindow)
+{
+    // Each window's largest allocation stays inside it. A 3.25 GiB
+    // buffer used to lay its in-bounds bytes over the RBT.
+    GpuDevice dev(kPageSize2M);
+    Driver driver(dev);
+    const std::uint64_t global = 16ull << 30;
+    EXPECT_THROW(driver.create_buffer(global + 1), std::invalid_argument);
+    const VaRegion buffer = driver.region(driver.create_buffer(global));
+    EXPECT_THROW(driver.create_buffer(1), std::invalid_argument);
+    const VaRegion local = dev.local_alloc().alloc(1ull << 30);
+    EXPECT_THROW(dev.local_alloc().alloc(1), std::invalid_argument);
+    const VaRegion heap = dev.heap_alloc().alloc(1ull << 30);
+    EXPECT_THROW(dev.heap_alloc().alloc(1), std::invalid_argument);
+
+    const std::vector<std::pair<PAddr, PAddr>> spans = {
+        physical_span(dev.page_table(), buffer),
+        physical_span(dev.page_table(), local),
+        physical_span(dev.page_table(), heap),
+        {dev.rbt_base(0),
+         dev.rbt_base(0xFFFF) + RegionBoundsTable::kTableBytes}};
+    for (std::size_t i = 0; i < spans.size(); ++i)
+        for (std::size_t j = i + 1; j < spans.size(); ++j)
+            EXPECT_TRUE(spans[i].second <= spans[j].first ||
+                        spans[j].second <= spans[i].first)
+                << i << " overlaps " << j;
 }
 
 } // namespace

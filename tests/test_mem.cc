@@ -100,7 +100,7 @@ TEST(PageTable, SystemReservedInaccessible)
 TEST(VaAllocator, PacksWith512Alignment)
 {
     PageTable pt(kPageSize2M);
-    VaAllocator alloc(pt, 0x2000'0000, 0x1000'0000);
+    VaAllocator alloc(pt, 0x2000'0000, 0x1000'0000, 0x1000'0000);
     const VaRegion a = alloc.alloc(64);
     const VaRegion b = alloc.alloc(64);
     EXPECT_EQ(a.base % kAllocAlign, 0u);
@@ -111,17 +111,39 @@ TEST(VaAllocator, PacksWith512Alignment)
 TEST(VaAllocator, Pow2ReservesWindow)
 {
     PageTable pt(kPageSize2M);
-    VaAllocator alloc(pt, 0x2000'0000, 0x1000'0000);
+    VaAllocator alloc(pt, 0x2000'0000, 0x1000'0000, 0x1000'0000);
     const VaRegion r = alloc.alloc_pow2(3000);
     EXPECT_EQ(r.reserved, 4096u);
     EXPECT_EQ(r.base % 4096, 0u); // window-aligned
     EXPECT_EQ(r.size, 3000u);
 }
 
+TEST(VaAllocator, RefusesWhatTheRestOfItsWindowCannotHold)
+{
+    // A size whose 512-byte rounding wraps 64 bits used to be accepted
+    // with no page mapped, and a size past the window's end mapped into
+    // whatever lies beyond it. Both are refused before anything is
+    // mapped, and the window stays usable to its last byte.
+    PageTable pt(kPageSize2M);
+    VaAllocator alloc(pt, 0x2000'0000, 0x1000'0000, 4 * kPageSize2M);
+    for (const std::uint64_t bad : {~std::uint64_t{0}, 4 * kPageSize2M + 1}) {
+        EXPECT_THROW(alloc.alloc(bad), std::invalid_argument) << bad;
+        EXPECT_THROW(alloc.alloc_pow2(bad), std::invalid_argument) << bad;
+    }
+    const VaRegion a = alloc.alloc(kPageSize2M + 512);
+    EXPECT_THROW(alloc.alloc(3 * kPageSize2M), std::invalid_argument);
+    EXPECT_THROW(alloc.alloc_pow2(3 * kPageSize2M), std::invalid_argument);
+    EXPECT_EQ(alloc.cursor(), a.base + kPageSize2M + 512);
+    EXPECT_FALSE(pt.is_mapped(a.base + 2 * kPageSize2M));
+    const VaRegion b = alloc.alloc(3 * kPageSize2M - 512);
+    EXPECT_EQ(b.base + b.size, 0x2000'0000 + 4 * kPageSize2M);
+    EXPECT_THROW(alloc.alloc(1), std::invalid_argument);
+}
+
 TEST(VaAllocator, MapsBackingPagesLazily)
 {
     PageTable pt(kPageSize2M);
-    VaAllocator alloc(pt, 0x2000'0000, 0x1000'0000);
+    VaAllocator alloc(pt, 0x2000'0000, 0x1000'0000, 0x1000'0000);
     const VaRegion a = alloc.alloc(1024);
     EXPECT_TRUE(pt.is_mapped(a.base));
     // The next 2MB page is not mapped: crossing it faults (Fig. 4 #3).
@@ -347,7 +369,7 @@ class HierarchyTest : public ::testing::Test
 {
   protected:
     HierarchyTest()
-        : pt_(kPageSize2M), alloc_(pt_, 0x2000'0000, 0x1000'0000)
+        : pt_(kPageSize2M), alloc_(pt_, 0x2000'0000, 0x1000'0000, 0x1000'0000)
     {
         MemHierConfig cfg;
         cfg.l1.size_bytes = 16 * 1024;
@@ -550,7 +572,7 @@ TEST(HierarchyBackPressure, RetriesUntilEveryAccessCompletes)
     // retry path) instead of overflowing the queue.
     EventQueue eq;
     PageTable pt(kPageSize2M);
-    VaAllocator alloc(pt, 0x2000'0000, 0x1000'0000);
+    VaAllocator alloc(pt, 0x2000'0000, 0x1000'0000, 0x1000'0000);
     MemHierConfig cfg;
     cfg.page_size = kPageSize2M;
     cfg.dram.channels = 1;
@@ -666,7 +688,7 @@ run_random_traffic(std::uint64_t seed, unsigned capacity)
 {
     EventQueue eq;
     PageTable pt(kPageSize2M);
-    VaAllocator alloc(pt, 0x2000'0000, 0x1000'0000);
+    VaAllocator alloc(pt, 0x2000'0000, 0x1000'0000, 0x1000'0000);
     MemHierConfig cfg;
     cfg.l1.size_bytes = 1024;
     cfg.l1.assoc = 2;

@@ -207,7 +207,7 @@ TEST(Service, TimeSliceAlternatesTenants)
               });
     for (std::size_t i = 0; i < recs.size(); ++i) {
         EXPECT_TRUE(recs[i]->done);
-        EXPECT_EQ(recs[i]->status, api::LaunchStatus::Ok);
+        EXPECT_EQ(recs[i]->result.status, api::LaunchStatus::Ok);
         EXPECT_EQ(recs[i]->tenant, i % 2 == 0 ? a.tenant : b.tenant);
     }
     EXPECT_EQ(svc.stats().get("turns"), 6u);
@@ -258,9 +258,9 @@ TEST(Service, PerTenantViolationAttribution)
 
     const LaunchRecord &rc = svc.record(tc);
     const LaunchRecord &rr = svc.record(tr);
-    EXPECT_TRUE(rc.violations.empty());
-    ASSERT_FALSE(rr.violations.empty());
-    for (const Violation &v : rr.violations)
+    EXPECT_TRUE(rc.result.violations.empty());
+    ASSERT_FALSE(rr.result.violations.empty());
+    for (const Violation &v : rr.result.violations)
         EXPECT_EQ(v.tenant, rogue.tenant);
     EXPECT_EQ(svc.tenant_stats(clean.tenant).get("violations"), 0u);
     EXPECT_GT(svc.tenant_stats(rogue.tenant).get("violations"), 0u);
@@ -280,8 +280,9 @@ TEST(Service, RbtExhaustionSurfacesAsLaunchError)
     svc.drain();
 
     const LaunchRecord &rec = svc.record(t);
-    EXPECT_EQ(rec.status, api::LaunchStatus::Error);
-    EXPECT_NE(rec.status_message.find("RBT exhausted"), std::string::npos);
+    EXPECT_EQ(rec.result.status, api::LaunchStatus::Error);
+    EXPECT_NE(rec.result.status_message.find("RBT exhausted"),
+              std::string::npos);
     EXPECT_GE(svc.tenant_driver(cred).stats().get("rbt_exhausted"), 1u);
     // The failed launch must not leak namespace IDs.
     EXPECT_EQ(svc.tenant_driver(cred).ids_in_use(), 0u);
@@ -291,7 +292,7 @@ TEST(Service, RbtExhaustionSurfacesAsLaunchError)
     const Ticket ok =
         svc.submit(cred, touch_kernel(), {1, 1}, {api::arg(buf)}).ticket;
     svc.drain();
-    EXPECT_EQ(svc.record(ok).status, api::LaunchStatus::Ok);
+    EXPECT_EQ(svc.record(ok).result.status, api::LaunchStatus::Ok);
 }
 
 TEST(Service, DivisionOverflowDoesNotEndTheService)
@@ -317,7 +318,7 @@ TEST(Service, DivisionOverflowDoesNotEndTheService)
     svc.upload(cred, buf, junk, sizeof junk);
     const Ticket t = svc.submit(cred, prog, {1, 1}, {api::arg(buf)}).ticket;
     svc.drain();
-    EXPECT_EQ(svc.record(t).status, api::LaunchStatus::Ok);
+    EXPECT_EQ(svc.record(t).result.status, api::LaunchStatus::Ok);
     std::int64_t got[3] = {};
     svc.download(cred, buf, got, sizeof got);
     EXPECT_EQ(got[0], std::numeric_limits<std::int64_t>::min());
@@ -328,7 +329,7 @@ TEST(Service, DivisionOverflowDoesNotEndTheService)
     const Ticket next =
         svc.submit(cred, touch_kernel(), {1, 1}, {api::arg(other)}).ticket;
     svc.drain();
-    EXPECT_EQ(svc.record(next).status, api::LaunchStatus::Ok);
+    EXPECT_EQ(svc.record(next).result.status, api::LaunchStatus::Ok);
 }
 
 // --- Bad input refused, never the end of the service ----------------
@@ -347,7 +348,7 @@ expect_next_launch_ok(GpuService &svc, const Credential &cred)
     const Ticket t =
         svc.submit(cred, touch_kernel(), {1, 1}, {api::arg(buf)}).ticket;
     svc.drain();
-    EXPECT_EQ(svc.record(t).status, api::LaunchStatus::Ok);
+    EXPECT_EQ(svc.record(t).result.status, api::LaunchStatus::Ok);
 }
 
 /** Drains @p ticket's launch and expects it refused by the driver. */
@@ -357,9 +358,9 @@ expect_launch_error(GpuService &svc, Ticket ticket, const char *fragment)
     svc.drain();
     const LaunchRecord &rec = svc.record(ticket);
     EXPECT_TRUE(rec.done);
-    EXPECT_EQ(rec.status, api::LaunchStatus::Error);
-    EXPECT_NE(rec.status_message.find(fragment), std::string::npos)
-        << rec.status_message;
+    EXPECT_EQ(rec.result.status, api::LaunchStatus::Error);
+    EXPECT_NE(rec.result.status_message.find(fragment), std::string::npos)
+        << rec.result.status_message;
 }
 
 TEST(Service, UnknownBufferHandleRefusedAtSubmit)
@@ -460,6 +461,31 @@ TEST(Service, HeapOver4GiBLaunchIsAnError)
     expect_next_launch_ok(svc, cred);
 }
 
+TEST(Service, LocalOrHeapPastItsWindowIsAnError)
+{
+    // Under the RBT's 32-bit size limit but over its 1 GiB window: the
+    // launch is refused before anything is mapped, instead of laying
+    // the region over the next window.
+    GpuService svc;
+    const Credential cred = svc.admit("alice");
+    Driver &driver = svc.tenant_driver(cred);
+    const VAddr local_cursor = driver.device().local_alloc().cursor();
+    const Ticket local =
+        svc.submit(cred, local_kernel(4, 1u << 29), {1, 1}, {}).ticket;
+    expect_launch_error(svc, local, "window");
+    EXPECT_EQ(driver.device().local_alloc().cursor(), local_cursor);
+
+    api::LaunchOptions options;
+    options.heap_bytes = 3ull << 30;
+    const Ticket heap =
+        svc.submit(cred, touch_kernel(), {1, 1},
+                   {api::arg(svc.create_buffer(cred, 64))}, options)
+            .ticket;
+    expect_launch_error(svc, heap, "window");
+    EXPECT_EQ(driver.ids_in_use(), 0u);
+    expect_next_launch_ok(svc, cred);
+}
+
 TEST(Service, MallocWithoutHeapReturnsNull)
 {
     // No heap configured: malloc fails like CUDA's, returning NULL.
@@ -477,10 +503,26 @@ TEST(Service, MallocWithoutHeapReturnsNull)
     svc.upload(cred, buf, &junk, sizeof junk);
     const Ticket t = svc.submit(cred, prog, {1, 1}, {api::arg(buf)}).ticket;
     svc.drain();
-    EXPECT_EQ(svc.record(t).status, api::LaunchStatus::Ok);
+    EXPECT_EQ(svc.record(t).result.status, api::LaunchStatus::Ok);
     std::int64_t got = -1;
     svc.download(cred, buf, &got, sizeof got);
     EXPECT_EQ(got, 0);
+    expect_next_launch_ok(svc, cred);
+}
+
+TEST(Service, BufferSizeThatWrapsIsRefused)
+{
+    // 2^64 - 1 bytes round up to 0: the buffer used to be accepted with
+    // no page mapped, and the first upload to it ended the process.
+    GpuService svc;
+    const Credential cred = svc.admit("alice");
+    for (const bool pow2 : {false, true}) {
+        api::BufferDesc desc;
+        desc.pow2 = pow2;
+        EXPECT_THROW((void)svc.create_buffer(cred, ~std::uint64_t{0}, desc),
+                     std::invalid_argument)
+            << pow2;
+    }
     expect_next_launch_ok(svc, cred);
 }
 
@@ -532,7 +574,7 @@ TEST(Service, EvictRecyclesSlotAndKillsCredential)
     EXPECT_EQ(svc.num_tenants(), 0u);
     // The queued submission resolved as an error instead of dangling.
     EXPECT_TRUE(svc.record(pending).done);
-    EXPECT_EQ(svc.record(pending).status, api::LaunchStatus::Error);
+    EXPECT_EQ(svc.record(pending).result.status, api::LaunchStatus::Error);
     // The dead credential no longer authenticates.
     EXPECT_THROW((void)svc.create_buffer(first, 64),
                  std::invalid_argument);
@@ -546,7 +588,7 @@ TEST(Service, EvictRecyclesSlotAndKillsCredential)
         svc.submit(second, touch_kernel(), {1, 1}, {api::arg(buf2)})
             .ticket;
     svc.drain();
-    EXPECT_EQ(svc.record(ok).status, api::LaunchStatus::Ok);
+    EXPECT_EQ(svc.record(ok).result.status, api::LaunchStatus::Ok);
 }
 
 TEST(Service, CoScheduleRunsTenantsInOneBatch)
@@ -570,10 +612,95 @@ TEST(Service, CoScheduleRunsTenantsInOneBatch)
     EXPECT_EQ(svc.stats().get("cosched_batches"), 1u);
     const LaunchRecord &ra = svc.record(ta);
     const LaunchRecord &rb = svc.record(tb);
-    EXPECT_EQ(ra.status, api::LaunchStatus::Ok);
-    EXPECT_EQ(rb.status, api::LaunchStatus::Ok);
+    EXPECT_EQ(ra.result.status, api::LaunchStatus::Ok);
+    EXPECT_EQ(rb.result.status, api::LaunchStatus::Ok);
     // Same batch: both complete at the same service-clock instant.
     EXPECT_EQ(ra.complete_time, rb.complete_time);
+}
+
+TEST(Service, CoScheduledRefusedLaunchCompletesAtBatchStart)
+{
+    // A launch the driver refuses never runs: it completes when its
+    // batch starts, while the launch beside it completes when the batch
+    // ends.
+    ServiceConfig cfg;
+    cfg.max_tenants = 2;
+    cfg.mode = SchedMode::CoSchedule;
+    GpuService svc(cfg);
+    const Credential a = svc.admit("alice");
+    const Credential b = svc.admit("bob");
+    (void)svc.submit(a, touch_kernel(), {1, 1},
+                     {api::arg(svc.create_buffer(a, 64))});
+    svc.drain(); // the batch under test starts after cycle 0
+    const Cycle start = svc.now();
+    ASSERT_GT(start, 0u);
+
+    const Ticket refused =
+        svc.submit(a, local_kernel(4, 0), {1, 1}, {}).ticket;
+    const Ticket ran =
+        svc.submit(b, touch_kernel(), {1, 1},
+                   {api::arg(svc.create_buffer(b, 64))})
+            .ticket;
+    EXPECT_TRUE(svc.step());
+    EXPECT_EQ(svc.stats().get("cosched_batches"), 2u);
+    const LaunchRecord &rr = svc.record(refused);
+    const LaunchRecord &rb = svc.record(ran);
+    EXPECT_EQ(rr.result.status, api::LaunchStatus::Error);
+    EXPECT_EQ(rb.result.status, api::LaunchStatus::Ok);
+    EXPECT_EQ(rr.complete_time, start);
+    EXPECT_GT(svc.now(), start);
+    EXPECT_EQ(rb.complete_time, svc.now());
+}
+
+// --- Outcomes read as api::Context reports them ----------------------
+
+TEST(Service, PreciseExceptionAbortIsReported)
+{
+    ServiceConfig cfg;
+    cfg.gpu.precise_exceptions = true;
+    GpuService svc(cfg);
+    const Credential cred = svc.admit("rogue");
+    workloads::PatternParams p;
+    p.name = "oob_precise";
+    const KernelProgram prog = workloads::make_overflowing(p, 32);
+    std::vector<api::Arg> args;
+    for (std::size_t i = 0; i < prog.args.size(); ++i)
+        args.push_back(api::arg(svc.create_buffer(cred, 1024 * 4)));
+    const Ticket t = svc.submit(cred, prog, {256, 4}, args).ticket;
+    svc.drain();
+    const api::LaunchResult &r = svc.record(t).result;
+    EXPECT_EQ(r.status, api::LaunchStatus::Aborted);
+    EXPECT_EQ(r.status_message, "bounds violation (precise exception)");
+}
+
+TEST(Service, UnmappedPageAbortIsReported)
+{
+    // A raw address carries no tag, so no bounds check stands between
+    // the load and the page table, and page 0 is never mapped.
+    GpuService svc;
+    const Credential cred = svc.admit("prober");
+    KernelBuilder b("unmapped");
+    (void)b.ld(b.ldarg(b.arg_scalar("addr")), 4);
+    b.exit();
+    const Ticket t =
+        svc.submit(cred, b.finish(), {1, 1}, {api::arg(64)}).ticket;
+    svc.drain();
+    const api::LaunchResult &r = svc.record(t).result;
+    EXPECT_EQ(r.status, api::LaunchStatus::Aborted);
+    EXPECT_EQ(r.status_message, "illegal memory access (translation fault)");
+    expect_next_launch_ok(svc, cred);
+}
+
+TEST(Service, CycleBudgetOverrunIsAnError)
+{
+    ServiceConfig cfg;
+    cfg.gpu.max_cycles = 8; // far below any real kernel's runtime
+    GpuService svc(cfg);
+    const Credential cred = svc.admit("slow");
+    const Ticket t = svc.submit(cred, touch_kernel(), {1, 1},
+                                {api::arg(svc.create_buffer(cred, 64))})
+                         .ticket;
+    expect_launch_error(svc, t, "budget");
 }
 
 TEST(Service, DeviceMallocsGoToTheLaunchingTenantsDriver)
@@ -617,8 +744,8 @@ TEST(Service, DeviceMallocsGoToTheLaunchingTenantsDriver)
             const std::uint32_t n =
                 t.grid.threads_per_block * t.grid.blocks;
             const LaunchRecord &rec = svc.record(t.ticket);
-            EXPECT_EQ(rec.status, api::LaunchStatus::Ok)
-                << to_string(mode) << ": " << rec.status_message;
+            EXPECT_EQ(rec.result.status, api::LaunchStatus::Ok)
+                << to_string(mode) << ": " << rec.result.status_message;
             EXPECT_EQ(svc.tenant_driver(t.cred).stats().get(
                           "device_mallocs"),
                       n)
@@ -661,8 +788,8 @@ TEST(Service, PartitionedDriverNeverHandsOutUnencryptedCapabilities)
         svc.submit(cred, touch_kernel(), {1, 1}, {api::arg(buf)}).ticket;
     svc.drain();
     const LaunchRecord &rec = svc.record(t);
-    ASSERT_EQ(rec.arg_values.size(), 1u);
-    EXPECT_EQ(ptr_class(rec.arg_values[0]), PtrClass::TaggedId);
+    ASSERT_EQ(rec.result.arg_values.size(), 1u);
+    EXPECT_EQ(ptr_class(rec.result.arg_values[0]), PtrClass::TaggedId);
 }
 
 TEST(Service, ProfilerRecordsTenantTaggedSpans)
