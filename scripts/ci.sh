@@ -71,6 +71,14 @@ done
 sed -E 's/,"obs":\{[^}]*\}//' build/smoke-profiled.jsonl \
     | cmp - tests/golden/smoke.jsonl
 
+# Attribution gate: the "obs" fields themselves (the stall breakdown of
+# every smoke cell) must match their committed record. A stretch the
+# clock jumps is credited in bulk, so this pins the jumping engine's
+# attribution to the one recorded cycle by cycle.
+./build/src/gpushield-sweep --suite smoke --jobs 1 --quiet --profile \
+    --jsonl build/smoke-profiled-serial.jsonl > /dev/null
+cmp build/smoke-profiled-serial.jsonl tests/golden/smoke_profiled.jsonl
+
 # Backend gate: the pluggable shield seam. Region routed explicitly
 # through --backend must still match the committed golden
 # byte-for-byte, and the Armor backend's smoke grid must match its own

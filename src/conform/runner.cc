@@ -125,8 +125,8 @@ run_conformance_cell(const ConformCell &cell)
             w.optimize_checks = cell.check_opt;
             LaneOracle oracle(driver);
             const RunOutcome out = workloads::run_workload(
-                cell.cfg, driver, w, /*shield=*/true, use_static, 0, 0,
-                nullptr, &oracle);
+                cell.cfg, driver, w, /*shield=*/true, use_static, nullptr,
+                &oracle);
             if (out.result.aborted)
                 fail(std::string(leg) + " leg aborted");
 

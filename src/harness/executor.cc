@@ -114,8 +114,7 @@ run_single_cell(const SweepSpec &spec, const CellSpec &cell, Driver &driver,
     }
 
     const workloads::RunOutcome out = workloads::run_workload(
-        cfg, driver, inst, cell.shield, cell.use_static, 0, 0, prof,
-        oracle);
+        cfg, driver, inst, cell.shield, cell.use_static, prof, oracle);
     r.cycles = out.result.cycles();
     r.violations = out.result.violations.size();
     r.aborted = out.result.aborted;

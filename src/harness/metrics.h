@@ -49,10 +49,11 @@ struct RunRecord
     std::uint64_t cycles = 0;
     std::uint64_t violations = 0;
     double l1_rcache_hit_rate = 0.0;
-    /** Idle cycles the event-driven engine skipped for this cell — a
-     *  host-side engine metric, so deliberately NOT serialized to
-     *  JSONL/CSV (golden files must stay byte-identical regardless of
-     *  engine mode) and excluded from operator==. */
+    /** Idle cycles the event-driven engine skipped for this cell, the
+     *  same with or without a profiler attached. A host-side engine
+     *  metric, not a simulated one, so deliberately NOT serialized to
+     *  JSONL/CSV (golden files record simulated results only) and
+     *  excluded from operator==. */
     std::uint64_t cycles_skipped = 0;
 
     // Per-component counters.

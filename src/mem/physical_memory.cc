@@ -73,7 +73,13 @@ PhysicalMemory::fill(PAddr addr, std::uint8_t byte, std::size_t len)
     while (len > 0) {
         const std::uint64_t off = addr % kFrameSize;
         const std::size_t chunk = std::min<std::size_t>(len, kFrameSize - off);
-        std::memset(frame_for(addr).data() + off, byte, chunk);
+        if (byte != 0)
+            std::memset(frame_for(addr).data() + off, byte, chunk);
+        else if (chunk == kFrameSize)
+            frames_.erase(addr / kFrameSize); // reads as 0 unbacked
+        else if (const auto it = frames_.find(addr / kFrameSize);
+                 it != frames_.end())
+            std::memset(it->second->data() + off, 0, chunk);
         addr += chunk;
         len -= chunk;
     }

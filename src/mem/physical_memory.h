@@ -49,7 +49,8 @@ class PhysicalMemory
         write(addr, &v, sizeof(T));
     }
 
-    /** Fills @p len bytes at @p addr with @p byte. */
+    /** Fills @p len bytes at @p addr with @p byte. A zero fill backs no
+     *  frame and releases every frame it covers whole. */
     void fill(PAddr addr, std::uint8_t byte, std::size_t len);
 
     /** Number of frames currently backed. */
@@ -59,8 +60,8 @@ class PhysicalMemory
     static constexpr std::uint64_t kFrameSize = kPageSize4K;
 
     /** The bytes of the frame that starts at @p frame_base, allocated
-     *  (zeroed) on first use. The pointer stays valid for the life of
-     *  this memory. */
+     *  (zeroed) on first use. Valid until a zero fill() releases the
+     *  frame: the interpreter holds one within one memory instruction. */
     std::uint8_t *frame_bytes(PAddr frame_base);
 
     /** The bytes of the frame that starts at @p frame_base, or nullptr

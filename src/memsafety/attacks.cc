@@ -1,11 +1,27 @@
 #include "memsafety/attacks.h"
 
+#include "api/gpushield_api.h"
 #include "isa/builder.h"
-#include "sim/gpu.h"
 
 namespace gpushield::memsafety {
 
 namespace {
+
+/** Launches @p prog on one thread of @p ctx, without static analysis.
+ *  @throws SimulationError when the launch ends in
+ *          api::LaunchStatus::Error */
+api::LaunchResult
+launch_one_thread(api::Context &ctx, const KernelProgram &prog,
+                  const std::vector<api::Arg> &args, bool shield)
+{
+    api::LaunchOptions options;
+    options.shield = shield;
+    options.static_analysis = false;
+    api::LaunchResult r = ctx.launch(prog, {1, 1}, args, options);
+    if (r.status == api::LaunchStatus::Error)
+        throw SimulationError(r.status_message);
+    return r;
+}
 
 /** Single-thread kernel storing 0xBAD at A[elem_offset]. */
 KernelProgram
@@ -27,42 +43,30 @@ OverflowCase
 run_case(const GpuConfig &cfg, bool shield, std::int64_t elem_offset,
          std::string label)
 {
-    GpuDevice dev(cfg.mem.page_size);
-    Driver driver(dev);
-
-    const BufferHandle a = driver.create_buffer(sizeof(std::int32_t) * 0x10,
-                                                false, false, "A");
-    const BufferHandle bb = driver.create_buffer(sizeof(std::int32_t) * 0x10,
-                                                 false, false, "B");
+    api::Context ctx(cfg);
+    const api::Buffer a = ctx.malloc(sizeof(std::int32_t) * 0x10,
+                                     {.label = "A"});
+    const api::Buffer bb = ctx.malloc(sizeof(std::int32_t) * 0x10,
+                                      {.label = "B"});
     const std::int32_t sentinel = 0x5AFE;
     std::int32_t init[0x10];
     for (auto &v : init)
         v = sentinel;
-    driver.upload(a, init, sizeof(init));
-    driver.upload(bb, init, sizeof(init));
+    ctx.upload(a, init, sizeof(init));
+    ctx.upload(bb, init, sizeof(init));
 
     const KernelProgram prog = make_oob_store(elem_offset);
-    LaunchConfig lc;
-    lc.program = &prog;
-    lc.ntid = 1;
-    lc.nctaid = 1;
-    lc.buffers = {a, bb};
-    lc.shield_enabled = shield;
-
-    Gpu gpu(cfg, driver);
-    const std::size_t idx = gpu.launch(driver.launch(lc));
-    gpu.run();
-    const KernelResult result = gpu.result(idx);
-    driver.finish(gpu.launch_state(idx));
+    const api::LaunchResult result =
+        launch_one_thread(ctx, prog, {api::arg(a)}, shield);
 
     OverflowCase out;
     out.label = std::move(label);
-    out.kernel_aborted = result.aborted;
+    out.kernel_aborted = result.status == api::LaunchStatus::Aborted;
     out.detected = !result.violations.empty();
     out.violations = result.violations.size();
 
     std::int32_t b0 = 0;
-    driver.download(bb, &b0, sizeof(b0));
+    ctx.download(bb, &b0, sizeof(b0));
     out.neighbor_corrupted = b0 != sentinel;
     return out;
 }
@@ -86,17 +90,14 @@ run_fig4(const GpuConfig &cfg, bool shield)
 ForgeOutcome
 run_pointer_forging(const GpuConfig &cfg, bool shield)
 {
-    GpuDevice dev(cfg.mem.page_size);
-    Driver driver(dev);
-
-    const BufferHandle mine = driver.create_buffer(64, false, false, "mine");
-    const BufferHandle victim =
-        driver.create_buffer(64, false, false, "victim");
+    api::Context ctx(cfg);
+    const api::Buffer mine = ctx.malloc(64, {.label = "mine"});
+    const api::Buffer victim = ctx.malloc(64, {.label = "victim"});
     const std::int32_t sentinel = 0x7E57;
     std::int32_t init[16];
     for (auto &v : init)
         v = sentinel;
-    driver.upload(victim, init, sizeof(init));
+    ctx.upload(victim, init, sizeof(init));
 
     // The attacker rewrites their pointer: flip ID-field bits and point
     // the address bits at the victim (layout is known: consecutive
@@ -118,27 +119,18 @@ run_pointer_forging(const GpuConfig &cfg, bool shield)
     b.exit();
     const KernelProgram prog = b.finish();
 
-    LaunchConfig lc;
-    lc.program = &prog;
-    lc.ntid = 1;
-    lc.nctaid = 1;
-    lc.buffers = {mine, victim};
-    lc.scalars = {0,
-                  static_cast<std::int64_t>(driver.region(victim).base)};
-    lc.shield_enabled = shield;
-
-    Gpu gpu(cfg, driver);
-    const std::size_t idx = gpu.launch(driver.launch(lc));
-    gpu.run();
-    const KernelResult result = gpu.result(idx);
-    driver.finish(gpu.launch_state(idx));
+    const api::LaunchResult result = launch_one_thread(
+        ctx, prog,
+        {api::arg(mine),
+         api::arg(static_cast<std::int64_t>(ctx.address_of(victim)))},
+        shield);
 
     ForgeOutcome out;
     out.detected = !result.violations.empty();
     if (out.detected)
         out.kind = result.violations.front().kind;
     std::int32_t v0 = 0;
-    driver.download(victim, &v0, sizeof(v0));
+    ctx.download(victim, &v0, sizeof(v0));
     out.victim_intact = v0 == sentinel;
     return out;
 }
@@ -146,16 +138,13 @@ run_pointer_forging(const GpuConfig &cfg, bool shield)
 MindControlOutcome
 run_mind_control(const GpuConfig &cfg, bool shield)
 {
-    GpuDevice dev(cfg.mem.page_size);
-    Driver driver(dev);
-
+    api::Context ctx(cfg);
     // Victim layout: a 256B data buffer followed by a dispatch table
     // whose first slot holds a "function pointer".
-    const BufferHandle data = driver.create_buffer(256, false, false, "data");
-    const BufferHandle table =
-        driver.create_buffer(64, false, false, "dispatch");
+    const api::Buffer data = ctx.malloc(256, {.label = "data"});
+    const api::Buffer table = ctx.malloc(64, {.label = "dispatch"});
     const std::int64_t benign_fptr = 0x1111'2222;
-    driver.upload(table, &benign_fptr, sizeof(benign_fptr));
+    ctx.upload(table, &benign_fptr, sizeof(benign_fptr));
 
     // The attacker controls the length input: 80 elements x 4B = 320B,
     // 64B past the data buffer — with 512B-aligned packing that reaches
@@ -174,24 +163,14 @@ run_mind_control(const GpuConfig &cfg, bool shield)
     b.exit();
     const KernelProgram prog = b.finish();
 
-    LaunchConfig lc;
-    lc.program = &prog;
-    lc.ntid = 1;
-    lc.nctaid = 1;
-    lc.buffers = {data, table};
-    lc.scalars = {0, 160}; // malicious input: 160 > 64 elements
-    lc.shield_enabled = shield;
-
-    Gpu gpu(cfg, driver);
-    const std::size_t idx = gpu.launch(driver.launch(lc));
-    gpu.run();
-    const KernelResult result = gpu.result(idx);
-    driver.finish(gpu.launch_state(idx));
+    // Malicious input: 160 > 64 elements.
+    const api::LaunchResult result = launch_one_thread(
+        ctx, prog, {api::arg(data), api::arg(160)}, shield);
 
     MindControlOutcome out;
     out.detected = !result.violations.empty();
     std::int64_t fptr = 0;
-    driver.download(table, &fptr, sizeof(fptr));
+    ctx.download(table, &fptr, sizeof(fptr));
     out.fptr_overwritten = fptr != benign_fptr;
     return out;
 }

@@ -10,8 +10,8 @@
  *
  * Attached via Gpu::set_engine_profiler(); when detached the engine
  * reads no clocks, so the default path costs one branch per phase.
- * Unlike the stall profiler, attaching one never per-cycle-ticks the
- * engine — it measures the clock-jumping engine as it runs.
+ * Like the stall profiler, attaching one leaves the engine's clock
+ * jumps alone — it measures the clock-jumping engine as it runs.
  */
 
 #ifndef GPUSHIELD_OBS_ENGINE_PROFILE_H

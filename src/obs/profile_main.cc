@@ -261,7 +261,7 @@ run_suite(const std::string &suite_name, const std::string &out_dir,
                                           &prof);
             else
                 workloads::run_workload(cfg, driver, inst, cell.shield,
-                                        cell.use_static, 0, 0, &prof);
+                                        cell.use_static, &prof);
 
             std::string error;
             if (check && !check_attribution(prof, &error))

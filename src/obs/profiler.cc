@@ -113,18 +113,18 @@ Profiler::on_kernel_span(KernelId kernel, const std::string &name,
 }
 
 void
-Profiler::end_cycle(Cycle now, unsigned dram_queued,
-                    std::uint64_t dram_retries)
+Profiler::end_cycles(Cycle last, Cycle cycles, unsigned dram_queued,
+                     std::uint64_t dram_retries)
 {
-    ++profiled_cycles_;
-    last_ts_ = base_ + now;
+    profiled_cycles_ += cycles;
+    last_ts_ = base_ + last;
     interval_dram_retries_ += dram_retries;
     // Sample once per interval, on the interval boundary. The interval
     // accumulators divide by the interval length to give averages.
-    if ((now + 1) % sample_interval_ != 0)
+    if ((last + 1) % sample_interval_ != 0)
         return;
     const double denom = static_cast<double>(sample_interval_);
-    const Cycle ts = base_ + now;
+    const Cycle ts = base_ + last;
     for (CoreState &cs : cores_) {
         cs.occupancy.push_back(
             {ts, static_cast<double>(cs.interval_warp_cycles) / denom});

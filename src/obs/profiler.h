@@ -22,8 +22,10 @@
  *
  * Cost model: only the Gpu and its cores hold a nullable `Profiler *`;
  * with no profiler attached each hook is a single predictable branch,
- * so the disabled path is free and simulated timing is never perturbed
- * either way — the profiler observes, it does not participate.
+ * so the disabled path is free. Attached, it changes nothing the engine
+ * does: the Gpu credits each stepped cycle and each stretch its clock
+ * jumps, with one classification per resident warp. The profiler
+ * observes, it does not participate.
  */
 
 #ifndef GPUSHIELD_OBS_PROFILER_H
@@ -130,24 +132,27 @@ class Profiler
     /** Offset added to every recorded cycle (multi-launch timelines). */
     void set_time_base(Cycle base) { base_ = base; }
 
+    /** A sample closes on each cycle c with (c + 1) % this == 0. */
+    Cycle sample_interval() const { return sample_interval_; }
+
     /// @name Instrumentation hooks (called by the simulator when attached)
     /// @{
     void on_workgroup_start(CoreId core, unsigned slot, KernelId kernel,
                             std::uint32_t wg_index, unsigned warps,
                             Cycle now);
 
-    /** One resident warp, one cycle, one exclusive cause. */
+    /** One resident warp, @p cycles cycles, one exclusive cause. */
     void
     on_warp_cycle(CoreId core, unsigned slot, unsigned warp,
-                  StallCause cause)
+                  StallCause cause, Cycle cycles)
     {
         CoreState &cs = core_state(core);
         WorkgroupSpan &wg = workgroups_[cs.active[slot]];
-        ++wg.warps[warp].cycles[static_cast<std::size_t>(cause)];
-        ++cs.totals[static_cast<std::size_t>(cause)];
-        ++cs.interval_warp_cycles;
+        wg.warps[warp].cycles[static_cast<std::size_t>(cause)] += cycles;
+        cs.totals[static_cast<std::size_t>(cause)] += cycles;
+        cs.interval_warp_cycles += cycles;
         if (cause == StallCause::Issued)
-            ++cs.interval_issued;
+            cs.interval_issued += cycles;
     }
 
     void on_workgroup_end(CoreId core, unsigned slot, Cycle now);
@@ -157,14 +162,15 @@ class Profiler
                         Cycle start, Cycle end, bool aborted,
                         TenantId tenant = 0);
 
-    /** Cycle boundary: flushes sampling accumulators into the series.
-     *  @p dram_queued is the DRAM controller's instantaneous queue
-     *  occupancy (requests waiting or in service); @p dram_retries is
-     *  the number of DRAM re-enqueues since the previous report. */
-    void end_cycle(Cycle now, unsigned dram_queued,
-                   std::uint64_t dram_retries);
+    /** Closes @p cycles cycles of one sampling interval, ending with
+     *  cycle @p last, and takes the sample when @p last ends the
+     *  interval. @p dram_queued is the DRAM controller's queue
+     *  occupancy (requests waiting or in service); @p dram_retries the
+     *  DRAM re-enqueues since the previous report. */
+    void end_cycles(Cycle last, Cycle cycles, unsigned dram_queued,
+                    std::uint64_t dram_retries);
 
-    /** DRAM re-enqueues after the last end_cycle of a run; they count
+    /** DRAM re-enqueues after the last end_cycles of a run; they count
      *  towards the next sample. */
     void add_dram_retries(std::uint64_t n) { interval_dram_retries_ += n; }
     /// @}

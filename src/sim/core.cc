@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <type_traits>
+#include <utility>
 
 #include "common/log.h"
 #include "obs/profiler.h"
@@ -305,56 +306,45 @@ Core::start_workgroup(KernelExec *kernel, std::uint32_t wg_index)
 }
 
 void
-Core::profile_cycle()
+Core::profile_cycles(Cycle from, Cycle n)
 {
-    const Cycle now = eq_.now();
-    const bool backpressure = hier_.dram_backpressure();
-    for (std::size_t s = 0; s < slots_.size(); ++s) {
-        WorkgroupCtx &wg = slots_[s];
-        if (!wg.live)
+    using obs::StallCause;
+    const Cycle end = from + n;
+    const Cycle bubble_end = std::min(issue_busy_until_, bcu_busy_until_);
+    const StallCause blocked = hier_.dram_backpressure()
+                                   ? StallCause::DramBackpressure
+                                   : StallCause::MemPending;
+    for (unsigned s = 0; s < slots_.size(); ++s) {
+        if (!slots_[s].live)
             continue;
-        for (std::size_t w = 0; w < wg.warps.size(); ++w) {
-            WarpState &warp = wg.warps[w];
-            obs::StallCause cause;
-            if (warp.profile_issued) {
-                warp.profile_issued = false;
-                cause = obs::StallCause::Issued;
+        for (unsigned w = 0; w < slots_[s].warps.size(); ++w) {
+            WarpState &warp = slots_[s].warps[w];
+            const auto credit = [&](StallCause cause, Cycle cycles) {
+                if (cycles > 0)
+                    profiler_->on_warp_cycle(id_, s, w, cause, cycles);
+            };
+            if (std::exchange(warp.profile_issued, false)) {
+                credit(StallCause::Issued, n); // a stepped cycle: n == 1
+            } else if (warp.status == WarpStatus::Finished) {
+                credit(StallCause::NoWork, n);
+            } else if (warp.status == WarpStatus::AtBarrier) {
+                credit(StallCause::Barrier, n);
+            } else if (warp.status == WarpStatus::Blocked) {
+                credit(warp.profile_block_refill ? StallCause::RcacheMiss
+                                                 : blocked,
+                       n);
             } else {
-                switch (warp.status) {
-                  case WarpStatus::Finished:
-                    cause = obs::StallCause::NoWork;
-                    break;
-                  case WarpStatus::AtBarrier:
-                    cause = obs::StallCause::Barrier;
-                    break;
-                  case WarpStatus::Blocked:
-                    if (warp.profile_block_refill)
-                        cause = obs::StallCause::RcacheMiss;
-                    else if (backpressure)
-                        cause = obs::StallCause::DramBackpressure;
-                    else
-                        cause = obs::StallCause::MemPending;
-                    break;
-                  case WarpStatus::Ready:
-                  default:
-                    if (warp.ready_cycle > now) {
-                        // Waiting on its own result, regardless of any
-                        // concurrent front-end bubble.
-                        cause = obs::StallCause::Scoreboard;
-                    } else if (now < issue_busy_until_ &&
-                               now < bcu_busy_until_) {
-                        cause = obs::StallCause::BcuStall;
-                    } else {
-                        // Front-end structural: issue width exhausted,
-                        // LSU port occupied, or an instrumentation
-                        // bubble holding the issue stage.
-                        cause = obs::StallCause::LsuBusy;
-                    }
-                    break;
-                }
+                // Ready: waiting on its own result before ready_cycle,
+                // whatever the front end does; then behind an exposed
+                // BCU bubble; then front-end structural (issue width
+                // exhausted, LSU port occupied, or an instrumentation
+                // bubble holding the issue stage).
+                const Cycle ready = std::clamp(warp.ready_cycle, from, end);
+                const Cycle bubble = std::clamp(bubble_end, ready, end);
+                credit(StallCause::Scoreboard, ready - from);
+                credit(StallCause::BcuStall, bubble - ready);
+                credit(StallCause::LsuBusy, end - bubble);
             }
-            profiler_->on_warp_cycle(id_, static_cast<unsigned>(s),
-                                     static_cast<unsigned>(w), cause);
         }
     }
 }

@@ -145,9 +145,6 @@ class Core
      */
     Cycle next_work_cycle(Cycle from) const;
 
-    /** True when no workgroups are resident. */
-    bool idle() const { return live_workgroups_ == 0; }
-
     /** The core's shield backend, the kind GpuConfig::shield names. */
     const ShieldBackend &shield() const { return *shield_; }
 
@@ -163,13 +160,15 @@ class Core
     void set_profiler(obs::Profiler *profiler) { profiler_ = profiler; }
 
     /**
-     * Attributes this cycle to a cause for every resident warp. Called
-     * by Gpu::run after all cores ticked but before the event queue
-     * advances, so the counted warp-cycles per workgroup exactly equal
-     * its residency (end − start). Only called while a profiler is
-     * attached.
+     * Attributes the @p n cycles from @p from on to a cause for every
+     * resident warp: a stepped cycle (after all cores ticked, before
+     * the event queue advances) or a stretch the clock jumps (before
+     * the jump), so counted warp-cycles per workgroup equal its
+     * residency. No tick or event falls inside a stretch, so only a
+     * Ready warp's cause changes: Scoreboard before its ready_cycle,
+     * then BcuStall while a BCU bubble holds issue, then LsuBusy.
      */
-    void profile_cycle();
+    void profile_cycles(Cycle from, Cycle n);
 
   private:
     struct WorkgroupCtx

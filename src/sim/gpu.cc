@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "common/log.h"
 #include "obs/engine_profile.h"
@@ -58,7 +59,7 @@ Gpu::launch(LaunchState state, std::uint64_t core_mask,
 }
 
 bool
-Gpu::all_done() const
+Gpu::done() const
 {
     for (const Launched &l : launched_)
         if (!l.exec->done)
@@ -87,6 +88,25 @@ Gpu::detach_completed()
 }
 
 void
+Gpu::attribute(Cycle from, Cycle n)
+{
+    // Cut the stretch where sampling intervals end, so each sample
+    // holds exactly its own interval's warp-cycles. Only the first
+    // piece carries retries: nothing runs inside a stretch.
+    const Cycle interval = profiler_->sample_interval();
+    for (Cycle len; n > 0; from += len, n -= len) {
+        len = std::min(n, interval - from % interval);
+        for (auto &core : cores_)
+            core->profile_cycles(from, len);
+        const std::uint64_t retries = hier_.stats().get("dram_retries");
+        profiler_->end_cycles(from + len - 1, len,
+                              hier_.dram().total_queued(),
+                              retries - std::exchange(retries_reported_,
+                                                      retries));
+    }
+}
+
+void
 Gpu::advance_clock(Cycle deadline)
 {
     // Exact jump target: the earliest cycle at which anything can
@@ -99,90 +119,76 @@ Gpu::advance_clock(Cycle deadline)
     for (auto &core : cores_)
         target = std::min(target, core->next_work_cycle(eq_.now()));
 
-    if (target == kCycleMax) {
-        if (all_done())
-            return;
+    if (target == kCycleMax) // run() jumps only with a kernel left
         throw SimulationError(
             "Gpu::run: no core has schedulable work and the event "
             "queue is empty (simulation deadlock)");
-    }
     target = std::min(target, deadline);
     if (target > eq_.now()) {
+        if (profiler_ != nullptr)
+            attribute(eq_.now(), target - eq_.now());
         cycles_skipped_ += target - eq_.now();
         eq_.run_until(target);
     }
+}
+
+bool
+Gpu::step()
+{
+    bool progress = false;
+    {
+        obs::EnginePhaseTimer t(engine_prof_,
+                                obs::HostEngineProfiler::Phase::Issue);
+        for (auto &core : cores_)
+            progress |= core->tick();
+    }
+
+    // Attribute this cycle before the queue advances so workgroup
+    // residency and counted warp-cycles agree exactly.
+    if (profiler_ != nullptr)
+        attribute(eq_.now(), 1);
+
+    {
+        obs::EnginePhaseTimer t(engine_prof_,
+                                obs::HostEngineProfiler::Phase::Events);
+        eq_.step();
+    }
+
+    {
+        obs::EnginePhaseTimer t(engine_prof_,
+                                obs::HostEngineProfiler::Phase::Detach);
+        detach_completed();
+    }
+    return progress;
 }
 
 void
 Gpu::run()
 {
     const Cycle deadline = eq_.now() + cfg_.max_cycles;
-    // The stall profiler's warp-cycle attribution invariant (counted
-    // warp-cycles == residency) requires visiting every cycle.
-    const bool per_cycle = profiler_ != nullptr;
-    // The profiler's DRAM-retry series is fed from the hierarchy's
-    // counter: each sample takes the retries since the last report.
-    std::uint64_t retries_reported = hier_.stats().get("dram_retries");
-
-    while (!all_done() && eq_.now() < deadline) {
-        // Progress (some core dispatched a workgroup or issued an
-        // instruction) gates the clock-jump scan below: a busy cycle
-        // skips the per-core next_work_cycle query entirely, and the
-        // first idle cycle of a stretch pays for it once.
-        bool progress = false;
-        {
+    while (!done() && eq_.now() < deadline) {
+        // Jump only on an idle cycle (no core dispatched or issued): a
+        // busy cycle almost always has work next cycle too, so busy
+        // cycles skip the per-core next_work_cycle scan, and the first
+        // idle cycle of a stretch pays for one scan that jumps it all.
+        // And only while kernels remain: stepping ends the moment
+        // done() holds, leaving still-scheduled events (trailing
+        // writebacks, stale wakeups) unrun.
+        if (!step() && !done()) {
             obs::EnginePhaseTimer t(engine_prof_,
-                               obs::HostEngineProfiler::Phase::Issue);
-            for (auto &core : cores_)
-                progress |= core->tick();
-        }
-
-        // Attribute this cycle before the queue advances so workgroup
-        // residency and counted warp-cycles agree exactly.
-        if (profiler_ != nullptr) {
-            for (auto &core : cores_)
-                core->profile_cycle();
-            const std::uint64_t retries = hier_.stats().get("dram_retries");
-            profiler_->end_cycle(eq_.now(), hier_.dram().total_queued(),
-                                 retries - retries_reported);
-            retries_reported = retries;
-        }
-
-        {
-            obs::EnginePhaseTimer t(engine_prof_,
-                               obs::HostEngineProfiler::Phase::Events);
-            eq_.step();
-        }
-
-        {
-            obs::EnginePhaseTimer t(engine_prof_,
-                               obs::HostEngineProfiler::Phase::Detach);
-            detach_completed();
-        }
-
-        // Jump only on an idle cycle (no core dispatched or issued):
-        // a busy cycle almost always has work next cycle too, and
-        // skipping the per-core next_work_cycle scan on busy cycles is
-        // what keeps the engine cheaper than per-cycle ticking — the
-        // first idle cycle of a stretch pays for one scan, then the
-        // whole stretch is jumped. And only while kernels remain: the
-        // per-cycle engine exits the moment all_done() holds, leaving
-        // any still-scheduled events (trailing writebacks, stale
-        // wakeups) unrun — jumping here would run them and diverge the
-        // hierarchy stats.
-        if (!per_cycle && !progress && !all_done()) {
-            obs::EnginePhaseTimer t(engine_prof_,
-                               obs::HostEngineProfiler::Phase::Events);
+                                    obs::HostEngineProfiler::Phase::Events);
             advance_clock(deadline);
         }
     }
 
     // Retries of the last event step go into the profiler's next
     // sample, taken by a later run or by another Gpu sharing it.
-    if (profiler_ != nullptr)
-        profiler_->add_dram_retries(hier_.stats().get("dram_retries") -
-                                    retries_reported);
-    if (!all_done())
+    if (profiler_ != nullptr) {
+        const std::uint64_t retries = hier_.stats().get("dram_retries");
+        profiler_->add_dram_retries(
+            retries - std::exchange(retries_reported_, retries));
+    }
+    if (!done())
         throw SimulationError(
             "Gpu::run: cycle budget exhausted (possible livelock)");
 }
@@ -239,6 +245,7 @@ void
 Gpu::set_profiler(obs::Profiler *profiler)
 {
     profiler_ = profiler;
+    retries_reported_ = hier_.stats().get("dram_retries");
     for (auto &core : cores_)
         core->set_profiler(profiler);
 }

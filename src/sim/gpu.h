@@ -67,13 +67,25 @@ class Gpu
     /**
      * Runs the simulation until every launched kernel completes.
      *
-     * Event-driven: between cycles where some core can do work the
-     * clock jumps straight to min(next core-ready cycle, next event),
-     * instead of scanning idle cycles (see cycles_skipped()). A stall
-     * profiler forces per-cycle ticking (its warp-cycle attribution
-     * invariant needs every cycle).
+     * Event-driven: it step()s, and after a cycle where no core made
+     * progress the clock jumps straight to min(next core-ready cycle,
+     * next event) (see cycles_skipped()). An attached stall profiler is
+     * credited each jumped stretch in bulk; no observer changes whether
+     * the clock jumps.
      */
     void run();
+
+    /**
+     * Simulates one cycle: ticks every core, attributes the cycle to an
+     * attached stall profiler, runs the next cycle's events and
+     * detaches finished kernels. Stepping until done() visits every
+     * cycle run() would jump.
+     * @return true if some core dispatched a workgroup or issued
+     */
+    bool step();
+
+    /** True once every launched kernel completed or aborted. */
+    bool done() const;
 
     /** Idle cycles the event-driven engine skipped instead of ticking
      *  (cumulative across run() calls). */
@@ -108,8 +120,8 @@ class Gpu
     /**
      * Attaches a stall-attribution profiler (src/obs) to the GPU and
      * every core; nullptr detaches. The profiler observes only —
-     * attaching one never changes simulated timing. Not owned; must
-     * outlive run().
+     * attaching one changes neither simulated timing nor the cycles
+     * the engine jumps. Not owned; must outlive run().
      */
     void set_profiler(obs::Profiler *profiler);
 
@@ -122,11 +134,8 @@ class Gpu
      */
     void set_lane_observer(LaneObserver *obs);
 
-    Core &core(std::size_t i) { return *cores_[i]; }
     std::size_t num_cores() const { return cores_.size(); }
     MemoryHierarchy &hierarchy() { return hier_; }
-    EventQueue &event_queue() { return eq_; }
-    const GpuConfig &config() const { return cfg_; }
     Cycle now() const { return eq_.now(); }
 
   private:
@@ -137,8 +146,9 @@ class Gpu
         bool detached = false;
     };
 
-    bool all_done() const;
     void detach_completed();
+    /** Credits the profiler the @p n cycles from @p from on. */
+    void attribute(Cycle from, Cycle n);
     /** Advances the clock to the next cycle any core or event needs;
      *  throws on a provable deadlock. @p deadline caps the jump. */
     void advance_clock(Cycle deadline);
@@ -152,6 +162,8 @@ class Gpu
     obs::HostEngineProfiler *engine_prof_ = nullptr;
     LaneObserver *lane_obs_ = nullptr;
     std::uint64_t cycles_skipped_ = 0;
+    /** The hierarchy's dram_retries count last handed to profiler_. */
+    std::uint64_t retries_reported_ = 0;
 };
 
 } // namespace gpushield

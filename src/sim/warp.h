@@ -173,7 +173,7 @@ class WarpState
 
     /** Profiler scratch (written only while a profiler is attached):
      *  issued this cycle / blocked on an access that needed an RBT
-     *  refill. See Core::profile_cycle. */
+     *  refill. See Core::profile_cycles. */
     bool profile_issued = false;
     bool profile_block_refill = false;
 

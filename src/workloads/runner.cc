@@ -33,7 +33,6 @@ collect_mem_stats(Gpu &gpu)
 RunOutcome
 run_workload(const GpuConfig &cfg, Driver &driver,
              const WorkloadInstance &instance, bool shield, bool use_static,
-             Cycle extra_cycles_per_mem, unsigned extra_transactions,
              obs::Profiler *profiler, LaneObserver *lane_obs)
 {
     Gpu gpu(cfg, driver);
@@ -42,9 +41,7 @@ run_workload(const GpuConfig &cfg, Driver &driver,
     if (lane_obs != nullptr)
         gpu.set_lane_observer(lane_obs);
     LaunchState state = driver.launch(instance.make_config(shield, use_static));
-    const std::size_t idx =
-        gpu.launch(std::move(state), ~std::uint64_t{0},
-                   extra_cycles_per_mem, extra_transactions);
+    const std::size_t idx = gpu.launch(std::move(state));
     gpu.run();
 
     RunOutcome out;

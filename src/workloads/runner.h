@@ -42,8 +42,6 @@ StatSet collect_mem_stats(Gpu &gpu);
 RunOutcome run_workload(const GpuConfig &cfg, Driver &driver,
                         const WorkloadInstance &instance, bool shield,
                         bool use_static,
-                        Cycle extra_cycles_per_mem = 0,
-                        unsigned extra_transactions = 0,
                         obs::Profiler *profiler = nullptr,
                         LaneObserver *lane_obs = nullptr);
 

@@ -322,6 +322,24 @@ TEST(Api, LaunchStatusToString)
     EXPECT_STREQ(to_string(LaunchStatus::Error), "error");
 }
 
+TEST(Api, RepeatedLaunchesHoldNoMoreDeviceMemory)
+{
+    // Every launch takes a fresh kernel ID and zero-fills that kernel's
+    // whole 256 KiB RBT table, at launch and again at finish; the fills
+    // must not leave the table's frames backed.
+    Context ctx;
+    const Buffer a = ctx.malloc(64);
+    KernelBuilder b("store");
+    b.st(b.ldarg(b.arg_ptr("A")), b.mov_imm(1), 4);
+    b.exit();
+    const KernelProgram prog = b.finish();
+    ASSERT_TRUE(ctx.launch(prog, {1, 1}, {arg(a)}).ok());
+    const std::size_t frames = ctx.device().mem().backed_frames();
+    for (int i = 1; i < 1000; ++i)
+        ASSERT_TRUE(ctx.launch(prog, {1, 1}, {arg(a)}).ok());
+    EXPECT_EQ(ctx.device().mem().backed_frames(), frames);
+}
+
 TEST(Api, ProfiledLaunchAttributesEveryWarpCycle)
 {
     Context ctx(small_config());

@@ -4,17 +4,17 @@
  *
  * The engine (sim/gpu.cc) makes two promises this file pins down:
  * (1) clock jumps are *invisible* — every simulated result is
- * byte-identical to the classic per-cycle engine — and (2) the jumps
- * actually happen (long DRAM stalls are fast-forwarded, not scanned).
- * Coverage:
+ * byte-identical to stepping every cycle with Gpu::step() — and (2) the
+ * jumps actually happen (long DRAM stalls are fast-forwarded, not
+ * scanned). Coverage:
  *
  *   - golden smoke grid byte-identical against tests/golden/smoke.jsonl
  *   - end cycle + kernel counters of the memory effects the golden grid
  *     never exercises: device mallocs, a translation-fault abort, and a
  *     precise-exception abort
- *   - DRAM-stall fast-forward regression: an engine with jumps skips
- *     cycles but matches the per-cycle engine (profiler-attached
- *     A/B) on every simulated stat
+ *   - DRAM-stall fast-forward regression: run() skips cycles but
+ *     matches the stepped engine on every simulated stat (the stall
+ *     profiler's side of that promise is in test_attribution.cc)
  *   - host-side engine profiler observes without changing results
  *   - the exact issue sequence (core, kernel, warp, workgroup, pc) of
  *     the smoke cells, a barrier kernel and the abort paths, which the
@@ -37,7 +37,6 @@
 #include "harness/sweep.h"
 #include "isa/builder.h"
 #include "obs/engine_profile.h"
-#include "obs/profiler.h"
 #include "workloads/kernels.h"
 #include "workloads/runner.h"
 #include "workloads/suites.h"
@@ -217,12 +216,10 @@ TEST(Engine, MemoryEffectsOutsideGoldenArePinned)
 
 TEST(Engine, DramStallFastForwardMatchesPerCycleEngine)
 {
-    // Crank DRAM into the multi-thousand-cycle range: under the old
-    // per-cycle engine every one of those stall cycles was scanned;
-    // the event-driven engine must jump them (cycles_skipped > 0)
-    // without perturbing a single simulated stat. The per-cycle
-    // reference comes from attaching the stall profiler, which forces
-    // the classic visit-every-cycle engine but observes only.
+    // Crank DRAM into the multi-thousand-cycle range: stepping the
+    // engine with Gpu::step() visits every one of those stall cycles;
+    // run() must jump them (cycles_skipped > 0) without perturbing a
+    // single simulated stat.
     GpuConfig cfg = nvidia_config();
     cfg.num_cores = 2;
     cfg.mem.dram.row_hit_latency = 20000;
@@ -233,10 +230,23 @@ TEST(Engine, DramStallFastForwardMatchesPerCycleEngine)
         GpuDevice dev(cfg.mem.page_size);
         Driver driver(dev, {}, 0xD12A3ull);
         const workloads::WorkloadInstance inst = def.make(driver);
-        obs::Profiler prof;
-        return workloads::run_workload(cfg, driver, inst, /*shield=*/true,
-                                       /*use_static=*/false, 0, 0,
-                                       per_cycle ? &prof : nullptr);
+        Gpu gpu(cfg, driver);
+        const std::size_t idx = gpu.launch(
+            driver.launch(inst.make_config(/*shield=*/true,
+                                           /*use_static=*/false)));
+        if (per_cycle)
+            while (!gpu.done())
+                gpu.step();
+        else
+            gpu.run();
+        workloads::RunOutcome out;
+        out.result = gpu.result(idx);
+        out.canaries = driver.finish(gpu.launch_state(idx));
+        out.rcache = gpu.rcache_stats();
+        out.bcu = gpu.bcu_stats();
+        out.mem = workloads::collect_mem_stats(gpu);
+        out.cycles_skipped = gpu.cycles_skipped();
+        return out;
     };
 
     const workloads::RunOutcome jumped = run(/*per_cycle=*/false);
@@ -245,7 +255,7 @@ TEST(Engine, DramStallFastForwardMatchesPerCycleEngine)
     EXPECT_GT(jumped.cycles_skipped, 0u)
         << "long DRAM stalls were scanned cycle-by-cycle, not jumped";
     EXPECT_EQ(scanned.cycles_skipped, 0u)
-        << "profiler-attached engine must visit every cycle";
+        << "a stepped engine must visit every cycle";
 
     EXPECT_EQ(jumped.result.cycles(), scanned.result.cycles());
     EXPECT_EQ(jumped.result.aborted, scanned.result.aborted);
@@ -367,7 +377,7 @@ kernel_run(const GpuConfig &cfg,
     const workloads::WorkloadInstance w = make(driver);
     IssueOrder order;
     workloads::RunOutcome outcome = workloads::run_workload(
-        cfg, driver, w, shield, false, 0, 0, nullptr, &order);
+        cfg, driver, w, shield, false, nullptr, &order);
     return {order, std::move(outcome)};
 }
 

@@ -60,6 +60,25 @@ TEST(PhysicalMemory, Fill)
     EXPECT_EQ(mem.read_as<std::uint8_t>(164), 0u);
 }
 
+TEST(PhysicalMemory, ZeroFillBacksNothingAndReleasesWholeFrames)
+{
+    PhysicalMemory mem;
+    mem.fill(0, 0, 4 * kPageSize4K);
+    EXPECT_EQ(mem.backed_frames(), 0u);
+
+    // A zero fill over frames 0-2 that covers frame 1 whole and frames 0
+    // and 2 in part: it releases frame 1 and clears its part of the
+    // other two.
+    for (PAddr f = 0; f < 3; ++f)
+        mem.fill(f * kPageSize4K, 0xAB, kPageSize4K);
+    mem.fill(kPageSize4K - 8, 0, kPageSize4K + 16);
+    EXPECT_EQ(mem.backed_frames(), 2u);
+    EXPECT_EQ(mem.read_as<std::uint8_t>(kPageSize4K - 9), 0xABu);
+    EXPECT_EQ(mem.read_as<std::uint64_t>(kPageSize4K - 8), 0u);
+    EXPECT_EQ(mem.read_as<std::uint64_t>(2 * kPageSize4K), 0u);
+    EXPECT_EQ(mem.read_as<std::uint8_t>(2 * kPageSize4K + 8), 0xABu);
+}
+
 TEST(PageTable, TranslateMappedAndUnmapped)
 {
     PageTable pt(kPageSize4K);

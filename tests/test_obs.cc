@@ -66,7 +66,7 @@ TEST(StallAttribution, TwoWarpKernelSumsToResidency)
     obs::Profiler prof;
     const RunOutcome out =
         run_workload(cfg, driver, w, /*shield=*/true, /*use_static=*/false,
-                     0, 0, &prof);
+                     &prof);
     EXPECT_FALSE(out.result.aborted);
 
     ASSERT_EQ(prof.workgroups().size(), 1u);
@@ -117,7 +117,7 @@ TEST(StallAttribution, HoldsAcrossCoresAndWorkgroups)
     cfg.num_cores = 2;
 
     obs::Profiler prof;
-    run_workload(cfg, driver, w, true, false, 0, 0, &prof);
+    run_workload(cfg, driver, w, true, false, &prof);
 
     ASSERT_EQ(prof.workgroups().size(), 6u);
     std::uint64_t warp_cycles = 0;
@@ -141,7 +141,7 @@ TEST(ChromeTrace, ExportParsesAndValidates)
     cfg.num_cores = 2;
 
     obs::Profiler prof;
-    run_workload(cfg, driver, w, true, false, 0, 0, &prof);
+    run_workload(cfg, driver, w, true, false, &prof);
 
     std::ostringstream os;
     prof.write_chrome_trace(os);
@@ -180,7 +180,7 @@ TEST(ChromeTrace, KernelSpanKeepsHostileName)
     WorkloadInstance w = vecadd_instance(driver, 64, 1);
     w.program.name = std::string("k\"q\\b\r") + '\x01';
     obs::Profiler prof;
-    run_workload(nvidia_config(), driver, w, true, false, 0, 0, &prof);
+    run_workload(nvidia_config(), driver, w, true, false, &prof);
 
     std::ostringstream os;
     prof.write_chrome_trace(os);
@@ -237,7 +237,7 @@ TEST(ChromeTrace, DramRetrySeriesComesFromHierarchyCounter)
     cfg.mem.dram.queue_capacity = 1;
     obs::Profiler prof(1);
     const RunOutcome out =
-        run_workload(cfg, driver, w, true, false, 0, 0, &prof);
+        run_workload(cfg, driver, w, true, false, &prof);
 
     // With a one-cycle interval each sample is that cycle's retry count.
     // Retries after the last profiled cycle wait for a next sample, so
@@ -257,7 +257,7 @@ TEST(ChromeTrace, DramRetrySeriesComesFromHierarchyCounter)
     idle.ntid = 32;
     idle.nctaid = 1;
     const RunOutcome quiet =
-        run_workload(cfg, driver, idle, true, false, 0, 0, &prof);
+        run_workload(cfg, driver, idle, true, false, &prof);
     EXPECT_EQ(quiet.mem.get("hier.dram_retries"), 0u);
     EXPECT_EQ(sampled_dram_retries(prof), total);
 }

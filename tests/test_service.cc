@@ -591,6 +591,27 @@ TEST(Service, EvictRecyclesSlotAndKillsCredential)
     EXPECT_EQ(svc.record(ok).result.status, api::LaunchStatus::Ok);
 }
 
+TEST(Service, RepeatedLaunchesHoldNoMoreDeviceMemory)
+{
+    // One tenant's launches each zero-fill a fresh kernel's 256 KiB RBT
+    // table; a long-running service must not keep those frames.
+    GpuService svc;
+    const Credential cred = svc.admit("alice");
+    const BufferHandle buf = svc.create_buffer(cred, 64);
+    const KernelProgram prog = touch_kernel();
+    const auto launch = [&] {
+        const Ticket t =
+            svc.submit(cred, prog, {1, 1}, {api::arg(buf)}).ticket;
+        svc.drain();
+        return svc.record(t).result.status;
+    };
+    ASSERT_EQ(launch(), api::LaunchStatus::Ok);
+    const std::size_t frames = svc.device().mem().backed_frames();
+    for (int i = 1; i < 1000; ++i)
+        ASSERT_EQ(launch(), api::LaunchStatus::Ok);
+    EXPECT_EQ(svc.device().mem().backed_frames(), frames);
+}
+
 TEST(Service, CoScheduleRunsTenantsInOneBatch)
 {
     ServiceConfig cfg;
